@@ -277,6 +277,7 @@ def cmd_fit(args) -> int:
                     ["quantity", "value"],
                     [["accept_rate_alpha", draws.accept_rate_alpha],
                      ["accept_rate_eps", draws.accept_rate_eps],
+                     ["accept_rate_level", draws.accept_rate_level],
                      ["floored_draws", draws.floored_count],
                      ["stored_draws", draws.n_draws]])
         if args.export_csv:

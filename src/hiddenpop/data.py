@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,15 @@ class PanelDataset:
     @property
     def k_regressors(self) -> int:
         return self.x.shape[2]
+
+    @cached_property
+    def regressor_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_it x_it x_it', X_i'1 per region): the slope update's constants.
+
+        Computed on first use and kept, like the finiteness check, on the
+        understanding that the panel does not change after construction.
+        """
+        return np.einsum("ntk,ntl->kl", self.x, self.x), self.x.sum(axis=1)
 
     def to_csv(self, path) -> None:
         k = self.k_regressors

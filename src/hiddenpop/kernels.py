@@ -86,7 +86,7 @@ def _robert_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         ap = a_flat[pending]
         lp = lam_flat[pending]
         z = ap + rng.exponential(size=pending.size) / lp
-        accept = rng.uniform(size=pending.size) <= np.exp(-0.5 * (z - lp) ** 2)
+        accept = rng.random(pending.size) <= np.exp(-0.5 * (z - lp) ** 2)
         out_flat[pending[accept]] = z[accept]
         pending = pending[~accept]
     return out
@@ -98,30 +98,35 @@ def truncated_normal(mean, sd, lower=0.0, *, rng: np.random.Generator) -> np.nda
     Central regime: inverse survival-function sampling, which stays exact
     for untruncated draws as the bound recedes. Deep tail (standardized
     bound above 4): exponential rejection, which never stalls no matter
-    how far the mean sits below the bound.
+    how far the mean sits below the bound. The generator is consumed in a
+    fixed order: one uniform per central cell first, then the tail
+    proposals. sd and lower broadcast against mean.
     """
     mean = np.asarray(mean, dtype=float)
-    shape = mean.shape
-    mean_f = np.atleast_1d(mean).ravel()
-    sd_f = np.broadcast_to(np.asarray(sd, dtype=float), shape).reshape(mean_f.shape)
-    lower_f = np.broadcast_to(np.asarray(lower, dtype=float), shape).reshape(mean_f.shape)
-    a = (lower_f - mean_f) / sd_f
-
-    z = np.empty(mean_f.shape)
-    deep = a > _TAIL_SWITCH
-    central = ~deep
-    if np.any(central):
-        ac = a[central]
-        # q uniform on (0, S(a)]; inverting the survival keeps precision in
-        # the tail where the CDF saturates.
-        q = (1.0 - rng.uniform(size=ac.shape)) * ndtr(-ac)
-        z[central] = -ndtri(q)
-    if np.any(deep):
-        z[deep] = _robert_tail(a[deep], rng)
-
-    x = mean_f + sd_f * z
+    # b is minus the standardized bound and w minus the standardized draw,
+    # so the central path needs no negations: x = mean - sd * w.
+    b = (mean - lower) / sd
+    deep = b < -_TAIL_SWITCH
+    if np.count_nonzero(deep):
+        w = np.empty(b.shape)
+        central = ~deep
+        w[central] = _inverse_survival(b[central], rng)
+        w[deep] = -_robert_tail(-b[deep], rng)
+    else:
+        w = _inverse_survival(b, rng)
+    x = mean - sd * w
     # Guard against rounding onto the bound itself; draws are strictly above.
-    return np.maximum(x, np.nextafter(lower_f, np.inf)).reshape(shape)
+    above = (math.nextafter(lower, math.inf) if isinstance(lower, (int, float))
+             else np.nextafter(lower, np.inf))
+    return np.maximum(x, above)
+
+
+def _inverse_survival(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Minus a standard-normal draw conditioned on exceeding -b, for moderate b."""
+    # q uniform on (0, S(-b)] = (0, Phi(b)]; inverting the survival keeps
+    # precision in the tail where the CDF saturates.
+    q = (1.0 - rng.random(np.shape(b))) * ndtr(b)
+    return ndtri(q)
 
 
 def sample_truncated_normal(spec: TruncatedNormalSpec, rng: np.random.Generator) -> float:
@@ -140,6 +145,16 @@ def sample_inverse_gamma(shape: float, scale: float, rng: np.random.Generator) -
     while g == 0.0:  # underflow guard, only reachable for tiny shapes
         g = rng.gamma(shape)
     return scale / g
+
+
+def _inverse_factors(sigma2_eps: float, sigma2_alpha: float, t: int) -> tuple[float, float]:
+    """(a, c) of Sigma^{-1} = a * I - c * 11', unvalidated for the sampler's hot path."""
+    return 1.0 / sigma2_eps, sigma2_alpha / (sigma2_eps * (sigma2_eps + t * sigma2_alpha))
+
+
+def _logdet(sigma2_eps: float, sigma2_alpha: float, t: int) -> float:
+    """log |Sigma|, unvalidated for the sampler's hot path."""
+    return (t - 1) * math.log(sigma2_eps) + math.log(sigma2_eps + t * sigma2_alpha)
 
 
 @dataclass(frozen=True)
@@ -161,11 +176,7 @@ class CompoundSymmetricCov:
     @property
     def inverse_factors(self) -> tuple[float, float]:
         """(a, c) such that Sigma^{-1} = a * I - c * 11'."""
-        a = 1.0 / self.sigma2_eps
-        c = self.sigma2_alpha / (
-            self.sigma2_eps * (self.sigma2_eps + self.t_len * self.sigma2_alpha)
-        )
-        return a, c
+        return _inverse_factors(self.sigma2_eps, self.sigma2_alpha, self.t_len)
 
     @property
     def one_inv_one(self) -> float:
@@ -174,9 +185,7 @@ class CompoundSymmetricCov:
 
     @property
     def logdet(self) -> float:
-        return (self.t_len - 1) * math.log(self.sigma2_eps) + math.log(
-            self.sigma2_eps + self.t_len * self.sigma2_alpha
-        )
+        return _logdet(self.sigma2_eps, self.sigma2_alpha, self.t_len)
 
     def dense(self) -> np.ndarray:
         t = self.t_len
@@ -254,14 +263,12 @@ def mh_scaled_chisq_step(log_target, current, rng: np.random.Generator, step_sca
     )
     lt_prop = np.asarray(log_target(proposal), dtype=float)
     lt_cur = np.asarray(log_target(current), dtype=float)
-    with np.errstate(invalid="ignore"):
-        log_accept = lt_prop - lt_cur + correction
     # -inf target values (truncated support) must not produce NaN accepts:
     # a proposal outside the support is always rejected, and any in-support
-    # proposal from an out-of-support state is always taken.
-    log_accept = np.where(np.isneginf(lt_prop), -np.inf, log_accept)
-    log_accept = np.where(
-        np.isneginf(lt_cur) & ~np.isneginf(lt_prop), np.inf, log_accept
-    )
-    accept = np.log(rng.uniform(size=current.shape)) < log_accept
+    # proposal from an out-of-support state is always taken. Zeroing the
+    # -inf current values keeps inf - inf out of the difference.
+    inside = lt_prop != -np.inf
+    escape = lt_cur == -np.inf
+    log_accept = lt_prop - np.where(escape, 0.0, lt_cur) + correction
+    accept = inside & (escape | (np.log(rng.random(current.shape)) < log_accept))
     return np.where(accept, proposal, current), accept

@@ -32,15 +32,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtr, gammaincinv
 
 from .data import PanelDataset
 from .kernels import (
-    CompoundSymmetricCov,
     NumericalError,
+    _inverse_factors,
+    _logdet,
     make_rng,
     mh_scaled_chisq_step,
     sample_inverse_gamma,
+    split_rng,
     truncated_normal,
 )
 from .spatial import SpatialGraph, car_quadratic_form
@@ -180,6 +182,9 @@ class PosteriorDraws:
     accept_rate_eps: float
     floored_count: int
     chain_id: np.ndarray = field(default=None)  # (S,) chain index per draw
+    # Share of sweeps whose level move was accepted; NaN when the move did
+    # not run (unstabilized chains, or draws read back from draws.npz).
+    accept_rate_level: float = math.nan
 
     def __post_init__(self):
         if self.chain_id is None:
@@ -211,18 +216,19 @@ def _residual(data: PanelDataset, state: ParameterState, *, u=True, eta=True, v=
 
 
 def beta_posterior_moments(state: ParameterState, data: PanelDataset, prior: PriorConfig):
-    """Mean and covariance of the slope full conditional.
+    """Mean and lower Cholesky factor of the precision of the slope full conditional.
 
     Precision = sum_i X_i' Sigma^{-1} X_i + B0^{-1}; the Sigma^{-1} products
-    use the rank-one form so the sum costs O(N T K^2).
+    use the rank-one form, and the panel's Gram pieces X'X and X_i'1 are
+    computed once per panel, so a call costs O(N T K + N K^2).
     """
     n, t, k = data.x.shape
-    cov = CompoundSymmetricCov(state.sigma2_eps, state.sigma2_alpha, t)
-    a, c = cov.inverse_factors
+    a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
     ytil = data.y - state.u_plus - state.v[:, None] - state.eta_plus[:, None]
-    xs = data.x.sum(axis=1)                       # (N, K), X_i' 1
-    gram = a * np.einsum("ntk,ntl->kl", data.x, data.x) - c * xs.T @ xs
-    rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - c * xs.T @ ytil.sum(axis=1)
+    xtx, xs = data.regressor_gram                 # (K, K) and (N, K), X_i' 1
+    cxs = c * xs.T
+    gram = a * xtx - cxs @ xs
+    rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - cxs @ ytil.sum(axis=1)
 
     prec = gram + np.eye(k) / prior.beta_cov_scale
     rhs = rhs + prior.beta_mean_vector(k) / prior.beta_cov_scale
@@ -233,24 +239,21 @@ def beta_posterior_moments(state: ParameterState, data: PanelDataset, prior: Pri
             "slope posterior precision is not positive definite", np.linalg.cond(prec)
         ) from exc
     mean = np.linalg.solve(prec, rhs)
-    cov_beta = np.linalg.inv(prec)
-    return mean, cov_beta, chol
+    return mean, chol
 
 
 def update_beta(state: ParameterState, data: PanelDataset, prior: PriorConfig,
                 rng: np.random.Generator) -> np.ndarray:
-    mean, _, chol = beta_posterior_moments(state, data, prior)
+    mean, chol = beta_posterior_moments(state, data, prior)
     z = rng.standard_normal(mean.size)
     # chol is the lower factor of the precision; solve L' x = z gives a
     # draw with covariance prec^{-1}.
     return mean + np.linalg.solve(chol.T, z)
 
 
-def _omega_factors(state: ParameterState, t: int) -> tuple[float, float]:
+def _omega_factors(a: float, c: float, sigma2_u: float, t: int) -> tuple[float, float]:
     """(e, f) with Omega = (Sigma^{-1} + I/s2_u)^{-1} = e I + f 11'."""
-    cov = CompoundSymmetricCov(state.sigma2_eps, state.sigma2_alpha, t)
-    a, c = cov.inverse_factors
-    p = a + 1.0 / state.sigma2_u
+    p = a + 1.0 / sigma2_u
     e = 1.0 / p
     f = c / (p * (p - t * c))
     return e, f
@@ -268,9 +271,8 @@ def update_u_plus(state: ParameterState, data: PanelDataset,
     independent, so each step draws all N coordinates at once.
     """
     n, t = data.y.shape
-    cov = CompoundSymmetricCov(state.sigma2_eps, state.sigma2_alpha, t)
-    a, c = cov.inverse_factors
-    e, f = _omega_factors(state, t)
+    a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
+    e, f = _omega_factors(a, c, state.sigma2_u, t)
 
     r = _residual(data, state, u=False)
     row = r.sum(axis=1)
@@ -282,10 +284,10 @@ def update_u_plus(state: ParameterState, data: PanelDataset,
     cond_sd = math.sqrt(e * (e + t * f) / (e + (t - 1) * f))
 
     u = state.u_plus.copy()
-    resid_sum = (u - mu).sum(axis=1)
+    dev = u - mu    # column s still holds its old value when it is drawn
+    resid_sum = dev.sum(axis=1)
     for s in range(t):
-        dev = u[:, s] - mu[:, s]
-        cond_mean = mu[:, s] + coupling * (resid_sum - dev)
+        cond_mean = mu[:, s] + coupling * (resid_sum - dev[:, s])
         new = truncated_normal(cond_mean, cond_sd, 0.0, rng=rng)
         resid_sum += new - u[:, s]
         u[:, s] = new
@@ -311,23 +313,23 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     Region i's full conditional is normal with precision
     1'Sigma^{-1}1 + row_sum_i / s2_v and mean proportional to the data
     pull plus the weighted sum of the *current* neighbour values, so the
-    sweep must be sequential.
+    sweep must be sequential. Everything that does not depend on the
+    neighbours' latest values is computed for all regions before the loop.
     """
     n, t = data.y.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
     r = _residual(data, state, v=False)
-    data_pull = r.sum(axis=1) / denom          # 1' Sigma^{-1} r_i
+    data_pull = (r.sum(axis=1) / denom).tolist()   # 1' Sigma^{-1} r_i
 
     v = state.v.copy()
     z = rng.standard_normal(n)
     inv_s2v = 1.0 / state.sigma2_v
-    neighbors, weights, row_sums = graph.neighbors, graph.weights, graph.row_sums
-    for i in range(n):
-        prec = one_inv_one + row_sums[i] * inv_s2v
-        var = 1.0 / prec
-        mean = var * (data_pull[i] + inv_s2v * np.dot(weights[i], v[neighbors[i]]))
-        v[i] = mean + math.sqrt(var) * z[i]
+    var = 1.0 / (one_inv_one + graph.row_sums * inv_s2v)
+    noise = (np.sqrt(var) * z).tolist()
+    var = var.tolist()
+    for i, (nbr, wts) in enumerate(zip(graph.neighbors, graph.weights)):
+        v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
     if center:
         v -= v.mean()
     return v
@@ -349,11 +351,12 @@ def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConf
     scale = prior.qbar_v + quad
     if floor <= 0.0:
         return scale / rng.chisquare(dof)
-    # sigma2_v >= floor  <=>  chi2 draw <= scale / floor
-    upper_mass = chi2_dist.cdf(scale / floor, dof)
+    # sigma2_v >= floor  <=>  chi2 draw <= scale / floor; chdtr and
+    # 2 * gammaincinv(df / 2, .) are the chi2(df) CDF and its inverse
+    upper_mass = chdtr(dof, scale / floor)
     if upper_mass <= 0.0:
         return floor
-    draw = chi2_dist.ppf(rng.uniform() * upper_mass, dof)
+    draw = 2 * gammaincinv(dof / 2, rng.uniform() * upper_mass)
     return max(scale / draw, floor)
 
 
@@ -376,16 +379,15 @@ def update_sigma2_eta(state: ParameterState, prior: PriorConfig,
 def _marginal_loglik_terms(data: PanelDataset, state: ParameterState):
     """Sufficient statistics of the Sigma-marginalised Gaussian likelihood."""
     resid = _residual(data, state)
-    ss = float(np.sum(resid * resid))
+    ss = float((resid * resid).sum())
     rows = resid.sum(axis=1)
-    ss_rows = float(np.sum(rows * rows))
+    ss_rows = float((rows * rows).sum())
     return ss, ss_rows
 
 
-def _scaled_chisq_log_prior(s2, qbar: float, nbar: float):
+def _scaled_chisq_log_prior(s2: float, qbar: float, nbar: float) -> float:
     """Log density of s2 when qbar / s2 ~ chi2(nbar)."""
-    s2 = np.asarray(s2, dtype=float)
-    return -(0.5 * nbar + 1.0) * np.log(s2) - 0.5 * qbar / s2
+    return float(-(0.5 * nbar + 1.0) * np.log(s2) - 0.5 * qbar / s2)
 
 
 def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
@@ -407,9 +409,8 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
     ss, ss_rows = _marginal_loglik_terms(data, state)
 
     def loglik(s2_alpha: float, s2_eps: float) -> float:
-        cov = CompoundSymmetricCov(s2_eps, s2_alpha, t)
-        a, c = cov.inverse_factors
-        return -0.5 * n * cov.logdet - 0.5 * (a * ss - c * ss_rows)
+        a, c = _inverse_factors(s2_eps, s2_alpha, t)
+        return -0.5 * n * _logdet(s2_eps, s2_alpha, t) - 0.5 * (a * ss - c * ss_rows)
 
     s2_eps_cur = state.sigma2_eps
 
@@ -417,9 +418,8 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
         s2 = float(s2)
         if s2 > alpha_cap or s2 < alpha_floor:
             return -math.inf
-        return loglik(s2, s2_eps_cur) + float(
-            _scaled_chisq_log_prior(s2, prior.qbar_alpha, prior.nbar_alpha)
-        )
+        return loglik(s2, s2_eps_cur) + _scaled_chisq_log_prior(
+            s2, prior.qbar_alpha, prior.nbar_alpha)
 
     new_alpha, acc_alpha = mh_scaled_chisq_step(
         target_alpha, state.sigma2_alpha, rng, step_scale_alpha
@@ -430,9 +430,8 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
         s2 = float(s2)
         if s2 < eps_floor:
             return -math.inf
-        return loglik(new_alpha, s2) + float(
-            _scaled_chisq_log_prior(s2, prior.qbar_eps, prior.nbar_eps)
-        )
+        return loglik(new_alpha, s2) + _scaled_chisq_log_prior(
+            s2, prior.qbar_eps, prior.nbar_eps)
 
     new_eps, acc_eps = mh_scaled_chisq_step(
         target_eps, state.sigma2_eps, rng, step_scale_eps
@@ -592,6 +591,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     floored = 0
     accepted_alpha = 0
     accepted_eps = 0
+    accepted_level = 0
     stored = 0
 
     def floor_var(value: float) -> float:
@@ -608,7 +608,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
             state.eta_plus = update_eta_plus(state, work, rng)
             state.v = update_v(state, work, graph, rng, center=chain.center_car)
             if chain.stabilize:
-                update_level(state, rng)
+                accepted_level += update_level(state, rng)
             state.sigma2_v = floor_var(
                 update_sigma2_v(state, graph, prior, rng, df=chain.car_df, floor=v_floor)
             )
@@ -640,6 +640,8 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
     out.accept_rate_alpha = accepted_alpha / chain.n_iter
     out.accept_rate_eps = accepted_eps / chain.n_iter
+    if chain.stabilize:
+        out.accept_rate_level = accepted_level / chain.n_iter
     out.floored_count = floored
     return out
 
@@ -647,25 +649,20 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 def run_chains(data: PanelDataset, graph: SpatialGraph,
                prior: PriorConfig | None = None,
                chain: ChainConfig | None = None,
-               n_chains: int = 1,
-               max_workers: int | None = None) -> PosteriorDraws:
-    """Run n_chains independent chains with split seeds and stack the draws."""
+               n_chains: int = 1) -> PosteriorDraws:
+    """Run n_chains independent chains and stack the draws.
+
+    Chain i draws from the i-th stream split from chain.seed. The chains
+    run one after another: a sweep is mostly small numpy calls that hold
+    the interpreter lock, so threads only add contention.
+    """
     chain = chain or ChainConfig()
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(chain.seed).spawn(n_chains)]
-    if n_chains == 1:
-        return run_chain(data, graph, prior, chain, chain_id=0, rng=rngs[0])
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    def worker(idx: int) -> PosteriorDraws:
-        return run_chain(data, graph, prior, chain, chain_id=idx, rng=rngs[idx])
-
-    with ThreadPoolExecutor(max_workers=max_workers or min(n_chains, 4)) as pool:
-        results = list(pool.map(worker, range(n_chains)))
-    return stack_draws(results)
+    return stack_draws([
+        run_chain(data, graph, prior, chain, chain_id=idx, rng=rng)
+        for idx, rng in enumerate(split_rng(chain.seed, n_chains))
+    ])
 
 
 def stack_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
@@ -690,4 +687,5 @@ def stack_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
         accept_rate_eps=float(np.mean([p.accept_rate_eps for p in parts])),
         floored_count=int(sum(p.floored_count for p in parts)),
         chain_id=cat("chain_id"),
+        accept_rate_level=float(np.mean([p.accept_rate_level for p in parts])),
     )

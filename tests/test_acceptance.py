@@ -222,7 +222,8 @@ def test_criterion_7_oracle_suites():
                            sigma2_alpha=0.0, sigma2_eps=0.3, sigma2_v=0.1,
                            sigma2_u=0.1, sigma2_eta=0.1)
     prior = PriorConfig()
-    mean, cov_b, _ = beta_posterior_moments(state, data, prior)
+    mean, chol = beta_posterior_moments(state, data, prior)
+    cov_b = np.linalg.inv(chol @ chol.T)
     betas = np.array([update_beta(state, data, prior, rng) for _ in range(20000)])
     mcse = np.sqrt(np.diag(cov_b) / betas.shape[0])
     ok &= np.all(np.abs(betas.mean(axis=0) - mean) < 2.5 * mcse)

@@ -61,6 +61,19 @@ class TestFitCommand:
         assert draws.n_draws == (900 - 400) // 5
         assert y.shape == (9, 3)
 
+    def test_acceptance_reports_level_move(self, tmp_path):
+        sim = tmp_path / "sim"
+        fit = tmp_path / "fit"
+        _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "2",
+             "--out", str(sim))
+        assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
+                    "--iters", "600", "--burnin", "100", "--thin", "5",
+                    "--seed", "3", "--out", str(fit)) == 0
+        rates = {q: float(v) for q, v in _rows(fit / "acceptance.csv")[1:]}
+        assert set(rates) == {"accept_rate_alpha", "accept_rate_eps", "accept_rate_level",
+                              "floored_draws", "stored_draws"}
+        assert 0.0 < rates["accept_rate_level"] < 1.0
+
     def test_determinism_bit_identical_files(self, tmp_path):
         sim = tmp_path / "sim"
         _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "4",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtr, ndtri
 
 from hiddenpop.kernels import (
     CHI2_DF1_MEDIAN,
@@ -76,6 +77,74 @@ class TestTruncatedNormal:
         x = truncated_normal(np.full(10**5, mu), sd, 0.0, rng=rng)
         ref = stats.truncnorm(a=(0 - mu) / sd, b=np.inf, loc=mu, scale=sd)
         assert stats.kstest(x, ref.cdf).pvalue > 0.01
+
+
+def _reference_truncated_normal(mean, sd, lower, rng):
+    """The sampler as first written: every argument broadcast to a flat copy.
+
+    Oracle for the overhead-free version, which must return the same bits
+    and leave the generator in the same state.
+    """
+    mean = np.asarray(mean, dtype=float)
+    shape = mean.shape
+    mean_f = np.atleast_1d(mean).ravel()
+    sd_f = np.broadcast_to(np.asarray(sd, dtype=float), shape).reshape(mean_f.shape)
+    lower_f = np.broadcast_to(np.asarray(lower, dtype=float), shape).reshape(mean_f.shape)
+    a = (lower_f - mean_f) / sd_f
+    z = np.empty(mean_f.shape)
+    deep = a > 4.0
+    central = ~deep
+    if np.any(central):
+        ac = a[central]
+        q = (1.0 - rng.uniform(size=ac.shape)) * ndtr(-ac)
+        z[central] = -ndtri(q)
+    if np.any(deep):
+        ad = a[deep]
+        lam = 0.5 * (ad + np.sqrt(ad * ad + 4.0))
+        out = np.empty(ad.shape)
+        pending = np.arange(ad.size)
+        while pending.size:
+            z_prop = ad[pending] + rng.exponential(size=pending.size) / lam[pending]
+            accept = rng.uniform(size=pending.size) <= np.exp(
+                -0.5 * (z_prop - lam[pending]) ** 2)
+            out[pending[accept]] = z_prop[accept]
+            pending = pending[~accept]
+        z[deep] = out
+    x = mean_f + sd_f * z
+    return np.maximum(x, np.nextafter(lower_f, np.inf)).reshape(shape)
+
+
+class TestTruncatedNormalOracle:
+    CASES = {
+        # mixed central and deep-tail cells (standardized bound a > 4)
+        "mixed": (np.linspace(-9.0, 3.0, 257), 1.0, 0.0),
+        "mixed_2d": (np.linspace(-6.0, 1.0, 60).reshape(12, 5), 0.8, 0.0),
+        "all_deep": (np.full(40, -7.0), 1.0, 0.0),
+        "all_central": (np.linspace(-2.0, 4.0, 50), 1.3, 0.0),
+        "array_sd": (np.linspace(-5.0, 1.0, 30), np.linspace(0.5, 2.0, 30), 0.0),
+        "shifted_bound": (np.linspace(-3.0, 3.0, 30), 0.7, 1.5),
+        "single_deep": (np.array([-5.0]), 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_bits_and_stream(self, case, seed):
+        mean, sd, lower = self.CASES[case]
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        got = truncated_normal(mean, sd, lower, rng=rng)
+        want = _reference_truncated_normal(mean, sd, lower, ref_rng)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the same amount of the stream was consumed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_scalar_mean(self):
+        for mean in (0.3, -6.0):
+            rng, ref_rng = make_rng(9), make_rng(9)
+            got = truncated_normal(np.array(mean), 1.0, 0.0, rng=rng)
+            want = _reference_truncated_normal(np.array(mean), 1.0, 0.0, ref_rng)
+            assert float(got) == float(want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestInverseGamma:
@@ -251,6 +320,46 @@ class TestMhScaledChisq:
 
         draws = self._run_parallel(log_target, 2000, 1100, 100, 20, 41, 0.5)
         assert stats.kstest(draws, ref.cdf).pvalue > 0.01
+
+    def test_matches_reference_on_truncated_support(self):
+        # the kernel as first written, with np.errstate and np.isneginf; the
+        # current chains mix in-support and out-of-support states
+        def reference(log_target, current, rng, step_scale):
+            current = np.asarray(current, dtype=float)
+            z = rng.chisquare(1.0, size=current.shape)
+            proposal = current * (z / CHI2_DF1_MEDIAN) ** step_scale
+            correction = (step_scale - 1.0) * np.log(z / CHI2_DF1_MEDIAN) + 0.5 * (
+                z - CHI2_DF1_MEDIAN**2 / z)
+            lt_prop = np.asarray(log_target(proposal), dtype=float)
+            lt_cur = np.asarray(log_target(current), dtype=float)
+            with np.errstate(invalid="ignore"):
+                log_accept = lt_prop - lt_cur + correction
+            log_accept = np.where(np.isneginf(lt_prop), -np.inf, log_accept)
+            log_accept = np.where(np.isneginf(lt_cur) & ~np.isneginf(lt_prop),
+                                  np.inf, log_accept)
+            accept = np.log(rng.uniform(size=current.shape)) < log_accept
+            return np.where(accept, proposal, current), accept
+
+        def log_target(s2):
+            s2 = np.asarray(s2)
+            return np.where((s2 < 0.5) | (s2 > 2.0), -np.inf, -1.5 * np.log(s2))
+
+        start = np.geomspace(0.1, 10.0, 400)
+        for step_scale in (0.25, 1.0):
+            rng, ref_rng = make_rng(43), make_rng(43)
+            with np.errstate(invalid="raise"):
+                got, got_acc = mh_scaled_chisq_step(log_target, start, rng, step_scale)
+            want, want_acc = reference(log_target, start, ref_rng, step_scale)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_acc, want_acc)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # the comparison saw both accepted and rejected moves
+            assert got_acc.any() and not got_acc.all()
+        for cur in (0.3, 1.0):
+            rng, ref_rng = make_rng(44), make_rng(44)
+            got, got_acc = mh_scaled_chisq_step(log_target, cur, rng, 0.4)
+            want, want_acc = reference(log_target, cur, ref_rng, 0.4)
+            assert float(got) == float(want) and bool(got_acc) == bool(want_acc)
 
     def test_truncated_support_never_crossed(self):
         def log_target(s2):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtr, gammaincinv
 
 from hiddenpop.data import PanelDataset
-from hiddenpop.kernels import CompoundSymmetricCov, make_rng
+from hiddenpop.kernels import CompoundSymmetricCov, make_rng, split_rng
 from hiddenpop.sampler import (
     ChainConfig,
     ParameterState,
@@ -24,7 +25,7 @@ from hiddenpop.sampler import (
     update_v,
 )
 from hiddenpop.simulate import DgpConfig, simulate
-from hiddenpop.spatial import build_queen_grid
+from hiddenpop.spatial import build_queen_grid, car_quadratic_form
 
 
 def _state(n, t, k, **overrides):
@@ -60,7 +61,8 @@ class TestBetaUpdate:
                        v=np.random.default_rng(4).normal(size=n),
                        sigma2_alpha=0.3, sigma2_eps=0.4)
         prior = PriorConfig(beta_cov_scale=50.0)
-        mean, cov, _ = beta_posterior_moments(state, data, prior)
+        mean, chol = beta_posterior_moments(state, data, prior)
+        cov = np.linalg.inv(chol @ chol.T)
 
         sigma = CompoundSymmetricCov(0.4, 0.3, t).dense()
         sigma_inv = np.linalg.inv(sigma)
@@ -78,7 +80,7 @@ class TestBetaUpdate:
         data = _panel(n, t, 1, seed=5)
         state = _state(n, t, 1, sigma2_alpha=0.0, sigma2_eps=0.25)
         prior = PriorConfig(beta_cov_scale=1e12)
-        mean, _, _ = beta_posterior_moments(state, data, prior)
+        mean, _ = beta_posterior_moments(state, data, prior)
         xf = data.x.reshape(-1, 1)
         yf = data.y.reshape(-1)
         ols = np.linalg.lstsq(xf, yf, rcond=None)[0]
@@ -91,7 +93,8 @@ class TestBetaUpdate:
         data = _panel(n, t, k, seed=6)
         state = _state(n, t, k, sigma2_alpha=0.0, sigma2_eps=0.3)
         prior = PriorConfig()
-        mean, cov, _ = beta_posterior_moments(state, data, prior)
+        mean, chol = beta_posterior_moments(state, data, prior)
+        cov = np.linalg.inv(chol @ chol.T)
         rng = make_rng(7)
         draws = np.array([update_beta(state, data, prior, rng) for _ in range(20000)])
         mcse = np.sqrt(np.diag(cov) / draws.shape[0])
@@ -190,6 +193,33 @@ class TestVarianceUpdates:
         draws = [update_sigma2_v(state, g, PriorConfig(), rng, floor=0.5)
                  for _ in range(200)]
         assert min(draws) >= 0.5
+
+    def test_chi2_special_functions_match_scipy_stats_bitwise(self):
+        # the floored s2_v draw calls chdtr and 2 * gammaincinv(df / 2, q)
+        # directly; they must return exactly what scipy.stats.chi2 returns
+        # df grid from 1 to 1000, with 246 = N*T + nbar_v at the paper size
+        dfs = np.concatenate([np.arange(1.0, 50.0), np.geomspace(50.0, 1000.0, 40), [246.0]])
+        qs = np.concatenate([np.geomspace(1e-300, 1e-3, 30), np.linspace(0.01, 0.99, 30),
+                             1.0 - np.geomspace(1e-3, 1e-16, 30)])
+        for df in dfs:
+            xs = stats.chi2.ppf(qs, df)
+            assert np.array_equal(chdtr(df, xs), stats.chi2.cdf(xs, df))
+            assert np.array_equal(2 * gammaincinv(df / 2, qs), xs)
+
+    def test_sigma2_v_floor_matches_scipy_stats_oracle(self):
+        g = build_queen_grid(3, 3)
+        prior = PriorConfig()
+        state = _state(9, 3, 1, v=np.random.default_rng(3).normal(size=9))
+        scale = prior.qbar_v + car_quadratic_form(g, state.v)
+        for df, floor in ((None, 0.05), (None, 0.5), (30, 0.2), (300, 1e-3)):
+            dof = 8 + prior.nbar_v if df is None else float(df)
+            rng, ref_rng = make_rng(31), make_rng(31)
+            for _ in range(50):
+                got = update_sigma2_v(state, g, prior, rng, df=df, floor=floor)
+                mass = stats.chi2.cdf(scale / floor, dof)
+                want = (floor if mass <= 0.0 else max(
+                    scale / stats.chi2.ppf(ref_rng.uniform() * mass, dof), floor))
+                assert got == want
 
     def test_sigma2_u_inverse_gamma_moment(self):
         n, t = 7, 7
@@ -291,6 +321,31 @@ class TestRunChain:
         assert a.n_draws == 2 * cfg.n_stored
         assert np.array_equal(a.beta, b.beta)
         assert set(np.unique(a.chain_id)) == {0, 1}
+
+    def test_chains_use_split_streams(self):
+        # one seeding path: chain i of run_chains is run_chain on the i-th
+        # stream split from the chain seed, whatever the number of chains
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=17)
+        both = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
+        one = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=1)
+        for idx, rng in enumerate(split_rng(cfg.seed, 2)):
+            alone = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg, rng=rng)
+            assert np.array_equal(both.sigma2_v[both.chain_id == idx], alone.sigma2_v)
+            assert np.array_equal(both.v[both.chain_id == idx], alone.v)
+            if idx == 0:
+                assert np.array_equal(one.v, alone.v)
+
+    def test_level_move_acceptance_counted(self):
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        cfg = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18)
+        a = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        assert 0.0 < a.accept_rate_level < 1.0
+        pair = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
+        assert 0.0 < pair.accept_rate_level < 1.0
+        off = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18, stabilize=False)
+        assert math.isnan(run_chain(truth.dataset, truth.graph, PriorConfig(),
+                                    off).accept_rate_level)
 
     def test_region_exchangeability(self):
         # permuting region labels (and the graph) permutes posterior means
