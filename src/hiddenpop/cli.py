@@ -10,7 +10,6 @@ manifest differs only in its wall-clock fields.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -49,6 +48,7 @@ from .spatial import SpatialGraph, build_queen_grid, load_adjacency
 OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
 
 _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")
+_SAVE_CHUNK_BYTES = 1 << 20
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -70,7 +70,9 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path) -> None:
     """Persist draws in a compact columnar zip of .npy members.
 
     Functionally an npz readable by numpy.load, but written with pinned
-    zip timestamps so identical draws produce byte-identical files.
+    zip timestamps so identical draws produce byte-identical files. Each
+    member is deflated straight into the file in 1 MiB chunks, so saving
+    holds no second copy of the draws in memory.
     """
     arrays = {
         "beta": draws.beta,
@@ -88,15 +90,33 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path) -> None:
     }
     for name in _DRAWS_SCALARS:
         arrays[name] = getattr(draws, name)
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name, arr in arrays.items():
-            member = io.BytesIO()
-            np.lib.format.write_array(member, np.asanyarray(arr), allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, member.getvalue())
-    _atomic_write_bytes(Path(path), buf.getvalue())
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, arr in arrays.items():
+                _write_npy_member(zf, name, arr)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+
+
+def _write_npy_member(zf: zipfile.ZipFile, name: str, arr) -> None:
+    """`name`.npy with the bytes np.lib.format.write_array gives, deflated
+    straight into the archive in chunks."""
+    arr = np.asanyarray(arr)
+    if arr.dtype.hasobject:
+        raise ValueError(f"draws member {name} has an object dtype")
+    header = np.lib.format.header_data_from_array_1_0(arr)
+    # write_array keeps a Fortran-ordered array's order and writes any other in C order
+    data = memoryview(arr.T if header["fortran_order"] else np.ascontiguousarray(arr)).cast("B")
+    info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+    info.compress_type = zipfile.ZIP_DEFLATED
+    with zf.open(info, "w") as member:
+        np.lib.format.write_array_header_1_0(member, header)
+        for start in range(0, len(data), _SAVE_CHUNK_BYTES):
+            member.write(data[start:start + _SAVE_CHUNK_BYTES])
 
 
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
@@ -152,14 +172,15 @@ def _parse_levels(text: str) -> list[float]:
 
 def _read_config_file(path) -> dict[str, str]:
     pairs = {}
-    for lineno, raw in enumerate(Path(path).open(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+    with Path(path).open() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            key, value = line.split("=", 1)
+            pairs[key.strip()] = value.strip()
     return pairs
 
 
@@ -196,16 +217,16 @@ class _OutputTracker:
                 pass
 
 
-def _graph_from_args(args, n_regions: int) -> SpatialGraph:
+def _graph_from_args(args, regions: np.ndarray) -> SpatialGraph:
     if args.grid is not None:
         graph = build_queen_grid(*args.grid)
     elif args.adjacency is not None:
-        graph = load_adjacency(args.adjacency)
+        graph = load_adjacency(args.adjacency, regions)
     else:
         raise ValueError("either --grid or --adjacency is required")
-    if graph.n_regions != n_regions:
+    if graph.n_regions != regions.size:
         raise ValueError(
-            f"graph has {graph.n_regions} regions but panel has {n_regions}"
+            f"graph has {graph.n_regions} regions but panel has {regions.size}"
         )
     return graph
 
@@ -268,7 +289,7 @@ def cmd_fit(args) -> int:
         n_chains = setting("chains", args.chains, int, 1)
 
         data = PanelDataset.from_csv(args.data)
-        graph = _graph_from_args(args, data.n_regions)
+        graph = _graph_from_args(args, data.regions)
         draws = run_chains(data, graph, PriorConfig(), chain, n_chains=n_chains)
 
         save_draws(draws, data.y, tracker.path("draws.npz"))

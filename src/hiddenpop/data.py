@@ -20,8 +20,89 @@ import numpy as np
 FLOAT_FMT = "%.6g"
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
+def _read_panel(path, columns: list[str], regressors: bool = False):
+    """Balanced panel CSV -> (sorted regions, sorted times, values (C, N, T)).
+
+    `columns` is the whole header, or with `regressors` its start, any
+    further columns being read too. Rows may come in any order and blank
+    lines are skipped. Every row must have the header's width, integer
+    labels and numeric values, and every (region, time) cell must appear
+    exactly once; a violation is reported as `file:line`.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if (header[:len(columns)] if regressors else header) != columns:
+            expected = ",".join(columns) + (",x1,..." if regressors else "")
+            raise ValueError(f"{path.name}:1: expected header {expected}")
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path.name}:{reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+    if not rows:
+        raise ValueError(f"{path.name}: no data rows")
+    fields = list(zip(*rows))
+    region, time = (_parse_column(path, lines, header[c], fields[c], int) for c in (0, 1))
+    values = np.array([_parse_column(path, lines, header[c], fields[c], float)
+                       for c in range(2, len(header))])
+
+    regions, region_pos = np.unique(region, return_inverse=True)
+    times, time_pos = np.unique(time, return_inverse=True)
+    n, t = regions.size, times.size
+    cell = region_pos * t + time_pos
+    count = np.bincount(cell, minlength=n * t)
+    if np.any(count > 1):
+        first = {}
+        for k, c in enumerate(cell.tolist()):
+            if c in first:
+                raise ValueError(
+                    f"{path.name}:{lines[k]}: duplicate cell region={region[k]} "
+                    f"time={time[k]}, first seen on line {lines[first[c]]}")
+            first[c] = k
+    if cell.size != n * t:
+        gap = int(np.argmin(count))
+        raise ValueError(
+            f"{path.name}: unbalanced panel ({cell.size} cells for {n}x{t}), no row for "
+            f"region={regions[gap // t]} time={times[gap % t]}")
+    out = np.empty((values.shape[0], n * t))
+    out[:, cell] = values
+    return regions, times, out.reshape(-1, n, t)
+
+
+def _parse_column(path: Path, lines: list[int], name: str, cells, cast) -> np.ndarray:
+    try:
+        return np.array(list(map(cast, cells)))
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        for line, cell in zip(lines, cells):
+            try:
+                cast(cell)
+            except ValueError:
+                raise ValueError(f"{path.name}:{line}: {name} {cell!r} is not {kind}") from None
+        raise
+
+
+def _write_columns(path, header: list[str], regions, times, columns) -> None:
+    """One row per (region, time) cell, regions outermost, in csv.writer's bytes.
+
+    Labels are written as integers. Each column broadcasts to (N, T); text
+    columns are written as they are and numeric ones with FLOAT_FMT. No
+    cell may need quoting.
+    """
+    n, t = len(regions), len(times)
+    columns = [np.broadcast_to(c, (n, t)) for c in columns]
+    row = ",".join(["%d", "%d"] + ["%s" if c.dtype.kind in "OUS" else FLOAT_FMT
+                                   for c in columns]) + "\r\n"
+    cells = zip(np.repeat(regions, t).tolist(), np.tile(times, n).tolist(),
+                *(c.ravel().tolist() for c in columns))
+    Path(path).write_text(",".join(header) + "\r\n" + "".join([row % r for r in cells]),
+                          newline="")
 
 
 @dataclass
@@ -72,45 +153,15 @@ class PanelDataset:
 
     def to_csv(self, path) -> None:
         k = self.k_regressors
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["region", "time"] + ["y"] + [f"x{j + 1}" for j in range(k)])
-            for i in range(self.n_regions):
-                for t in range(self.n_periods):
-                    row = [int(self.regions[i]), int(self.times[t]), _fmt(self.y[i, t])]
-                    row += [_fmt(self.x[i, t, j]) for j in range(k)]
-                    writer.writerow(row)
+        _write_columns(path, ["region", "time", "y"] + [f"x{j + 1}" for j in range(k)],
+                       self.regions, self.times,
+                       [self.y] + [self.x[:, :, j] for j in range(k)])
 
     @classmethod
     def from_csv(cls, path) -> "PanelDataset":
-        path = Path(path)
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["region", "time", "y"]:
-                raise ValueError(f"{path.name}: expected header region,time,y,x1,...")
-            k = len(header) - 3
-            rows = [r for r in reader if r]
-        if not rows:
-            raise ValueError(f"{path.name}: no data rows")
-        cells = {}
-        for r in rows:
-            key = (int(r[0]), int(r[1]))
-            if key in cells:
-                raise ValueError(f"{path.name}: duplicate cell region={key[0]} time={key[1]}")
-            cells[key] = [float(v) for v in r[2:]]
-        regions = sorted({key[0] for key in cells})
-        times = sorted({key[1] for key in cells})
-        n, t = len(regions), len(times)
-        if len(cells) != n * t:
-            raise ValueError(f"{path.name}: unbalanced panel ({len(cells)} cells for {n}x{t})")
-        y = np.empty((n, t))
-        x = np.empty((n, t, k))
-        for (ri, ti), vals in cells.items():
-            i, j = regions.index(ri), times.index(ti)
-            y[i, j] = vals[0]
-            x[i, j, :] = vals[1:]
-        return cls(y=y, x=x, regions=np.array(regions), times=np.array(times))
+        regions, times, values = _read_panel(path, ["region", "time", "y"], regressors=True)
+        return cls(y=values[0], x=np.ascontiguousarray(np.moveaxis(values[1:], 0, -1)),
+                   regions=regions, times=times)
 
 
 @dataclass
@@ -141,31 +192,5 @@ class CountPanel:
 
     @classmethod
     def from_csv(cls, path) -> "CountPanel":
-        path = Path(path)
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expected = ["region", "time", "count", "population"]
-            if header is None or [h.strip() for h in header] != expected:
-                raise ValueError(f"{path.name}: expected header {','.join(expected)}")
-            rows = [r for r in reader if r]
-        if not rows:
-            raise ValueError(f"{path.name}: no data rows")
-        cells = {}
-        for r in rows:
-            key = (int(r[0]), int(r[1]))
-            if key in cells:
-                raise ValueError(f"{path.name}: duplicate cell region={key[0]} time={key[1]}")
-            cells[key] = (float(r[2]), float(r[3]))
-        regions = sorted({key[0] for key in cells})
-        times = sorted({key[1] for key in cells})
-        n_r, n_t = len(regions), len(times)
-        if len(cells) != n_r * n_t:
-            raise ValueError(f"{path.name}: unbalanced panel")
-        s = np.empty((n_r, n_t))
-        pop = np.empty((n_r, n_t))
-        for (ri, ti), (cnt, p) in cells.items():
-            i, j = regions.index(ri), times.index(ti)
-            s[i, j] = cnt
-            pop[i, j] = p
-        return cls(s=s, n=pop, regions=np.array(regions), times=np.array(times))
+        regions, times, (s, pop) = _read_panel(path, ["region", "time", "count", "population"])
+        return cls(s=s, n=pop, regions=regions, times=times)

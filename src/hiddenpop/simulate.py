@@ -13,13 +13,11 @@ switched to a scaled Student-t for heavy-tail robustness runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import PanelDataset, FLOAT_FMT
+from .data import PanelDataset, _read_panel, _write_columns
 from .spatial import SpatialGraph, build_queen_grid
 
 _TRUTH_HEADER = ["region", "time", "u_plus", "eta_plus", "v", "alpha", "P"]
@@ -136,54 +134,19 @@ def simulate(config: DgpConfig) -> SimulatedTruth:
 
 
 def write_truth_csv(truth: SimulatedTruth, path) -> None:
-    n, t = truth.true_u_plus.shape
-    regions = truth.dataset.regions
-    times = truth.dataset.times
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRUTH_HEADER)
-        for i in range(n):
-            for j in range(t):
-                writer.writerow([
-                    int(regions[i]), int(times[j]),
-                    FLOAT_FMT % truth.true_u_plus[i, j],
-                    FLOAT_FMT % truth.true_eta_plus[i],
-                    FLOAT_FMT % truth.true_v[i],
-                    FLOAT_FMT % truth.true_alpha[i],
-                    FLOAT_FMT % truth.true_p[i, j],
-                ])
+    per_region = [a[:, None] for a in (truth.true_eta_plus, truth.true_v, truth.true_alpha)]
+    _write_columns(path, _TRUTH_HEADER, truth.dataset.regions, truth.dataset.times,
+                   [truth.true_u_plus, *per_region, truth.true_p])
 
 
 def read_truth_csv(path):
-    """Truth sidecar -> dict of arrays keyed like the writer's columns."""
-    path = Path(path)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _TRUTH_HEADER:
-            raise ValueError(f"{path.name}: expected header {','.join(_TRUTH_HEADER)}")
-        rows = [r for r in reader if r]
-    if not rows:
-        raise ValueError(f"{path.name}: no data rows")
-    cells = {(int(r[0]), int(r[1])): [float(val) for val in r[2:]] for r in rows}
-    regions = sorted({key[0] for key in cells})
-    times = sorted({key[1] for key in cells})
-    n, t = len(regions), len(times)
-    if len(cells) != n * t:
-        raise ValueError(f"{path.name}: unbalanced truth file")
-    u_plus = np.empty((n, t))
-    eta = np.empty(n)
-    v = np.empty(n)
-    alpha = np.empty(n)
-    p = np.empty((n, t))
-    for (ri, ti), vals in cells.items():
-        i, j = regions.index(ri), times.index(ti)
-        u_plus[i, j] = vals[0]
-        eta[i] = vals[1]
-        v[i] = vals[2]
-        alpha[i] = vals[3]
-        p[i, j] = vals[4]
+    """Truth sidecar -> dict of arrays keyed like the writer's columns.
+
+    The per-region columns (eta_plus, v, alpha) are read from each
+    region's first period.
+    """
+    regions, times, (u_plus, eta, v, alpha, p) = _read_panel(path, _TRUTH_HEADER)
     return {
-        "u_plus": u_plus, "eta_plus": eta, "v": v, "alpha": alpha, "p": p,
-        "regions": np.array(regions), "times": np.array(times),
+        "u_plus": u_plus, "eta_plus": eta[:, 0].copy(), "v": v[:, 0].copy(),
+        "alpha": alpha[:, 0].copy(), "p": p, "regions": regions, "times": times,
     }

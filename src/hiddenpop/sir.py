@@ -9,14 +9,12 @@ hot spots at fixed credibility tiers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import CountPanel, FLOAT_FMT
+from .data import CountPanel, _write_columns
 
 DEFAULT_PRIOR_NU = 0.01
 DEFAULT_PRIOR_ALPHA = 0.01
@@ -102,16 +100,6 @@ def flag_hotspots(table: SirTable, thresholds=DEFAULT_TIERS) -> np.ndarray:
 def write_sir_csv(table: SirTable, tiers: np.ndarray, path) -> None:
     if table.exceedance is None:
         raise ValueError("exceedance probabilities not computed yet")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "time", "sir", "expected", "exceedance", "tier"])
-        n, t = table.sir.shape
-        for i in range(n):
-            for j in range(t):
-                writer.writerow([
-                    int(table.regions[i]), int(table.times[j]),
-                    FLOAT_FMT % table.sir[i, j],
-                    FLOAT_FMT % table.expected[i, j],
-                    FLOAT_FMT % table.exceedance[i, j],
-                    tiers[i, j],
-                ])
+    _write_columns(path, ["region", "time", "sir", "expected", "exceedance", "tier"],
+                   table.regions, table.times,
+                   [table.sir, table.expected, table.exceedance, tiers])

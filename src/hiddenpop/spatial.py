@@ -138,15 +138,17 @@ def build_queen_grid(rows: int, cols: int) -> SpatialGraph:
     return SpatialGraph.from_edges(rows * cols, edges)
 
 
-def load_adjacency(path) -> SpatialGraph:
+def load_adjacency(path, regions=None) -> SpatialGraph:
     """Read an edge-list file: one `i j [weight]` triple per line.
 
-    Indices are 0-based, `#` starts a comment, each undirected edge appears
-    exactly once. Self-loops, duplicate edges (in either orientation) and
-    isolated regions are rejected with the offending line or region named.
+    Endpoints are region labels: the graph's region k is `regions[k]`, or
+    label k (0-based) when `regions` is None. `#` starts a comment and each
+    undirected edge appears exactly once. Self-loops, duplicate edges (in
+    either orientation), labels outside `regions` and isolated regions are
+    rejected with the offending line or region named.
     """
     path = Path(path)
-    edges = []
+    edges, lines = [], []
     seen: dict[tuple[int, int], int] = {}
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -163,7 +165,7 @@ def load_adjacency(path) -> SpatialGraph:
                 raise ValueError(f"{path.name}:{lineno}: unparsable entry {raw!r}") from exc
             if i == j:
                 raise ValueError(f"{path.name}:{lineno}: self-loop on region {i}")
-            if i < 0 or j < 0:
+            if regions is None and (i < 0 or j < 0):
                 raise ValueError(f"{path.name}:{lineno}: negative region index")
             if w <= 0:
                 raise ValueError(f"{path.name}:{lineno}: edge weight must be positive")
@@ -174,19 +176,28 @@ def load_adjacency(path) -> SpatialGraph:
                 )
             seen[key] = lineno
             edges.append((i, j, w))
+            lines.append(lineno)
     if not edges:
         raise ValueError(f"{path.name}: no edges found")
-    n_regions = max(max(i, j) for i, j, _ in edges) + 1
-    degree = np.zeros(n_regions, dtype=int)
+    if regions is None:
+        regions = range(max(max(i, j) for i, j, _ in edges) + 1)
+    regions = np.asarray(regions)
+    position = {label: k for k, label in enumerate(regions.tolist())}
+    for (i, j, _), lineno in zip(edges, lines):
+        for label in (i, j):
+            if label not in position:
+                raise ValueError(f"{path.name}:{lineno}: region {label} is not in the panel")
+    edges = [(position[i], position[j], w) for i, j, w in edges]
+    degree = np.zeros(regions.size, dtype=int)
     for i, j, _ in edges:
         degree[i] += 1
         degree[j] += 1
-    isolated = np.flatnonzero(degree == 0)
+    isolated = regions[degree == 0]
     if isolated.size:
         raise ValueError(
             f"{path.name}: isolated region(s) with no edges: {isolated.tolist()}"
         )
-    return SpatialGraph.from_edges(n_regions, edges)
+    return SpatialGraph.from_edges(regions.size, edges)
 
 
 def car_quadratic_form(graph: SpatialGraph, v: np.ndarray) -> float:

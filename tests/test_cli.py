@@ -1,12 +1,17 @@
 import csv
+import gc
+import hashlib
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from hiddenpop.cli import load_draws, main, save_draws
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain
+from hiddenpop.cli import _read_config_file, load_draws, main, save_draws
+from hiddenpop.sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
+from hiddenpop.spatial import build_queen_grid
 
 
 def _run(*argv):
@@ -108,6 +113,51 @@ class TestFitCommand:
         manifest = json.loads((fit / "manifest.json").read_text())
         assert manifest["config"]["n_iter"] == 600
         assert manifest["config"]["thin"] == 4  # flag wins over file
+
+    def test_config_file_is_closed(self, tmp_path, monkeypatch):
+        # an unclosed file warns while it is collected, where the error the
+        # filter makes of the warning can only reach the unraisable hook
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("iters=600\n# comment\nseed = 5\n")
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert _read_config_file(cfg) == {"iters": "600", "seed": "5"}
+            gc.collect()
+        assert unraisable == []
+
+    def test_adjacency_joins_regions_by_label(self, tmp_path):
+        # the same panel and graph, once labelled 0..8 in row-major order and
+        # once labelled 101..109 with the rows reversed, give the same draws
+        sim = tmp_path / "sim"
+        _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "2",
+             "--out", str(sim))
+        header, *rows = (sim / "panel.csv").read_text().splitlines()
+        relabelled = tmp_path / "relabelled.csv"
+        relabelled.write_text("\n".join(
+            [header] + [f"{int(r.split(',', 1)[0]) + 101},{r.split(',', 1)[1]}"
+                        for r in reversed(rows)]) + "\n")
+        graph = build_queen_grid(3, 3)
+        edges = list(zip(graph.edge_i.tolist(), graph.edge_j.tolist()))
+        outs = []
+        for data, offset in ((sim / "panel.csv", 0), (relabelled, 101)):
+            adjacency = tmp_path / f"edges{offset}.txt"
+            adjacency.write_text("".join(f"{i + offset} {j + offset}\n" for i, j in edges))
+            outs.append(tmp_path / f"fit{offset}")
+            assert _run("fit", "--data", str(data), "--adjacency", str(adjacency),
+                        "--iters", "600", "--burnin", "100", "--thin", "5",
+                        "--seed", "3", "--out", str(outs[-1])) == 0
+        assert (outs[0] / "draws.npz").read_bytes() == (outs[1] / "draws.npz").read_bytes()
+
+    def test_adjacency_label_missing_from_panel(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        _run("simulate", "--grid", "2x2", "--periods", "2", "--out", str(sim))
+        adjacency = tmp_path / "edges.txt"
+        adjacency.write_text("0 1\n0 2\n# region 4 does not exist\n2 4\n1 3\n")
+        assert _run("fit", "--data", str(sim / "panel.csv"), "--adjacency", str(adjacency),
+                    "--iters", "100", "--burnin", "50", "--out", str(tmp_path / "fit")) == 1
+        assert "edges.txt:4: region 4 is not in the panel" in capsys.readouterr().err
 
     def test_export_csv(self, tmp_path):
         sim = tmp_path / "sim"
@@ -211,6 +261,43 @@ class TestDrawsRoundTrip:
         assert np.array_equal(y, truth.dataset.y)
         assert back.seed == draws.seed
         assert back.avg_row_sum == pytest.approx(draws.avg_row_sum)
+
+    @staticmethod
+    def _fixed_draws(s=40, n=400, t=10):
+        rng = np.random.default_rng(2024)
+        draws = PosteriorDraws(
+            beta=rng.normal(size=(s, 2)), u_plus=rng.exponential(size=(s, n, t)),
+            eta_plus=rng.exponential(size=(s, n)), v=rng.normal(size=(s, n)),
+            sigma2_alpha=rng.gamma(2.0, size=s), sigma2_eps=rng.gamma(2.0, size=s),
+            sigma2_v=rng.gamma(2.0, size=s), sigma2_u=rng.gamma(2.0, size=s),
+            sigma2_eta=rng.gamma(2.0, size=s), seed=9, n_iter=80, burn_in=40, thin=1,
+            avg_row_sum=6.5, accept_rate_alpha=0.4, accept_rate_eps=0.3, floored_count=2)
+        return draws, rng
+
+    # Recorded from the writer that built each member and the whole archive
+    # in memory; u_plus (1.28 MB) spans more than one write chunk.
+    @pytest.mark.parametrize("layout, digest", [
+        ("fortran", "8eebe19dcb0a9209abc7fc29063d5cd4ac38d807d6684afc27c6931c94a122dd"),
+        ("reversed", "469a013b8429b45d1657a08f2264a7c27cd0202b93da70ca46039581466329d4"),
+    ])
+    def test_draws_file_bytes_are_pinned(self, tmp_path, layout, digest):
+        draws, rng = self._fixed_draws()
+        n, t = draws.v.shape[1], draws.u_plus.shape[2]
+        y = rng.normal(size=(t, n)).T if layout == "fortran" else rng.normal(size=(n, t))[:, ::-1]
+        path = tmp_path / "draws.npz"
+        save_draws(draws, y, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back, y_back = load_draws(path)
+        assert np.array_equal(back.u_plus, draws.u_plus)
+        assert np.array_equal(y_back, y)
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        draws, _ = self._fixed_draws(s=4, n=3, t=2)
+        draws.v = draws.v.astype(object)
+        path = tmp_path / "draws.npz"
+        with pytest.raises(ValueError, match="object dtype"):
+            save_draws(draws, np.ones((3, 2)), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_lists_outputs(self, tmp_path):
         out = tmp_path / "sim"

@@ -102,6 +102,33 @@ class TestLoadAdjacency:
             load_adjacency(path)
 
 
+    def test_shuffled_labelled_edges_give_the_queen_grid(self, tmp_path):
+        grid = build_queen_grid(5, 5)
+        labels = np.arange(101, 126)
+        edges = [(labels[i], labels[j]) for i, j in zip(grid.edge_i, grid.edge_j)]
+        order = np.random.default_rng(3).permutation(len(edges))
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{edges[k][1]} {edges[k][0]}\n" if k % 2 else
+                                f"{edges[k][0]} {edges[k][1]}\n" for k in order))
+        g = load_adjacency(path, labels)
+        assert g.n_regions == 25
+        for i in range(25):
+            assert sorted(g.neighbors[i].tolist()) == sorted(grid.neighbors[i].tolist())
+        assert np.array_equal(g.row_sums, grid.row_sums)
+
+    def test_label_missing_from_regions_names_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("101 102\n102 103\n\n103 117\n")
+        with pytest.raises(ValueError, match=r"edges.txt:4: region 117 is not in the panel"):
+            load_adjacency(path, np.array([101, 102, 103]))
+
+    def test_region_without_edge_listed_by_label(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("-5 7\n")
+        with pytest.raises(ValueError, match=r"isolated.*\[40\]"):
+            load_adjacency(path, np.array([-5, 7, 40]))
+
+
 class TestCarQuadraticForm:
     def test_constant_vector_is_null(self):
         g = build_queen_grid(3, 3)
