@@ -5,6 +5,12 @@ screens a counts file whose cells are a fixed formula of the region and
 period. The hashes were recorded from the row-by-row `csv.writer` writers,
 so a faster writer has to reproduce their bytes exactly: the `\\r\\n` line
 ends, the `%.6g` floats and the integer labels.
+
+A short seeded `fit` of that panel (100 stored draws) followed by
+`analyze --truth` at three levels writes the analyze files; their hashes
+were recorded while `predictive_intervals` still rebuilt and re-sorted
+the hidden-population draws once per level, so the one-pass interval
+search and the column writer of `uncaptured.csv` must give the same bytes.
 """
 
 import hashlib
@@ -17,7 +23,12 @@ GOLDEN = {
     "panel.csv": "bfdfc8ba8f49b003debcbacfbc9f2b0bdded0b537989ea6e9fb451c05fe3ed3b",
     "truth.csv": "752430cc6a0e03e70f7fcbbaf9646ca0da45aa41817f8e96c64cf3617bec40fc",
     "sir.csv": "ca369fc819e8876fa8c05e1f085482c1ef7d721ec6a0f54d188008438f1807f3",
+    "coverage.csv": "d01cbe0c58abdeb61e37fecdef92a1fd16a6fe7ea9774ba6865da7fce855c9b9",
+    "mape.csv": "62c44800a36d9093fc3d6e220586790c685f0780d5db9684fd2af01eaea1183f",
+    "rho.csv": "ff301bf53012fb43b84369b235efbd6053375e519aeb00406bd44568f9d9251a",
+    "uncaptured.csv": "971d9063c0e1d3b755d88c9b6bfbf6fc2d3313203d26568948c2f96aac61e6e2",
 }
+ANALYZE_FILES = ("coverage.csv", "mape.csv", "rho.csv", "uncaptured.csv")
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +41,15 @@ def outputs(tmp_path_factory):
         f"{i},{t},{(7 * i + 3 * t) % 11 + 1},{1000 + 37 * i + 5 * t}\n"
         for i in range(25) for t in range(3)))
     assert main(["sir", "--counts", str(counts), "--out", str(root / "sir")]) == 0
+    assert main(["fit", "--data", str(root / "sim" / "panel.csv"), "--grid", "5x5",
+                 "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "6",
+                 "--out", str(root / "fit")]) == 0
+    assert main(["analyze", "--draws", str(root / "fit" / "draws.npz"),
+                 "--truth", str(root / "sim" / "truth.csv"), "--levels", "0.90,0.95,0.99",
+                 "--out", str(root / "analyze")]) == 0
     return {"panel.csv": root / "sim" / "panel.csv", "truth.csv": root / "sim" / "truth.csv",
-            "sir.csv": root / "sir" / "sir.csv"}
+            "sir.csv": root / "sir" / "sir.csv",
+            **{name: root / "analyze" / name for name in ANALYZE_FILES}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
