@@ -43,8 +43,8 @@ def main(argv=None) -> int:
         y_level = np.exp(truth.dataset.y)
         label = f"N={rows_ * cols} T={periods}"
         rng = make_rng(9)
-        for level in levels:
-            _, lo, hi = predictive_intervals(draws, y_level, level)
+        _, bounds = predictive_intervals(draws, y_level, levels)
+        for level, (lo, hi) in zip(levels, bounds):
             rep = coverage_report(lo, hi, truth.true_p, level, rng=rng)
             print(f"{label:>14} {level:>6.2f} {rep.posterior_mean_coverage:>9.3f}"
                   f"   ({rep.coverage_hdi[0]:.3f}, {rep.coverage_hdi[1]:.3f})")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FLOAT_FMT
+from .data import FLOAT_FMT, _write_columns
 from .sampler import PosteriorDraws
 
 MIN_HDI_DRAWS = 100
@@ -48,16 +48,6 @@ def _hdi_columns(sorted_cols: np.ndarray, level: float) -> tuple[np.ndarray, np.
     return sorted_cols[idx, cols], sorted_cols[idx + m, cols]
 
 
-@dataclass(frozen=True)
-class HiddenPopulationInterval:
-    region: int
-    time: int
-    point_estimate: float
-    hdi_lower: float
-    hdi_upper: float
-    alpha_level: float
-
-
 def hidden_population_draws(draws: PosteriorDraws, y_observed: np.ndarray) -> np.ndarray:
     """Per-draw hidden-population values Y * exp(eta+ + u+), shape (S, N, T).
 
@@ -70,35 +60,26 @@ def hidden_population_draws(draws: PosteriorDraws, y_observed: np.ndarray) -> np
     return y_observed[None, :, :] * np.exp(draws.eta_plus[:, :, None] + draws.u_plus)
 
 
-def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, level: float):
-    """(point, lower, upper) arrays of shape (N, T) for the hidden population."""
+def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, levels):
+    """Posterior mean and HDI bounds of the hidden population at each level.
+
+    The (S, N, T) hidden-population draws are built and sorted once and the
+    window search runs once per level. Returns (point, [(lower, upper) for
+    each level]), every array of shape (N, T).
+    """
     q = hidden_population_draws(draws, y_observed)
     s = q.shape[0]
     if s < MIN_HDI_DRAWS:
         raise ValueError(f"need at least {MIN_HDI_DRAWS} draws, got {s}")
     flat = q.reshape(s, -1)
-    point = flat.mean(axis=0)
-    lo, hi = _hdi_columns(np.sort(flat, axis=0), level)
     shape = y_observed.shape
-    return point.reshape(shape), lo.reshape(shape), hi.reshape(shape)
-
-
-def hidden_population_interval(draws: PosteriorDraws, y_observed: np.ndarray,
-                               region: int, time: int,
-                               level: float) -> HiddenPopulationInterval:
-    """Predictive interval for one region-period cell."""
-    y_observed = np.asarray(y_observed, dtype=float)
-    if np.any(y_observed < 0):
-        raise ValueError("observed level values must be nonnegative")
-    cell = y_observed[region, time] * np.exp(
-        draws.eta_plus[:, region] + draws.u_plus[:, region, time]
-    )
-    lo, hi = hdi(cell, level)
-    return HiddenPopulationInterval(
-        region=region, time=time,
-        point_estimate=float(cell.mean()),
-        hdi_lower=lo, hdi_upper=hi, alpha_level=level,
-    )
+    point = flat.mean(axis=0).reshape(shape)
+    flat.sort(axis=0)
+    bounds = []
+    for level in levels:
+        lo, hi = _hdi_columns(flat, level)
+        bounds.append((lo.reshape(shape), hi.reshape(shape)))
+    return point, bounds
 
 
 @dataclass(frozen=True)
@@ -330,8 +311,4 @@ def write_uncaptured_csv(draws: PosteriorDraws, regions, times, path,
         _write_rows(path, ["time", "pct"],
                     [[int(times[t]), float(cell[t])] for t in range(len(times))])
     else:
-        rows = []
-        for i in range(cell.shape[0]):
-            for t in range(cell.shape[1]):
-                rows.append([int(regions[i]), int(times[t]), float(cell[i, t])])
-        _write_rows(path, ["region", "time", "pct"], rows)
+        _write_columns(path, ["region", "time", "pct"], regions, times, [cell])

@@ -26,6 +26,7 @@ from .analysis import (
     mape_summary,
     predictive_intervals,
     rho_hat,
+    uncaptured_summaries,
     write_coverage_csv,
     write_mape_csv,
     write_summary_csv,
@@ -332,6 +333,12 @@ def cmd_analyze(args) -> int:
         regions = np.arange(n)
         times = np.arange(t)
         write_uncaptured_csv(draws, regions, times, tracker.path("uncaptured.csv"), group)
+        shares = uncaptured_summaries(draws)
+        _write_rows(tracker.path("uncaptured_summary.csv"), ["quantity", "value"],
+                    [["permanent_pct", shares.permanent_pct],
+                     ["total_pct", shares.total_pct],
+                     ["lambda", shares.lambda_stat],
+                     ["spatial_share", shares.spatial_share]])
 
         if args.truth is not None:
             truth = read_truth_csv(args.truth)
@@ -341,11 +348,10 @@ def cmd_analyze(args) -> int:
                 )
             levels = levels if levels is not None else [0.90, 0.95, 0.99]
             rng = np.random.default_rng(args.seed)
-            reports = []
-            for level in levels:
-                _, lo, hi = predictive_intervals(draws, y_level, level)
-                reports.append(coverage_report(lo, hi, truth["p"], level,
-                                               n_beta_draws=args.beta_draws, rng=rng))
+            _, bounds = predictive_intervals(draws, y_level, levels)
+            reports = [coverage_report(lo, hi, truth["p"], level,
+                                       n_beta_draws=args.beta_draws, rng=rng)
+                       for level, (lo, hi) in zip(levels, bounds)]
             write_coverage_csv(reports, tracker.path("coverage.csv"))
             summaries = [mape_summary(draws, y_level, truth["p"], per_draw=False)]
             if args.per_draw_mape:

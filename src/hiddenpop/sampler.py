@@ -152,13 +152,6 @@ class ParameterState:
     sigma2_u: float
     sigma2_eta: float
 
-    def validate(self) -> None:
-        if np.any(self.u_plus <= 0) or np.any(self.eta_plus <= 0):
-            raise ValueError("one-sided errors must be strictly positive")
-        for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
 
 @dataclass
 class PosteriorDraws:

@@ -71,10 +71,6 @@ class SpatialGraph:
         self.edge_w = np.asarray(ew, dtype=float)
 
     @property
-    def n_edges(self) -> int:
-        return self.edge_i.size
-
-    @property
     def average_degree(self) -> float:
         return float(self.row_sums.mean())
 
@@ -103,24 +99,6 @@ class SpatialGraph:
         """D_w - W, for oracles and for simulating ground-truth fields."""
         w = self.dense_weight_matrix()
         return np.diag(self.row_sums) - w
-
-
-@dataclass(frozen=True)
-class CarConditional:
-    """Per-region pieces of the CAR full conditional.
-
-    Region i's spatial effect is normal with mean sum_j w_ij v_j / row_sum_i
-    (the normalized-weight average of its neighbours) and variance
-    sigma2_v / row_sum_i.
-    """
-
-    normalized_weights: list[np.ndarray]
-    row_sums: np.ndarray
-
-    @classmethod
-    def from_graph(cls, graph: SpatialGraph) -> "CarConditional":
-        norm = [w / s for w, s in zip(graph.weights, graph.row_sums)]
-        return cls(norm, graph.row_sums.copy())
 
 
 def build_queen_grid(rows: int, cols: int) -> SpatialGraph:
@@ -207,14 +185,3 @@ def car_quadratic_form(graph: SpatialGraph, v: np.ndarray) -> float:
         raise ValueError(f"expected vector of length {graph.n_regions}, got {v.shape}")
     diff = v[graph.edge_i] - v[graph.edge_j]
     return float(np.sum(graph.edge_w * diff * diff))
-
-
-def marginal_spatial_sd(sigma_v: float, graph: SpatialGraph) -> float:
-    """Marginal standard deviation attributable to the spatial field.
-
-    sigma_v / (0.7 * average row sum); the 0.7 factor is the usual rule of
-    thumb converting the CAR conditional scale to a marginal scale.
-    """
-    if not sigma_v > 0:
-        raise ValueError(f"sigma_v must be positive, got {sigma_v}")
-    return sigma_v / (0.7 * graph.average_degree)

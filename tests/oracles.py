@@ -1,0 +1,103 @@
+"""Dense reference implementations that the tests compare the sampler with.
+
+The sampler never forms the panel covariance densely: it works with the
+rank-one factors `kernels._inverse_factors` and `kernels._logdet`. These
+oracles build the dense matrices around those same factors, so a dense
+check of an oracle is a check of the formulas the sampler runs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+from hiddenpop.kernels import NumericalError, _inverse_factors, _logdet
+
+
+@dataclass(frozen=True)
+class CompoundSymmetricCov:
+    """sigma2_eps * I_T + sigma2_alpha * 11' and its rank-one algebra."""
+
+    sigma2_eps: float
+    sigma2_alpha: float
+    t_len: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma2_eps) and self.sigma2_eps > 0.0):
+            raise ValueError(f"sigma2_eps must be positive, got {self.sigma2_eps}")
+        if not (math.isfinite(self.sigma2_alpha) and self.sigma2_alpha >= 0.0):
+            raise ValueError(f"sigma2_alpha must be nonnegative, got {self.sigma2_alpha}")
+        if self.t_len < 1:
+            raise ValueError(f"t_len must be >= 1, got {self.t_len}")
+
+    @property
+    def inverse_factors(self) -> tuple[float, float]:
+        """(a, c) such that Sigma^{-1} = a * I - c * 11'."""
+        return _inverse_factors(self.sigma2_eps, self.sigma2_alpha, self.t_len)
+
+    @property
+    def one_inv_one(self) -> float:
+        """1' Sigma^{-1} 1 = T / (sigma2_eps + T * sigma2_alpha)."""
+        return self.t_len / (self.sigma2_eps + self.t_len * self.sigma2_alpha)
+
+    @property
+    def logdet(self) -> float:
+        return _logdet(self.sigma2_eps, self.sigma2_alpha, self.t_len)
+
+    def dense(self) -> np.ndarray:
+        t = self.t_len
+        return self.sigma2_eps * np.eye(t) + self.sigma2_alpha * np.ones((t, t))
+
+    def inverse(self) -> np.ndarray:
+        """Dense T x T inverse from the rank-one factors."""
+        a, c = self.inverse_factors
+        t = self.t_len
+        return a * np.eye(t) - c * np.ones((t, t))
+
+    def quad_form(self, x: np.ndarray, y: np.ndarray | None = None) -> float:
+        """x' Sigma^{-1} y in O(T)."""
+        if y is None:
+            y = x
+        a, c = self.inverse_factors
+        return float(a * np.dot(x, y) - c * np.sum(x) * np.sum(y))
+
+
+def sigma_inverse(cov: CompoundSymmetricCov) -> np.ndarray:
+    return cov.inverse()
+
+
+def conditional_mvn(mean, cov, index: int, others) -> tuple[float, float]:
+    """Univariate conditional law of one coordinate of a multivariate normal.
+
+    Returns (cond_mean, cond_var) of component `index` given the remaining
+    components fixed at `others`, via the Schur complement
+
+        mean_1 + Cov_12 Cov_22^{-1} (others - mean_2),
+        cov_11 - Cov_12 Cov_22^{-1} Cov_21.
+    """
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    t = mean.size
+    if not 0 <= index < t:
+        raise ValueError(f"index {index} out of range for dimension {t}")
+    if t == 1:
+        return float(mean[0]), float(cov[0, 0])
+    others = np.asarray(others, dtype=float)
+    if others.size != t - 1:
+        raise ValueError(f"expected {t - 1} conditioning values, got {others.size}")
+    rest = np.delete(np.arange(t), index)
+    cov22 = cov[np.ix_(rest, rest)]
+    cov12 = cov[index, rest]
+    try:
+        factor = cho_factor(cov22)
+    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(
+            "conditioning block is not positive definite", np.linalg.cond(cov22)
+        ) from exc
+    w = cho_solve(factor, others - mean[rest])
+    cond_mean = mean[index] + cov12 @ w
+    cond_var = cov[index, index] - cov12 @ cho_solve(factor, cov12)
+    return float(cond_mean), float(cond_var)

@@ -6,7 +6,6 @@ from hiddenpop.analysis import (
     chain_summary,
     coverage_report,
     hdi,
-    hidden_population_interval,
     mape_summary,
     predictive_intervals,
     rho_hat,
@@ -74,7 +73,7 @@ class TestPredictiveIntervals:
         s, n, t = 200, 3, 2
         d = _draws(s, n, t, eta=np.full((s, n), 1e-300), u=np.full((s, n, t), 1e-300))
         y = np.abs(np.random.default_rng(4).normal(5, 1, (n, t)))
-        point, lo, hi = predictive_intervals(d, y, 0.9)
+        point, [(lo, hi)] = predictive_intervals(d, y, [0.9])
         assert np.allclose(point, y)
         assert np.allclose(lo, y) and np.allclose(hi, y)
 
@@ -82,7 +81,7 @@ class TestPredictiveIntervals:
         s, n, t = 150, 2, 2
         d = _draws(s, n, t)
         y = np.array([[0.0, 1.0], [2.0, 0.0]])
-        point, lo, hi = predictive_intervals(d, y, 0.9)
+        point, [(lo, hi)] = predictive_intervals(d, y, [0.9])
         assert point[0, 0] == lo[0, 0] == hi[0, 0] == 0.0
         assert point[1, 1] == lo[1, 1] == hi[1, 1] == 0.0
         assert hi[0, 1] > lo[0, 1] > 0
@@ -93,26 +92,32 @@ class TestPredictiveIntervals:
         s, n, t = 150, 2, 2
         d = _draws(s, n, t, seed=5)
         y = np.abs(np.random.default_rng(6).normal(3, 1, (n, t)))
-        p1, l1, h1 = predictive_intervals(d, y, 0.9)
-        p2, l2, h2 = predictive_intervals(d, scale * y, 0.9)
+        p1, [(l1, h1)] = predictive_intervals(d, y, [0.9])
+        p2, [(l2, h2)] = predictive_intervals(d, scale * y, [0.9])
         assert np.allclose(p2, scale * p1, rtol=1e-12)
         assert np.allclose(l2, scale * l1, rtol=1e-12)
         assert np.allclose(h2, scale * h1, rtol=1e-12)
 
     def test_single_cell_matches_grid(self):
+        # the one sort and one window search per level give, for every cell
+        # and level, the bounds of `hdi` on that cell's own draws
         s, n, t = 300, 3, 2
         d = _draws(s, n, t, seed=7)
         y = np.abs(np.random.default_rng(8).normal(3, 1, (n, t)))
-        point, lo, hi = predictive_intervals(d, y, 0.9)
-        cell = hidden_population_interval(d, y, 1, 1, 0.9)
-        assert cell.point_estimate == pytest.approx(point[1, 1])
-        assert cell.hdi_lower == pytest.approx(lo[1, 1])
-        assert cell.hdi_upper == pytest.approx(hi[1, 1])
+        levels = [0.99, 0.5, 0.9]
+        point, bounds = predictive_intervals(d, y, levels)
+        assert len(bounds) == len(levels)
+        for i in range(n):
+            for j in range(t):
+                cell = y[i, j] * np.exp(d.eta_plus[:, i] + d.u_plus[:, i, j])
+                assert cell.mean() == pytest.approx(point[i, j])
+                for level, (lo, hi) in zip(levels, bounds):
+                    assert (lo[i, j], hi[i, j]) == hdi(cell, level)
 
     def test_negative_observation_rejected(self):
         d = _draws(150, 2, 2)
         with pytest.raises(ValueError):
-            predictive_intervals(d, np.array([[-1.0, 1.0], [1.0, 1.0]]), 0.9)
+            predictive_intervals(d, np.array([[-1.0, 1.0], [1.0, 1.0]]), [0.9])
 
 
 class TestCoverageReport:

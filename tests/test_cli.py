@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.cli import _read_config_file, load_draws, main, save_draws
+from hiddenpop.data import FLOAT_FMT
 from hiddenpop.sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 from hiddenpop.spatial import build_queen_grid
@@ -201,6 +203,22 @@ class TestAnalyzeCommand:
                     "--out", str(an)) == 0
         assert (an / "uncaptured.csv").exists()
         assert not (an / "coverage.csv").exists()
+
+    def test_uncaptured_summary_matches_library(self, tmp_path):
+        sim, fit = self._pipeline(tmp_path)
+        an = tmp_path / "an"
+        assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                    "--out", str(an)) == 0
+        shares = uncaptured_summaries(load_draws(fit / "draws.npz")[0])
+        assert _rows(an / "uncaptured_summary.csv") == [
+            ["quantity", "value"],
+            ["permanent_pct", FLOAT_FMT % shares.permanent_pct],
+            ["total_pct", FLOAT_FMT % shares.total_pct],
+            ["lambda", FLOAT_FMT % shares.lambda_stat],
+            ["spatial_share", FLOAT_FMT % shares.spatial_share],
+        ]
+        manifest = json.loads((an / "manifest.json").read_text())
+        assert "uncaptured_summary.csv" in manifest["outputs"]
 
     def test_levels_without_truth_is_usage_error(self, tmp_path, capsys):
         sim, fit = self._pipeline(tmp_path)

@@ -8,17 +8,13 @@ from scipy.special import ndtr, ndtri
 
 from hiddenpop.kernels import (
     CHI2_DF1_MEDIAN,
-    CompoundSymmetricCov,
     NumericalError,
-    TruncatedNormalSpec,
-    conditional_mvn,
     make_rng,
     mh_scaled_chisq_step,
     sample_inverse_gamma,
-    sample_truncated_normal,
-    sigma_inverse,
     truncated_normal,
 )
+from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse
 
 
 class TestTruncatedNormal:
@@ -50,20 +46,6 @@ class TestTruncatedNormal:
         means = rng.normal(0, 3, 10**7)
         x = truncated_normal(means, 0.5, 0.0, rng=rng)
         assert np.all(x > 0.0)
-
-    def test_scalar_spec_interface(self):
-        spec = TruncatedNormalSpec(mean=1.0, variance=4.0, lower_bound=0.0)
-        value = sample_truncated_normal(spec, make_rng(5))
-        assert isinstance(value, float)
-        assert value > 0
-
-    def test_nonfinite_spec_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mean=math.nan, variance=1.0)
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mean=0.0, variance=math.inf)
-        with pytest.raises(ValueError):
-            TruncatedNormalSpec(mean=0.0, variance=-1.0)
 
     def test_bit_reproducible(self):
         a = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=make_rng(7))

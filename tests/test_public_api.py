@@ -1,0 +1,78 @@
+"""The package carries no API that only tests reach, and imports light.
+
+A public function, class, method or property of `src/hiddenpop` that no
+code in the package or in `scripts/` names is test-only API: it belongs
+in `tests/oracles.py` as a reference or nowhere. The scan is by name, so
+it cannot tell two methods of one name apart; it errs toward passing.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hiddenpop"
+SCRIPTS = ROOT / "scripts"
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of every public top-level function
+    and class and every public method or property of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every identifier, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unreferenced_public_symbols() -> list[str]:
+    """Public symbols no code names, apart from their own definition and
+    the definitions of other unreferenced symbols (repeated to a fixed point)."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))}
+    refs = [(path, name, line) for path, tree in trees.items()
+            for name, line in _references(tree)]
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, name, node in _public_definitions(trees[path]):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            defs.append((f"{path.stem}.{qualname}", name, path, range(first, node.end_lineno + 1)))
+    dead: list[tuple] = []
+    while True:
+        live = defaultdict(list)
+        for path, name, line in refs:
+            if not any(path == p and line in span for _, _, p, span in dead):
+                live[name].append((path, line))
+        found = [d for d in defs
+                 if not any(not (path == d[2] and line in d[3]) for path, line in live[d[1]])]
+        if found == dead:
+            return [qualname for qualname, *_ in dead]
+        dead = found
+
+
+def test_every_public_symbol_is_used_outside_tests():
+    assert unreferenced_public_symbols() == []
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, hiddenpop.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

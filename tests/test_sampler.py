@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 from scipy.special import chdtr, gammaincinv
 
+from hiddenpop import sampler
 from hiddenpop.data import PanelDataset
-from hiddenpop.kernels import CompoundSymmetricCov, make_rng, split_rng
+from hiddenpop.kernels import _inverse_factors, _logdet, make_rng, split_rng, truncated_normal
 from hiddenpop.sampler import (
     ChainConfig,
     ParameterState,
@@ -23,9 +24,11 @@ from hiddenpop.sampler import (
     update_sigma2_v,
     update_u_plus,
     update_v,
+    _omega_factors,
 )
 from hiddenpop.simulate import DgpConfig, simulate
 from hiddenpop.spatial import build_queen_grid, car_quadratic_form
+from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse
 
 
 def _state(n, t, k, **overrides):
@@ -133,6 +136,43 @@ class TestUPlusUpdate:
                               loc=mu, scale=math.sqrt(omega))
         assert np.all(draws > 0)
         assert stats.kstest(draws, ref.cdf).pvalue > 0.01
+
+    def test_coordinate_conditionals_match_dense_oracle(self, monkeypatch):
+        # T > 1: Omega = inv(Sigma^{-1} + I/s2_u) must be e I + f 11', and
+        # every coordinate draw must use the Schur-complement conditional of
+        # N(mu, Omega) given the block's latest other coordinates
+        n, t = 5, 4
+        rng0 = np.random.default_rng(12)
+        data = _panel(n, t, 1, seed=13)
+        s2e, s2a, s2u = 0.2, 0.05, 0.3
+        state = _state(n, t, 1, u_plus=np.abs(rng0.normal(size=(n, t))),
+                       eta_plus=np.abs(rng0.normal(size=n)), v=rng0.normal(size=n),
+                       sigma2_eps=s2e, sigma2_alpha=s2a, sigma2_u=s2u)
+        sigma_inv = sigma_inverse(CompoundSymmetricCov(s2e, s2a, t))
+        omega = np.linalg.inv(sigma_inv + np.eye(t) / s2u)
+        e, f = _omega_factors(*_inverse_factors(s2e, s2a, t), s2u, t)
+        assert np.max(np.abs(omega - (e * np.eye(t) + f * np.ones((t, t))))) < 1e-12
+
+        calls = []
+
+        def spy(mean, sd, lower, *, rng):
+            draw = truncated_normal(mean, sd, lower, rng=rng)
+            calls.append((mean.copy(), sd, draw))
+            return draw
+
+        monkeypatch.setattr(sampler, "truncated_normal", spy)
+        u_new = update_u_plus(state, data, make_rng(14))
+        resid = data.y - state.v[:, None] - state.eta_plus[:, None]   # beta = 0
+        mu = resid @ (omega @ sigma_inv).T
+        u = state.u_plus.copy()
+        assert len(calls) == t
+        for s, (mean, sd, draw) in enumerate(calls):
+            for i in range(n):
+                m, var = conditional_mvn(mu[i], omega, s, np.delete(u[i], s))
+                assert abs(mean[i] - m) < 1e-10
+                assert abs(sd**2 - var) < 1e-12
+            u[:, s] = draw
+        assert np.array_equal(u, u_new)
 
     def test_positivity_under_negative_pull(self):
         n, t = 40, 6
@@ -302,16 +342,21 @@ class TestRunChain:
             run_chain(truth.dataset, wrong, PriorConfig(), ChainConfig(n_iter=20, burn_in=10, thin=1))
 
     def test_rank_one_identity_along_chain(self):
-        # spot check the Sherman-Morrison identity at stored variance pairs
+        # spot check the rank-one inverse and log-determinant the sampler
+        # uses against dense algebra at the stored variance pairs
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=4, seed=7))
         cfg = ChainConfig(n_iter=300, burn_in=150, thin=5, seed=8)
         draws = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
         t = truth.dataset.n_periods
         for s in range(draws.n_draws):
-            cov = CompoundSymmetricCov(draws.sigma2_eps[s], draws.sigma2_alpha[s], t)
-            ones = np.ones(t)
-            dense = ones @ np.linalg.inv(cov.dense()) @ ones
-            assert abs(cov.one_inv_one - dense) < 1e-10
+            s2e, s2a = draws.sigma2_eps[s], draws.sigma2_alpha[s]
+            dense = s2e * np.eye(t) + s2a * np.ones((t, t))
+            a, c = _inverse_factors(s2e, s2a, t)
+            inv = a * np.eye(t) - c * np.ones((t, t))
+            assert np.max(np.abs(inv - np.linalg.inv(dense))) < 1e-10
+            sign, logdet = np.linalg.slogdet(dense)
+            assert sign > 0
+            assert abs(_logdet(s2e, s2a, t) - logdet) < 1e-10
 
     def test_multi_chain_stacking_and_determinism(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
@@ -376,7 +421,9 @@ class TestInitialState:
         truth = simulate(DgpConfig(grid_rows=4, grid_cols=4, n_periods=5, seed=11))
         a = initial_state(truth.dataset, PriorConfig())
         b = initial_state(truth.dataset, PriorConfig())
-        a.validate()
+        assert np.all(a.u_plus > 0) and np.all(a.eta_plus > 0)
+        for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
+            assert getattr(a, name) > 0
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.v, b.v)
 

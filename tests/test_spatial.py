@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddenpop.spatial import (
-    CarConditional,
-    SpatialGraph,
-    build_queen_grid,
-    car_quadratic_form,
-    load_adjacency,
-    marginal_spatial_sd,
-)
+from hiddenpop.analysis import uncaptured_summaries
+from hiddenpop.sampler import PosteriorDraws
+from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
 
 
 class TestQueenGrid:
@@ -35,7 +30,7 @@ class TestQueenGrid:
         assert corners == [3, 3, 3, 3]
         assert degrees[0, 3] == 5 and degrees[3, 0] == 5
         assert degrees[3, 3] == 8
-        assert g.n_edges == 2 * (6 * 7) + 2 * (6 * 6)
+        assert g.edge_i.size == 2 * (6 * 7) + 2 * (6 * 6)
 
     def test_path_graph(self):
         g = build_queen_grid(1, 3)
@@ -166,9 +161,9 @@ class TestCarQuadraticForm:
 class TestCarConditional:
     def test_matches_dense_full_conditional(self):
         # the conditional of one coordinate under the joint precision
-        # (D_w - W) / s2 must equal the neighbour-average form
+        # (D_w - W) / s2 must equal the neighbour-average form that
+        # update_v builds from the graph's neighbours, weights and row sums
         g = build_queen_grid(4, 5)
-        cond = CarConditional.from_graph(g)
         rng = np.random.default_rng(1)
         v = rng.normal(size=20)
         s2 = 0.37
@@ -177,35 +172,49 @@ class TestCarConditional:
             cond_var_dense = 1.0 / prec[i, i]
             others = np.delete(np.arange(20), i)
             cond_mean_dense = -cond_var_dense * prec[i, others] @ v[others]
-            mean_form = cond.normalized_weights[i] @ v[g.neighbors[i]]
-            var_form = s2 / cond.row_sums[i]
+            mean_form = g.weights[i] @ v[g.neighbors[i]] / g.row_sums[i]
+            var_form = s2 / g.row_sums[i]
             assert abs(mean_form - cond_mean_dense) < 1e-10
             assert abs(var_form - cond_var_dense) < 1e-10
 
     def test_normalized_weights_sum_to_one(self):
         g = build_queen_grid(5, 5)
-        cond = CarConditional.from_graph(g)
-        for w in cond.normalized_weights:
-            assert w.sum() == pytest.approx(1.0)
+        for w, row_sum in zip(g.weights, g.row_sums):
+            assert (w / row_sum).sum() == pytest.approx(1.0)
+
+
+def _spatial_share(sigma_v, avg_row_sum, other_sd):
+    """Spatial share of draws whose four other components all have sd other_sd."""
+    s = 100
+    const = lambda value: np.full(s, value)
+    draws = PosteriorDraws(
+        beta=np.zeros((s, 1)), u_plus=np.ones((s, 2, 1)), eta_plus=np.ones((s, 2)),
+        v=np.zeros((s, 2)), sigma2_alpha=const(other_sd**2), sigma2_eps=const(other_sd**2),
+        sigma2_v=const(sigma_v**2), sigma2_u=const(other_sd**2),
+        sigma2_eta=const(other_sd**2), seed=0, n_iter=s, burn_in=0, thin=1,
+        avg_row_sum=avg_row_sum, accept_rate_alpha=0.3, accept_rate_eps=0.3,
+        floored_count=0,
+    )
+    return uncaptured_summaries(draws).spatial_share
 
 
 class TestMarginalSpatialSd:
+    """The 0.7 rule, sigma_v / (0.7 * average row sum), as the spatial
+    share of `analysis.uncaptured_summaries` applies it."""
+
     def test_unit_case(self):
+        # marginal sd 1 against four components of sd 1/2: share 1 / sqrt(2)
         g = SpatialGraph.from_edges(2, [(0, 1)])
-        assert marginal_spatial_sd(0.7, g) == pytest.approx(1.0)
+        assert _spatial_share(0.7, g.average_degree, 0.5) == pytest.approx(2 ** -0.5)
 
     def test_average_degree_case(self):
         # degree-5.8 average appears in graphs like larger lattices; build
         # the value directly from the definition
         g = build_queen_grid(7, 7)
-        expected = 0.73 / (0.7 * g.average_degree)
-        assert marginal_spatial_sd(0.73, g) == pytest.approx(expected)
+        msd = 0.73 / (0.7 * g.average_degree)
+        expected = msd / np.sqrt(msd**2 + 4 * 0.2**2)
+        assert _spatial_share(0.73, g.average_degree, 0.2) == pytest.approx(expected)
 
     def test_reference_arithmetic(self):
         # sigma_v = 0.73 over an average degree of 5.8 gives ~0.1798
         assert 0.73 / (0.7 * 5.8) == pytest.approx(0.1798, abs=2e-4)
-
-    def test_nonpositive_sigma_rejected(self):
-        g = build_queen_grid(2, 2)
-        with pytest.raises(ValueError):
-            marginal_spatial_sd(0.0, g)
