@@ -43,12 +43,12 @@ def main(argv=None) -> int:
         y_level = np.exp(truth.dataset.y)
         label = f"N={rows_ * cols} T={periods}"
         rng = make_rng(9)
-        _, bounds = predictive_intervals(draws, y_level, levels)
+        point, bounds = predictive_intervals(draws, y_level, levels)
         for level, (lo, hi) in zip(levels, bounds):
             rep = coverage_report(lo, hi, truth.true_p, level, rng=rng)
             print(f"{label:>14} {level:>6.2f} {rep.posterior_mean_coverage:>9.3f}"
                   f"   ({rep.coverage_hdi[0]:.3f}, {rep.coverage_hdi[1]:.3f})")
-        out = mape_summary(draws, y_level, truth.true_p)
+        out = mape_summary(point, truth.true_p)
         print(f"{label:>14}   MAPE average {out.average:.4f}  median {out.median:.4f}"
               f"  hdi ({out.hdi_lower:.4f}, {out.hdi_upper:.4f})")
     return 0

@@ -29,15 +29,19 @@ def hdi(draws, level: float) -> tuple[float, float]:
     x = np.asarray(draws, dtype=float).ravel()
     if x.size < MIN_HDI_DRAWS:
         raise ValueError(f"need at least {MIN_HDI_DRAWS} draws for an HDI, got {x.size}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
     lo, hi = _hdi_columns(np.sort(x)[:, None], level)
     return float(lo[0]), float(hi[0])
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def _hdi_columns(sorted_cols: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Shortest sorted window over each column of a pre-sorted (draws x cells)
     matrix; the one HDI search, with no draw-count guard."""
+    _check_level(level)
     s = sorted_cols.shape[0]
     m = int(np.ceil(level * s))
     if m >= s:
@@ -65,8 +69,12 @@ def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, levels):
 
     The (S, N, T) hidden-population draws are built and sorted once and the
     window search runs once per level. Returns (point, [(lower, upper) for
-    each level]), every array of shape (N, T).
+    each level]), every array of shape (N, T). Every level must lie in
+    (0, 1).
     """
+    levels = list(levels)
+    for level in levels:
+        _check_level(level)
     q = hidden_population_draws(draws, y_observed)
     s = q.shape[0]
     if s < MIN_HDI_DRAWS:
@@ -128,25 +136,29 @@ class MapeSummary:
     per_draw: bool
 
 
-def mape_summary(draws: PosteriorDraws, y_observed: np.ndarray, true_p: np.ndarray,
-                 per_draw: bool = False) -> MapeSummary:
+def mape_summary(estimate: np.ndarray, true_p: np.ndarray) -> MapeSummary:
     """Absolute percentage error of the hidden-population estimate per cell.
 
-    Default: |P - E[P]| / P with the posterior-mean point estimate (the
-    per-draw average of this quantity is the quantity itself, so none is
-    taken). per_draw=True instead averages |P - P^(s)| / P over draws.
-    Cells with true P = 0 are excluded and counted.
+    `estimate` is either the (N, T) posterior-mean point estimate, as
+    `predictive_intervals` returns it, giving |P - E[P]| / P (the per-draw
+    average of this quantity is the quantity itself, so none is taken), or
+    the (S, N, T) `hidden_population_draws`, giving the per-draw variant
+    that averages |P - P^(s)| / P over draws. Cells with true P = 0 are
+    excluded and counted.
     """
-    q = hidden_population_draws(draws, y_observed)
+    estimate = np.asarray(estimate, dtype=float)
     true_p = np.asarray(true_p, dtype=float)
+    per_draw = estimate.shape[1:] == true_p.shape
+    if not per_draw and estimate.shape != true_p.shape:
+        raise ValueError(f"estimate of shape {estimate.shape} does not fit truth "
+                         f"of shape {true_p.shape}")
     keep = true_p != 0.0
     n_excluded = int(np.sum(~keep))
     if per_draw:
-        err = np.abs((true_p[None, :, :] - q) / np.where(keep, true_p, 1.0)[None, :, :])
+        err = np.abs((true_p[None, :, :] - estimate) / np.where(keep, true_p, 1.0)[None, :, :])
         cellwise = err.mean(axis=0)[keep]
     else:
-        point = q.mean(axis=0)
-        cellwise = np.abs((true_p[keep] - point[keep]) / true_p[keep])
+        cellwise = np.abs((true_p[keep] - estimate[keep]) / true_p[keep])
     # across cells, where few cells is legitimate: no draw-count guard
     lo, hi = _hdi_columns(np.sort(cellwise)[:, None], 0.95)
     return MapeSummary(

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenpop.analysis import (
+    _hdi_columns,
     chain_summary,
     coverage_report,
     hdi,
+    hidden_population_draws,
     mape_summary,
     predictive_intervals,
     rho_hat,
@@ -116,8 +118,15 @@ class TestPredictiveIntervals:
 
     def test_negative_observation_rejected(self):
         d = _draws(150, 2, 2)
-        with pytest.raises(ValueError):
-            predictive_intervals(d, np.array([[-1.0, 1.0], [1.0, 1.0]]), [0.9])
+        y = np.array([[-1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            predictive_intervals(d, y, [0.9])
+        # a level outside (0, 1) is named before the draws are built from y
+        for level in (-0.2, 0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=f"got {level}"):
+                predictive_intervals(d, y, [0.9, level])
+            with pytest.raises(ValueError, match=f"got {level}"):
+                _hdi_columns(np.sort(d.v, axis=0), level)
 
 
 class TestCoverageReport:
@@ -162,7 +171,8 @@ class TestMape:
         u = np.full((s, n, t), 1e-300)
         d = _draws(s, n, t, eta=eta, u=u)
         y = np.abs(np.random.default_rng(11).normal(4, 1, (n, t)))
-        out = mape_summary(d, y, true_p=y)
+        point, _ = predictive_intervals(d, y, [])
+        out = mape_summary(point, true_p=y)
         assert out.average == pytest.approx(0.0, abs=1e-12)
         assert out.median == pytest.approx(0.0, abs=1e-12)
 
@@ -171,7 +181,8 @@ class TestMape:
         d = _draws(s, n, t)
         y = np.ones((n, t))
         truth = np.array([[0.0, 1.0], [1.0, 1.0]])
-        out = mape_summary(d, y, truth)
+        point, _ = predictive_intervals(d, y, [])
+        out = mape_summary(point, truth)
         assert out.n_excluded == 1
 
     def test_per_draw_variant_at_least_point(self):
@@ -179,11 +190,17 @@ class TestMape:
         d = _draws(s, n, t, seed=12)
         y = np.abs(np.random.default_rng(13).normal(4, 1, (n, t)))
         truth = y * 1.5
-        point = mape_summary(d, y, truth, per_draw=False)
-        per_draw = mape_summary(d, y, truth, per_draw=True)
+        q = hidden_population_draws(d, y)
+        point = mape_summary(q.mean(axis=0), truth)
+        per_draw = mape_summary(q, truth)
+        assert not point.per_draw and per_draw.per_draw
         # Jensen: averaging absolute errors over draws dominates the error
         # of the averaged estimate
         assert per_draw.average >= point.average - 1e-12
+        # the point estimate analyze passes is the interval pass's posterior mean
+        assert mape_summary(predictive_intervals(d, y, [])[0], truth) == point
+        with pytest.raises(ValueError, match="does not fit"):
+            mape_summary(q[:, :2], truth)
 
 
 class TestRhoHat:

@@ -1,9 +1,13 @@
 import csv
 import gc
 import hashlib
+import io
 import json
+import struct
 import sys
 import warnings
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.cli import _read_config_file, load_draws, main, save_draws
 from hiddenpop.data import FLOAT_FMT
 from hiddenpop.sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chain
-from hiddenpop.simulate import DgpConfig, simulate
+from hiddenpop.simulate import DgpConfig, read_truth_csv, simulate
 from hiddenpop.spatial import build_queen_grid
 
 
@@ -192,9 +196,19 @@ class TestAnalyzeCommand:
                     "--levels", "0.90,0.95,0.99", "--out", str(an)) == 0
         cov = _rows(an / "coverage.csv")
         assert [r[0] for r in cov[1:]] == ["0.9", "0.95", "0.99"]
-        assert (an / "mape.csv").exists()
         assert (an / "rho.csv").exists()
         assert len(_rows(an / "uncaptured.csv")) - 1 == 16 * 3
+        # --per-draw-mape adds the per-draw row and leaves the point row as it was
+        assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                    "--truth", str(sim / "truth.csv"), "--per-draw-mape",
+                    "--out", str(tmp_path / "an2")) == 0
+        header, point_row, per_draw_row = _rows(tmp_path / "an2" / "mape.csv")
+        assert [header, point_row] == _rows(an / "mape.csv")
+        draws, y_log = load_draws(fit / "draws.npz")
+        p = read_truth_csv(sim / "truth.csv")["p"]
+        q = np.exp(y_log) * np.exp(draws.eta_plus[:, :, None] + draws.u_plus)
+        assert per_draw_row[0] == "per_draw"
+        assert float(per_draw_row[1]) == pytest.approx(np.mean(np.abs(p - q) / p), rel=1e-5)
 
     def test_no_truth_mode_uncaptured_only(self, tmp_path):
         sim, fit = self._pipeline(tmp_path)
@@ -292,22 +306,87 @@ class TestDrawsRoundTrip:
             avg_row_sum=6.5, accept_rate_alpha=0.4, accept_rate_eps=0.3, floored_count=2)
         return draws, rng
 
-    # Recorded from the writer that built each member and the whole archive
-    # in memory; u_plus (1.28 MB) spans more than one write chunk.
-    @pytest.mark.parametrize("layout, digest", [
-        ("fortran", "8eebe19dcb0a9209abc7fc29063d5cd4ac38d807d6684afc27c6931c94a122dd"),
-        ("reversed", "469a013b8429b45d1657a08f2264a7c27cd0202b93da70ca46039581466329d4"),
-    ])
-    def test_draws_file_bytes_are_pinned(self, tmp_path, layout, digest):
-        draws, rng = self._fixed_draws()
+    @classmethod
+    def _saved(cls, tmp_path, layout):
+        """A saved draws file with a Fortran-ordered or a reversed-stride `y`,
+        and the array each member holds."""
+        draws, rng = cls._fixed_draws()
         n, t = draws.v.shape[1], draws.u_plus.shape[2]
         y = rng.normal(size=(t, n)).T if layout == "fortran" else rng.normal(size=(n, t))[:, ::-1]
         path = tmp_path / "draws.npz"
         save_draws(draws, y, path)
+        arrays = {name: getattr(draws, name) for name in (
+            "beta", "u_plus", "eta_plus", "v", "chain_id", "sigma2_alpha", "sigma2_eps",
+            "sigma2_v", "sigma2_u", "sigma2_eta")}
+        arrays.update(
+            y=y, meta=np.array([9, 80, 40, 1], dtype=np.int64), avg_row_sum=np.array([6.5]),
+            accept_rates=np.array([0.4, 0.3]), floored=np.array([2], dtype=np.int64))
+        return path, arrays
+
+    @staticmethod
+    def _members(path):
+        """(name, .npy bytes, raw deflate stream) for every member."""
+        with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
+            for info in zf.infolist():
+                assert info.compress_type == zipfile.ZIP_DEFLATED
+                fh.seek(info.header_offset + 26)
+                name_len, extra_len = struct.unpack("<HH", fh.read(4))
+                fh.seek(name_len + extra_len, 1)
+                yield info.filename[:-len(".npy")], zf.read(info), fh.read(info.compress_size)
+
+    @pytest.mark.parametrize("layout", ["fortran", "reversed"])
+    def test_members_hold_the_npy_bytes(self, tmp_path, layout):
+        path, arrays = self._saved(tmp_path, layout)
+        names = []
+        for name, npy, _ in self._members(path):
+            expected = io.BytesIO()
+            np.lib.format.write_array(expected, arrays[name], allow_pickle=False)
+            assert npy == expected.getvalue(), name
+            names.append(name)
+        assert sorted(names) == sorted(arrays)
+        _, y_back = load_draws(path)
+        # write_array keeps Fortran order and stores a reversed-stride array in C order
+        assert y_back.flags.f_contiguous == (layout == "fortran")
+        assert y_back.flags.c_contiguous == (layout == "reversed")
+
+    def test_large_members_are_huffman_coded(self, tmp_path):
+        path, _ = self._saved(tmp_path, "fortran")
+        coded = {}
+        for name, npy, raw in self._members(path):
+            huffman = len(npy) >= 64 << 10
+            comp = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
+                                    zlib.DEF_MEM_LEVEL,
+                                    zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY)
+            assert raw == comp.compress(npy) + comp.flush(), name
+            coded[name] = huffman
+        assert coded["u_plus"] and coded["eta_plus"] and not coded["y"] and not coded["chain_id"]
+
+    def test_default_deflate_files_still_load(self, tmp_path):
+        # draws.npz as earlier versions wrote it: every member at zlib's default level
+        path, _ = self._saved(tmp_path, "fortran")
+        old = tmp_path / "old.npz"
+        with zipfile.ZipFile(old, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, _ in self._members(path):
+                zf.writestr(name + ".npy", npy)
+        (new_draws, new_y), (old_draws, old_y) = load_draws(path), load_draws(old)
+        for field in ("beta", "u_plus", "eta_plus", "v", "chain_id", "sigma2_v"):
+            a, b = getattr(new_draws, field), getattr(old_draws, field)
+            assert np.array_equal(a, b) and a.dtype == b.dtype and a.flags.c_contiguous
+        assert np.array_equal(new_y, old_y) and old_y.flags.f_contiguous
+        assert (old_draws.seed, old_draws.floored_count) == (9, 2)
+
+    # Recorded from the writer that Huffman-codes members of at least 64 KiB;
+    # u_plus (1.28 MB) spans more than one write chunk.
+    @pytest.mark.parametrize("layout, digest", [
+        ("fortran", "7c080e0a71987b24850f12f3a95e43b038f5eea4fe11a882544d97166d9082ea"),
+        ("reversed", "da96826137d8b0f2f87fc61e0cc13e6ded1f507d212ce21feae1801ab0c87dba"),
+    ], ids=["fortran", "reversed"])
+    def test_draws_file_bytes_are_pinned(self, tmp_path, layout, digest):
+        path, arrays = self._saved(tmp_path, layout)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         back, y_back = load_draws(path)
-        assert np.array_equal(back.u_plus, draws.u_plus)
-        assert np.array_equal(y_back, y)
+        assert np.array_equal(back.u_plus, arrays["u_plus"])
+        assert np.array_equal(y_back, arrays["y"])
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         draws, _ = self._fixed_draws(s=4, n=3, t=2)
