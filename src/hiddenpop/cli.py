@@ -55,6 +55,21 @@ _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 
+# fit's config-file keys: key -> (ChainConfig field, or "chains", type); the
+# flags that override them store into the same names
+_FIT_KEYS = {
+    "iters": ("n_iter", int),
+    "burnin": ("burn_in", int),
+    "thin": ("thin", int),
+    "seed": ("seed", int),
+    "chains": ("chains", int),
+    "stabilize": ("stabilize", bool),
+    "mh_step_scale_alpha": ("mh_step_scale_alpha", float),
+    "mh_step_scale_eps": ("mh_step_scale_eps", float),
+}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
 
 def _out_dir(arg: str | None) -> Path:
     root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
@@ -188,8 +203,10 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
-def _read_config_file(path) -> dict[str, str]:
-    pairs = {}
+def _read_config_file(path) -> dict:
+    """fit settings from key=value lines, keyed by field name. An unknown or
+    repeated key and a value of the wrong type name the file and line."""
+    settings, first_line = {}, {}
     with Path(path).open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -197,9 +214,22 @@ def _read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
-    return pairs
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _FIT_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
+                                 f"(known: {', '.join(_FIT_KEYS)})")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key} repeated, "
+                                 f"first set on line {first_line[key]}")
+            first_line[key] = lineno
+            name, cast = _FIT_KEYS[key]
+            try:
+                settings[name] = _BOOLEANS[value.lower()] if cast is bool else cast(value)
+            except (KeyError, ValueError):
+                kind = "one of " + "/".join(_BOOLEANS) if cast is bool else cast.__name__
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, "
+                                 f"got {value!r}") from None
+    return settings
 
 
 def _manifest(out: Path, subcommand: str, config: dict, inputs: dict,
@@ -279,32 +309,12 @@ def cmd_fit(args) -> int:
     tracker = _OutputTracker(out)
     started = time.time()
     try:
-        overrides = _read_config_file(args.config) if args.config else {}
-
-        def setting(name, flag_value, cast, default):
-            if flag_value is not None:
-                return flag_value
-            if name in overrides:
-                raw = overrides[name]
-                if cast is bool:
-                    return raw.lower() in ("1", "true", "yes", "on")
-                return cast(raw)
-            return default
-
-        chain = ChainConfig(
-            n_iter=setting("iters", args.iters, int, 20000),
-            burn_in=setting("burnin", args.burnin, int, 10000),
-            thin=setting("thin", args.thin, int, 5),
-            seed=setting("seed", args.seed, int, 0),
-            center_car=args.center_car or setting("center_car", None, bool, False),
-            car_df=setting("car_df", args.car_df, int, None),
-            stabilize=(not args.no_stabilize) and setting("stabilize", None, bool, True),
-            mh_step_scale_alpha=setting("mh_step_scale_alpha", args.mh_step_alpha,
-                                        float, 0.25),
-            mh_step_scale_eps=setting("mh_step_scale_eps", args.mh_step_eps,
-                                      float, 0.4),
-        )
-        n_chains = setting("chains", args.chains, int, 1)
+        settings = _read_config_file(args.config) if args.config else {}
+        for name, _ in _FIT_KEYS.values():
+            if getattr(args, name) is not None:  # a flag wins over the file
+                settings[name] = getattr(args, name)
+        n_chains = settings.pop("chains", 1)
+        chain = ChainConfig(**settings)
 
         data = PanelDataset.from_csv(args.data)
         graph = _graph_from_args(args, data.regions)
@@ -441,17 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--grid", type=_parse_grid, default=None, metavar="RxC")
     p_fit.add_argument("--adjacency", default=None)
-    p_fit.add_argument("--iters", type=int, default=None)
-    p_fit.add_argument("--burnin", type=int, default=None)
+    p_fit.add_argument("--iters", dest="n_iter", type=int, default=None)
+    p_fit.add_argument("--burnin", dest="burn_in", type=int, default=None)
     p_fit.add_argument("--thin", type=int, default=None)
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--chains", type=int, default=None)
-    p_fit.add_argument("--center-car", action="store_true")
-    p_fit.add_argument("--car-df", type=int, default=None)
-    p_fit.add_argument("--no-stabilize", action="store_true",
-                       help="disable the decomposition guards and level move")
-    p_fit.add_argument("--mh-step-alpha", type=float, default=None)
-    p_fit.add_argument("--mh-step-eps", type=float, default=None)
+    p_fit.add_argument("--no-stabilize", dest="stabilize", action="store_false",
+                       default=None, help="disable the decomposition guards and level move")
+    p_fit.add_argument("--mh-step-alpha", dest="mh_step_scale_alpha", type=float,
+                       default=None)
+    p_fit.add_argument("--mh-step-eps", dest="mh_step_scale_eps", type=float, default=None)
     p_fit.add_argument("--config", default=None, help="key=value settings file")
     p_fit.add_argument("--export-csv", action="store_true")
     p_fit.add_argument("--out", default=None)

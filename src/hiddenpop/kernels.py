@@ -45,11 +45,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def split_rng(seed, n: int) -> list[np.random.Generator]:
-    """n independent streams derived from one master seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def _robert_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal draws conditioned on exceeding a, for large a.
 

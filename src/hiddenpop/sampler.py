@@ -29,7 +29,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import chdtr, gammaincinv
@@ -42,7 +42,6 @@ from .kernels import (
     make_rng,
     mh_scaled_chisq_step,
     sample_inverse_gamma,
-    split_rng,
     truncated_normal,
 )
 from .spatial import SpatialGraph, car_quadratic_form
@@ -109,8 +108,7 @@ class ChainConfig:
     variance (both scaled to the between-region residual variance), a
     truncated-prior floor on the noise variance (within-region scale),
     and an extra Metropolis move along the level direction the likelihood
-    cannot see (spatial level vs permanent one-sided level). Explicit
-    cap/floor values override the derived ones.
+    cannot see (spatial level vs permanent one-sided level).
     """
 
     n_iter: int = 20000
@@ -119,13 +117,7 @@ class ChainConfig:
     seed: int = 0
     mh_step_scale_alpha: float = 0.25
     mh_step_scale_eps: float = 0.4
-    center_car: bool = False
-    car_df: int | None = None   # None -> (N - 1) + nbar_v, the rank of the CAR precision
     stabilize: bool = True
-    sigma2_alpha_floor: float | None = None
-    sigma2_alpha_cap: float | None = None
-    sigma2_eps_floor: float | None = None
-    sigma2_v_floor: float | None = None
 
     def __post_init__(self):
         if self.burn_in >= self.n_iter:
@@ -300,7 +292,7 @@ def update_eta_plus(state: ParameterState, data: PanelDataset,
 
 
 def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
-             rng: np.random.Generator, center: bool = False) -> np.ndarray:
+             rng: np.random.Generator) -> np.ndarray:
     """Sequential CAR sweep.
 
     Region i's full conditional is normal with precision
@@ -323,24 +315,20 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     var = var.tolist()
     for i, (nbr, wts) in enumerate(zip(graph.neighbors, graph.weights)):
         v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
-    if center:
-        v -= v.mean()
     return v
 
 
 def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConfig,
-                    rng: np.random.Generator, df: float | None = None,
-                    floor: float = 0.0) -> float:
+                    rng: np.random.Generator, floor: float = 0.0) -> float:
     """Scaled chi-squared draw: (qbar_v + v'(D_w - W)v) / chi2(df).
 
-    The default df is (N - 1) + nbar_v: the quadratic form has rank N - 1
-    on a connected graph, so this is the conditional implied by the
-    intrinsic CAR joint law. Any other df (e.g. N*T + nbar_v) can be
-    passed explicitly. A positive floor truncates the prior support below;
+    df is (N - 1) + nbar_v: the quadratic form has rank N - 1 on a
+    connected graph, so this is the conditional implied by the intrinsic
+    CAR joint law. A positive floor truncates the prior support below;
     the draw then comes from the truncated conditional via its inverse CDF.
     """
     quad = car_quadratic_form(graph, state.v)
-    dof = (graph.n_regions - 1 + prior.nbar_v) if df is None else float(df)
+    dof = graph.n_regions - 1 + prior.nbar_v
     scale = prior.qbar_v + quad
     if floor <= 0.0:
         return scale / rng.chisquare(dof)
@@ -510,8 +498,7 @@ class SamplerError(RuntimeError):
 def run_chain(data: PanelDataset, graph: SpatialGraph,
               prior: PriorConfig | None = None,
               chain: ChainConfig | None = None,
-              chain_id: int = 0,
-              rng: np.random.Generator | None = None) -> PosteriorDraws:
+              chain_id: int = 0) -> PosteriorDraws:
     """Run one chain and return the thinned post-burn-in draws.
 
     Sweep order: beta, u+, eta+, v, s2_v, s2_u, s2_eta, then the two MH
@@ -524,7 +511,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         raise ValueError(
             f"graph has {graph.n_regions} regions but panel has {data.n_regions}"
         )
-    rng = rng if rng is not None else make_rng(chain.seed)
+    rng = make_rng(chain.seed)
 
     # The one-sided components depress the observed response, while every
     # update below is written for the mirrored model in which they enter
@@ -546,14 +533,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         alpha_cap = 2.0 * between_var / t
         eps_floor = 0.05 * within_var
         v_floor = 0.1 * between_var
-    if chain.sigma2_alpha_floor is not None:
-        alpha_floor = chain.sigma2_alpha_floor
-    if chain.sigma2_alpha_cap is not None:
-        alpha_cap = chain.sigma2_alpha_cap
-    if chain.sigma2_eps_floor is not None:
-        eps_floor = chain.sigma2_eps_floor
-    if chain.sigma2_v_floor is not None:
-        v_floor = chain.sigma2_v_floor
     if math.isfinite(alpha_cap):
         state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
             if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
@@ -599,12 +578,10 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
             state.beta = update_beta(state, work, prior, rng)
             state.u_plus = update_u_plus(state, work, rng)
             state.eta_plus = update_eta_plus(state, work, rng)
-            state.v = update_v(state, work, graph, rng, center=chain.center_car)
+            state.v = update_v(state, work, graph, rng)
             if chain.stabilize:
                 accepted_level += update_level(state, rng)
-            state.sigma2_v = floor_var(
-                update_sigma2_v(state, graph, prior, rng, df=chain.car_df, floor=v_floor)
-            )
+            state.sigma2_v = floor_var(update_sigma2_v(state, graph, prior, rng, floor=v_floor))
             state.sigma2_u = floor_var(update_sigma2_u(state, prior, rng))
             state.sigma2_eta = floor_var(update_sigma2_eta(state, prior, rng))
             s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
@@ -645,16 +622,16 @@ def run_chains(data: PanelDataset, graph: SpatialGraph,
                n_chains: int = 1) -> PosteriorDraws:
     """Run n_chains independent chains and stack the draws.
 
-    Chain i draws from the i-th stream split from chain.seed. The chains
-    run one after another: a sweep is mostly small numpy calls that hold
-    the interpreter lock, so threads only add contention.
+    Chain i is run_chain at seed chain.seed + i, so one chain is run_chain
+    itself. The chains run one after another: a sweep is mostly small numpy
+    calls that hold the interpreter lock, so threads only add contention.
     """
     chain = chain or ChainConfig()
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     return stack_draws([
-        run_chain(data, graph, prior, chain, chain_id=idx, rng=rng)
-        for idx, rng in enumerate(split_rng(chain.seed, n_chains))
+        run_chain(data, graph, prior, replace(chain, seed=chain.seed + idx), chain_id=idx)
+        for idx in range(n_chains)
     ])
 
 

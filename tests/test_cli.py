@@ -3,7 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 import warnings
 import zipfile
@@ -108,7 +110,7 @@ class TestFitCommand:
         assert "regions" in capsys.readouterr().err
         assert not (fit / "draws.npz").exists()
 
-    def test_config_file_with_flag_override(self, tmp_path):
+    def test_config_file_with_flag_override(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         fit = tmp_path / "fit"
         _run("simulate", "--grid", "3x3", "--periods", "3", "--out", str(sim))
@@ -119,6 +121,58 @@ class TestFitCommand:
         manifest = json.loads((fit / "manifest.json").read_text())
         assert manifest["config"]["n_iter"] == 600
         assert manifest["config"]["thin"] == 4  # flag wins over file
+        # every bad line is an error naming file:line, and nothing is written
+        for line, message in (
+            ("center_car=true", "unknown key 'center_car'"),
+            ("car_df=246", "unknown key 'car_df'"),
+            ("stabilise=false", "unknown key 'stabilise'"),
+            ("seed=6", "seed repeated, first set on line 1"),
+            ("stabilize=flase", "stabilize must be one of 1/true/yes/on/0/false/no/off"),
+            ("iters=abc", "iters must be int, got 'abc'"),
+            ("mh_step_scale_eps=wide", "mh_step_scale_eps must be float, got 'wide'"),
+        ):
+            cfg.write_text(f"seed=5\n# the next line is wrong\n{line}\n")
+            bad = tmp_path / "bad"
+            assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
+                        "--config", str(cfg), "--out", str(bad)) == 1
+            assert f"{cfg}:3: {message}" in capsys.readouterr().err
+            assert list(bad.iterdir()) == []
+
+    def test_no_stabilize_flag_and_key_agree(self, tmp_path):
+        sim = tmp_path / "sim"
+        _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "2", "--out", str(sim))
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text("stabilize=false\n")
+        common = ("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
+                  "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "3")
+        assert _run(*common, "--no-stabilize", "--out", str(tmp_path / "flag")) == 0
+        assert _run(*common, "--config", str(cfg), "--out", str(tmp_path / "key")) == 0
+        for name in ("flag", "key"):
+            fit = tmp_path / name
+            manifest = json.loads((fit / "manifest.json").read_text())
+            assert manifest["config"]["stabilize"] is False
+            rates = dict(_rows(fit / "acceptance.csv")[1:])
+            assert rates["accept_rate_level"] == "nan"
+        assert ((tmp_path / "flag" / "draws.npz").read_bytes()
+                == (tmp_path / "key" / "draws.npz").read_bytes())
+
+    def test_draws_do_not_depend_on_blas_threads(self, tmp_path):
+        # simulate's own outputs move with the thread count at N=900 (its
+        # dense W @ z and eigh), so the panel is simulated once, here
+        truth = simulate(DgpConfig(grid_rows=30, grid_cols=30, n_periods=10, seed=61))
+        truth.dataset.to_csv(tmp_path / "panel.csv")
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            subprocess.run([sys.executable, "-m", "hiddenpop", "fit",
+                            "--data", str(tmp_path / "panel.csv"), "--grid", "30x30",
+                            "--iters", "110", "--burnin", "10", "--thin", "1",
+                            "--seed", "61", "--out", str(out)],
+                           env=env, check=True, timeout=300)
+            digests.append(hashlib.sha256((out / "draws.npz").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_config_file_is_closed(self, tmp_path, monkeypatch):
         # an unclosed file warns while it is collected, where the error the
@@ -129,7 +183,7 @@ class TestFitCommand:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            assert _read_config_file(cfg) == {"iters": "600", "seed": "5"}
+            assert _read_config_file(cfg) == {"n_iter": 600, "seed": 5}
             gc.collect()
         assert unraisable == []
 

@@ -4,14 +4,23 @@ A public function, class, method or property of `src/hiddenpop` that no
 code in the package or in `scripts/` names is test-only API: it belongs
 in `tests/oracles.py` as a reference or nowhere. The scan is by name, so
 it cannot tell two methods of one name apart; it errs toward passing.
+
+A chain setting that `hiddenpop fit` cannot set is a dead knob in the same
+way: every `ChainConfig` field must be reachable from a config key or a flag.
 """
 
 import ast
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+from hiddenpop.cli import _FIT_KEYS, build_parser, main
+from hiddenpop.sampler import ChainConfig
+from hiddenpop.simulate import DgpConfig, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hiddenpop"
@@ -76,3 +85,25 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_every_chain_setting_is_reachable_from_fit(tmp_path):
+    keyed = {name for name, _ in _FIT_KEYS.values()}
+    flagged = set(vars(build_parser().parse_args(["fit", "--data", "panel.csv"])))
+    fields = {f.name for f in dataclasses.fields(ChainConfig)}
+    assert fields <= keyed | flagged
+    # and a config file that sets every key away from its default reaches
+    # the resolved chain the manifest records
+    values = {"iters": 120, "burnin": 20, "thin": 1, "seed": 3, "chains": 2,
+              "stabilize": False, "mh_step_scale_alpha": 0.3, "mh_step_scale_eps": 0.5}
+    assert set(values) == set(_FIT_KEYS)
+    defaults = {**{f.name: f.default for f in dataclasses.fields(ChainConfig)}, "chains": 1}
+    simulate(DgpConfig(grid_rows=2, grid_cols=2, n_periods=2, seed=1)).dataset.to_csv(
+        tmp_path / "panel.csv")
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("".join(f"{key}={str(value).lower()}\n" for key, value in values.items()))
+    assert main(["fit", "--data", str(tmp_path / "panel.csv"), "--grid", "2x2",
+                 "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+    resolved = json.loads((tmp_path / "fit" / "manifest.json").read_text())["config"]
+    for key, (name, _) in _FIT_KEYS.items():
+        assert resolved[name] == values[key] != defaults[name]

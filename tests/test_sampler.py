@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import chdtr, gammaincinv
 
 from hiddenpop import sampler
 from hiddenpop.data import PanelDataset
-from hiddenpop.kernels import _inverse_factors, _logdet, make_rng, split_rng, truncated_normal
+from hiddenpop.kernels import _inverse_factors, _logdet, make_rng, truncated_normal
 from hiddenpop.sampler import (
     ChainConfig,
     ParameterState,
@@ -209,16 +210,15 @@ class TestEtaPlusUpdate:
 
 class TestVarianceUpdates:
     def test_sigma2_v_chi2_mean_identity(self):
-        # fixed field with quadratic form 5.0 and an explicit df of 246:
-        # the reciprocal draw has mean df / (qbar + 5.0)
-        g = build_queen_grid(1, 2)
-        state = _state(2, 5, 1, v=np.array([0.0, math.sqrt(5.0)]))
+        # fixed field on a 16x16 grid, df = 255 + nbar_v: the reciprocal
+        # draw has mean df / (qbar + v'(D_w - W)v)
+        g = build_queen_grid(16, 16)
+        state = _state(256, 5, 1, v=np.random.default_rng(16).normal(size=256))
         prior = PriorConfig()
+        expected = (255 + prior.nbar_v) / (prior.qbar_v + car_quadratic_form(g, state.v))
         rng = make_rng(16)
-        draws = np.array([
-            update_sigma2_v(state, g, prior, rng, df=246) for _ in range(200_000)
-        ])
-        assert abs(np.mean(1.0 / draws) - 246 / 5.0001) < 0.005 * (246 / 5.0001)
+        draws = np.array([update_sigma2_v(state, g, prior, rng) for _ in range(200_000)])
+        assert abs(np.mean(1.0 / draws) - expected) < 0.005 * expected
 
     def test_sigma2_v_null_field_is_tiny(self):
         g = build_queen_grid(2, 2)
@@ -247,15 +247,17 @@ class TestVarianceUpdates:
             assert np.array_equal(2 * gammaincinv(df / 2, qs), xs)
 
     def test_sigma2_v_floor_matches_scipy_stats_oracle(self):
-        g = build_queen_grid(3, 3)
+        # df = (N - 1) + nbar_v: 10 on the 3x3 grid, 30 on 5x6, 300 on 15x20
         prior = PriorConfig()
-        state = _state(9, 3, 1, v=np.random.default_rng(3).normal(size=9))
-        scale = prior.qbar_v + car_quadratic_form(g, state.v)
-        for df, floor in ((None, 0.05), (None, 0.5), (30, 0.2), (300, 1e-3)):
-            dof = 8 + prior.nbar_v if df is None else float(df)
+        for rows, cols, floor in ((3, 3, 0.05), (3, 3, 0.5), (5, 6, 0.2), (15, 20, 1e-3)):
+            g = build_queen_grid(rows, cols)
+            n = rows * cols
+            state = _state(n, 3, 1, v=np.random.default_rng(3).normal(size=n))
+            scale = prior.qbar_v + car_quadratic_form(g, state.v)
+            dof = n - 1 + prior.nbar_v
             rng, ref_rng = make_rng(31), make_rng(31)
             for _ in range(50):
-                got = update_sigma2_v(state, g, prior, rng, df=df, floor=floor)
+                got = update_sigma2_v(state, g, prior, rng, floor=floor)
                 mass = stats.chi2.cdf(scale / floor, dof)
                 want = (floor if mass <= 0.0 else max(
                     scale / stats.chi2.ppf(ref_rng.uniform() * mass, dof), floor))
@@ -367,19 +369,22 @@ class TestRunChain:
         assert np.array_equal(a.beta, b.beta)
         assert set(np.unique(a.chain_id)) == {0, 1}
 
-    def test_chains_use_split_streams(self):
-        # one seeding path: chain i of run_chains is run_chain on the i-th
-        # stream split from the chain seed, whatever the number of chains
+    def test_chain_i_is_run_chain_at_seed_plus_i(self):
+        # one seeding rule: chain i of run_chains is run_chain at seed + i,
+        # so a single chain is run_chain itself
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=17)
         both = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
         one = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=1)
-        for idx, rng in enumerate(split_rng(cfg.seed, 2)):
-            alone = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg, rng=rng)
+        for idx in range(2):
+            alone = run_chain(truth.dataset, truth.graph, PriorConfig(),
+                              replace(cfg, seed=cfg.seed + idx))
             assert np.array_equal(both.sigma2_v[both.chain_id == idx], alone.sigma2_v)
             assert np.array_equal(both.v[both.chain_id == idx], alone.v)
             if idx == 0:
-                assert np.array_equal(one.v, alone.v)
+                for name in ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha",
+                             "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
+                    assert np.array_equal(getattr(one, name), getattr(alone, name))
 
     def test_level_move_acceptance_counted(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
