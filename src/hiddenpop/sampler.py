@@ -124,6 +124,12 @@ class ChainConfig:
             raise ValueError("burn_in must be smaller than n_iter")
         if self.burn_in < 0 or self.thin < 1:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
+        # a zero scale proposes the current value every time, so the chain
+        # freezes while the Hastings term still reports acceptances
+        for name in ("mh_step_scale_alpha", "mh_step_scale_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def n_stored(self) -> int:
@@ -299,7 +305,10 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     1'Sigma^{-1}1 + row_sum_i / s2_v and mean proportional to the data
     pull plus the weighted sum of the *current* neighbour values, so the
     sweep must be sequential. Everything that does not depend on the
-    neighbours' latest values is computed for all regions before the loop.
+    neighbours' latest values is computed for all regions before the loop,
+    which then runs on Python floats: per region, a numpy call costs more
+    than its handful of multiply-adds. The neighbour sum runs left to
+    right from 0.0, so on unit weights it has the bits of a numpy dot.
     """
     n, t = data.y.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
@@ -307,15 +316,18 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     r = _residual(data, state, v=False)
     data_pull = (r.sum(axis=1) / denom).tolist()   # 1' Sigma^{-1} r_i
 
-    v = state.v.copy()
+    v = state.v.tolist()
     z = rng.standard_normal(n)
-    inv_s2v = 1.0 / state.sigma2_v
+    inv_s2v = 1.0 / float(state.sigma2_v)
     var = 1.0 / (one_inv_one + graph.row_sums * inv_s2v)
     noise = (np.sqrt(var) * z).tolist()
     var = var.tolist()
-    for i, (nbr, wts) in enumerate(zip(graph.neighbors, graph.weights)):
-        v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
-    return v
+    for i, pairs in enumerate(graph._pairs):
+        acc = 0.0
+        for j, w in pairs:
+            acc += w * v[j]
+        v[i] = var[i] * (data_pull[i] + inv_s2v * acc) + noise[i]
+    return np.fromiter(v, dtype=float, count=n)
 
 
 def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConfig,
@@ -338,7 +350,9 @@ def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConf
     if upper_mass <= 0.0:
         return floor
     draw = 2 * gammaincinv(dof / 2, rng.uniform() * upper_mass)
-    return max(scale / draw, floor)
+    # gammaincinv returns a numpy scalar; a Python float keeps the next
+    # sweep's scalar arithmetic off numpy
+    return float(max(scale / draw, floor))
 
 
 def update_sigma2_u(state: ParameterState, prior: PriorConfig,

@@ -30,45 +30,68 @@ class SpatialGraph:
     edge_i: np.ndarray = field(init=False)
     edge_j: np.ndarray = field(init=False)
     edge_w: np.ndarray = field(init=False)
+    # per region, its (neighbour, weight) pairs as Python ints and floats in
+    # neighbour-list order: the table the sequential CAR sweep walks
+    _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_regions < 1:
+        n = self.n_regions
+        if n < 1:
             raise ValueError("graph needs at least one region")
-        if len(self.neighbors) != self.n_regions or len(self.weights) != self.n_regions:
+        if len(self.neighbors) != n or len(self.weights) != n:
             raise ValueError("neighbor/weight lists must have one entry per region")
-        self.neighbors = [np.asarray(n, dtype=np.intp) for n in self.neighbors]
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+        self.neighbors = [np.asarray(a, dtype=np.intp) for a in self.neighbors]
+        self.weights = [np.asarray(a, dtype=float) for a in self.weights]
 
-        lookup = []
-        for i, (nbr, wts) in enumerate(zip(self.neighbors, self.weights)):
-            if nbr.size != wts.size:
-                raise ValueError(f"region {i}: neighbor/weight length mismatch")
-            if nbr.size == 0:
-                raise ValueError(f"region {i} is isolated; every region needs a neighbor")
-            if np.any(nbr == i):
-                raise ValueError(f"region {i} lists itself as a neighbor")
-            if np.any((nbr < 0) | (nbr >= self.n_regions)):
-                raise ValueError(f"region {i} references an out-of-range neighbor")
-            if np.unique(nbr).size != nbr.size:
-                raise ValueError(f"region {i} lists a duplicate neighbor")
-            if np.any(wts < 0) or not np.all(np.isfinite(wts)):
-                raise ValueError(f"region {i} has a negative or non-finite edge weight")
-            lookup.append(dict(zip(nbr.tolist(), wts.tolist())))
-        for i in range(self.n_regions):
-            for j, w in lookup[i].items():
-                if lookup[j].get(i) != w:
-                    raise ValueError(f"asymmetric edge between regions {i} and {j}")
+        # Each per-region check is one boolean per region; a graph fails at
+        # its lowest failing region, with the first check there that fails.
+        sizes = np.array([a.size for a in self.neighbors])
+        mismatch = sizes != np.array([a.size for a in self.weights])
+        whole = np.flatnonzero(~mismatch)
+        owner = np.repeat(whole, sizes[whole])
+        nbr = np.concatenate([self.neighbors[i] for i in whole] or [np.empty(0, np.intp)])
+        wts = np.concatenate([self.weights[i] for i in whole] or [np.empty(0)])
+        order = np.lexsort((nbr, owner))
+        repeated = (np.diff(owner[order]) == 0) & (np.diff(nbr[order]) == 0)
 
-        self.row_sums = np.array([w.sum() for w in self.weights])
-        ei, ej, ew = [], [], []
-        for i in range(self.n_regions):
-            mask = self.neighbors[i] > i
-            ei.extend([i] * int(mask.sum()))
-            ej.extend(self.neighbors[i][mask].tolist())
-            ew.extend(self.weights[i][mask].tolist())
-        self.edge_i = np.asarray(ei, dtype=np.intp)
-        self.edge_j = np.asarray(ej, dtype=np.intp)
-        self.edge_w = np.asarray(ew, dtype=float)
+        def regions_with(bad):
+            hit = np.zeros(n, dtype=bool)
+            hit[owner[bad]] = True
+            return hit
+
+        checks = (
+            (mismatch, "region {}: neighbor/weight length mismatch"),
+            (sizes == 0, "region {} is isolated; every region needs a neighbor"),
+            (regions_with(nbr == owner), "region {} lists itself as a neighbor"),
+            (regions_with((nbr < 0) | (nbr >= n)),
+             "region {} references an out-of-range neighbor"),
+            (regions_with(order[1:][repeated]), "region {} lists a duplicate neighbor"),
+            (regions_with((wts < 0) | ~np.isfinite(wts)),
+             "region {} has a negative or non-finite edge weight"),
+        )
+        failing = np.stack([hit for hit, _ in checks])
+        if failing.any():
+            region = int(np.flatnonzero(failing.any(axis=0))[0])
+            raise ValueError(checks[int(np.argmax(failing[:, region]))][1].format(region))
+
+        # every edge i -> j needs j -> i with the same weight; `order` sorts
+        # the edges by (i, j), so the reverse of each is found by bisection
+        keys = (owner * n + nbr)[order]
+        at = np.minimum(np.searchsorted(keys, nbr * n + owner), keys.size - 1)
+        asymmetric = (keys[at] != nbr * n + owner) | (wts[order][at] != wts)
+        if asymmetric.any():
+            e = int(np.argmax(asymmetric))
+            raise ValueError(f"asymmetric edge between regions {owner[e]} and {nbr[e]}")
+
+        # one numpy sum per row: np.add.reduceat adds long rows in another order
+        self.row_sums = np.array([np.add.reduce(w) for w in self.weights])
+        upper = nbr > owner
+        self.edge_i = owner[upper]
+        self.edge_j = nbr[upper]
+        self.edge_w = wts[upper]
+        pairs = list(zip(nbr.tolist(), wts.tolist()))
+        bounds = np.cumsum(sizes).tolist()
+        self._pairs = tuple(tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds))
 
     @property
     def average_degree(self) -> float:
@@ -76,18 +99,30 @@ class SpatialGraph:
 
     @classmethod
     def from_edges(cls, n_regions: int, edges) -> "SpatialGraph":
-        """Build from an iterable of (i, j) or (i, j, weight) tuples."""
-        nbr = [[] for _ in range(n_regions)]
-        wts = [[] for _ in range(n_regions)]
-        for edge in edges:
-            i, j = int(edge[0]), int(edge[1])
-            w = float(edge[2]) if len(edge) > 2 else 1.0
-            nbr[i].append(j)
-            wts[i].append(w)
-            nbr[j].append(i)
-            wts[j].append(w)
-        return cls(n_regions, [np.array(n, dtype=np.intp) for n in nbr],
-                   [np.array(w) for w in wts])
+        """Build from an iterable of (i, j) or (i, j, weight) tuples.
+
+        Region r lists the other endpoint of each edge that touches r, in
+        the order the edges come.
+        """
+        edges = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0) for e in edges]
+        i, j, w = zip(*edges) if edges else ((), (), ())
+        return cls._from_pairs(n_regions, np.array(i, dtype=np.intp),
+                               np.array(j, dtype=np.intp), np.array(w, dtype=float))
+
+    @classmethod
+    def _from_pairs(cls, n_regions: int, i: np.ndarray, j: np.ndarray,
+                    w: np.ndarray) -> "SpatialGraph":
+        """from_edges on edge arrays: each edge as i -> j then j -> i, sorted
+        stably by source, so each region keeps the edges' order."""
+        src = np.column_stack([i, j]).ravel()
+        if src.size and not 0 <= src.min() <= src.max() < n_regions:
+            raise ValueError(f"edge endpoint out of range for {n_regions} regions")
+        order = np.argsort(src, kind="stable")
+        dst = np.column_stack([j, i]).ravel()[order]
+        wts = np.repeat(w, 2)[order]
+        bounds = np.searchsorted(src[order], np.arange(n_regions + 1)).tolist()
+        rows = list(zip(bounds, bounds[1:]))
+        return cls(n_regions, [dst[a:b] for a, b in rows], [wts[a:b] for a, b in rows])
 
     def dense_weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n_regions, self.n_regions))
@@ -105,15 +140,14 @@ def build_queen_grid(rows: int, cols: int) -> SpatialGraph:
     """Lattice where cells sharing an edge or a corner are neighbours."""
     if rows * cols < 2:
         raise ValueError("grid must contain at least two cells")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    edges.append((i, rr * cols + cc))
-    return SpatialGraph.from_edges(rows * cols, edges)
+    # edges cell by cell in row-major order, each to its E, SW, S and SE cell
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    step = np.array([[0, 1], [1, -1], [1, 0], [1, 1]])
+    rr, cc = r[:, None] + step[:, 0], c[:, None] + step[:, 1]
+    inside = (rr < rows) & (cc >= 0) & (cc < cols)
+    i = np.broadcast_to(np.arange(rows * cols)[:, None], inside.shape)[inside]
+    j = (rr * cols + cc)[inside]
+    return SpatialGraph._from_pairs(rows * cols, i, j, np.ones(i.size))
 
 
 def load_adjacency(path, regions=None) -> SpatialGraph:

@@ -4,17 +4,24 @@ The sampler never forms the panel covariance densely: it works with the
 rank-one factors `kernels._inverse_factors` and `kernels._logdet`. These
 oracles build the dense matrices around those same factors, so a dense
 check of an oracle is a check of the formulas the sampler runs.
+
+The loop oracles at the end are the graph builder and the CAR sweep as
+they ran before they were vectorised or moved onto Python floats; the
+tests hold the package to them bit for bit where the arithmetic is the
+same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hiddenpop.kernels import NumericalError, _inverse_factors, _logdet
+from hiddenpop.sampler import _residual
 
 
 @dataclass(frozen=True)
@@ -101,3 +108,66 @@ def conditional_mvn(mean, cov, index: int, others) -> tuple[float, float]:
     cond_mean = mean[index] + cov12 @ w
     cond_var = cov[index, index] - cov12 @ cho_solve(factor, cov12)
     return float(cond_mean), float(cond_var)
+
+
+def queen_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    """Queen-contiguity edges, each once, in the cell-by-cell order the
+    original grid builder enumerated them."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < rows and 0 <= cc < cols:
+                    edges.append((r * cols + c, rr * cols + cc))
+    return edges
+
+
+def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
+    """Every array of a graph as the original per-edge builder and the
+    per-region loops of the original constructor produced them: each edge
+    appended to both endpoints' lists in input order, row sums as one numpy
+    sum per row, and the i < j edge arrays region by region."""
+    nbr = [[] for _ in range(n_regions)]
+    wts = [[] for _ in range(n_regions)]
+    for edge in edges:
+        i, j = int(edge[0]), int(edge[1])
+        w = float(edge[2]) if len(edge) > 2 else 1.0
+        nbr[i].append(j)
+        wts[i].append(w)
+        nbr[j].append(i)
+        wts[j].append(w)
+    neighbors = [np.array(n, dtype=np.intp) for n in nbr]
+    weights = [np.array(w, dtype=float) for w in wts]
+    ei, ej, ew = [], [], []
+    for i in range(n_regions):
+        mask = neighbors[i] > i
+        ei.extend([i] * int(mask.sum()))
+        ej.extend(neighbors[i][mask].tolist())
+        ew.extend(weights[i][mask].tolist())
+    return SimpleNamespace(
+        n_regions=n_regions, neighbors=neighbors, weights=weights,
+        row_sums=np.array([w.sum() for w in weights]),
+        edge_i=np.asarray(ei, dtype=np.intp), edge_j=np.asarray(ej, dtype=np.intp),
+        edge_w=np.asarray(ew, dtype=float),
+    )
+
+
+def update_v_dot(state, data, graph, rng) -> np.ndarray:
+    """The sequential CAR sweep with one numpy dot product per region, as
+    the sampler ran it before it walked a table of Python floats."""
+    n, t = data.y.shape
+    denom = state.sigma2_eps + t * state.sigma2_alpha
+    one_inv_one = t / denom
+    r = _residual(data, state, v=False)
+    data_pull = (r.sum(axis=1) / denom).tolist()
+
+    v = state.v.copy()
+    z = rng.standard_normal(n)
+    inv_s2v = 1.0 / state.sigma2_v
+    var = 1.0 / (one_inv_one + graph.row_sums * inv_s2v)
+    noise = (np.sqrt(var) * z).tolist()
+    var = var.tolist()
+    for i, (nbr, wts) in enumerate(zip(graph.neighbors, graph.weights)):
+        v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
+    return v

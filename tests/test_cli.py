@@ -138,6 +138,24 @@ class TestFitCommand:
             assert f"{cfg}:3: {message}" in capsys.readouterr().err
             assert list(bad.iterdir()) == []
 
+    def test_step_scale_must_be_finite_and_positive(self, tmp_path, capsys):
+        # a zero scale used to freeze the variance while acceptance.csv
+        # still reported a healthy acceptance rate
+        sim = tmp_path / "sim"
+        _run("simulate", "--grid", "2x2", "--periods", "2", "--out", str(sim))
+        common = ("fit", "--data", str(sim / "panel.csv"), "--grid", "2x2",
+                  "--iters", "20", "--burnin", "10")
+        cfg = tmp_path / "chain.cfg"
+        bad = tmp_path / "bad"
+        for flag, key in (("--mh-step-alpha", "mh_step_scale_alpha"),
+                          ("--mh-step-eps", "mh_step_scale_eps")):
+            for value in ("0", "-0.5", "nan", "inf"):
+                cfg.write_text(f"{key}={value}\n")
+                for how in ((f"{flag}={value}",), ("--config", str(cfg))):
+                    assert _run(*common, *how, "--out", str(bad)) == 1
+                    assert f"{key} must be finite and > 0" in capsys.readouterr().err
+                    assert list(bad.iterdir()) == []
+
     def test_no_stabilize_flag_and_key_agree(self, tmp_path):
         sim = tmp_path / "sim"
         _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "2", "--out", str(sim))

@@ -81,10 +81,13 @@ def test_every_public_symbol_is_used_outside_tests():
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    code = "import sys, hiddenpop.cli; print('scipy.linalg' in sys.modules)"
+    # scipy.sparse (and the SuperLU solver under it) costs about 9 MB of
+    # resident memory on import, and pulls in scipy.linalg
+    code = ("import sys, hiddenpop.cli; "
+            "print([name for name in ('scipy.linalg', 'scipy.sparse') if name in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_chain_setting_is_reachable_from_fit(tmp_path):

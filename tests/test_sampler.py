@@ -28,8 +28,8 @@ from hiddenpop.sampler import (
     _omega_factors,
 )
 from hiddenpop.simulate import DgpConfig, simulate
-from hiddenpop.spatial import build_queen_grid, car_quadratic_form
-from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse
+from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
+from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse, update_v_dot
 
 
 def _state(n, t, k, **overrides):
@@ -438,6 +438,13 @@ class TestInitialState:
         with pytest.raises(ValueError):
             ChainConfig(n_iter=100, burn_in=10, thin=0)
 
+    @pytest.mark.parametrize("name", ["mh_step_scale_alpha", "mh_step_scale_eps"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_step_scale_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
+            ChainConfig(n_iter=100, burn_in=10, **{name: value})
+        ChainConfig(n_iter=100, burn_in=10, **{name: 1e-3})
+
     def test_prior_config_validation(self):
         with pytest.raises(ValueError):
             PriorConfig(r_star_u=1.5)
@@ -448,8 +455,6 @@ class TestInitialState:
 def test_update_v_sequential_sees_latest_values():
     # two-region graph: with a dominant CAR prior the second region's draw
     # must track the first region's freshly drawn value, not the stale one
-    from hiddenpop.spatial import SpatialGraph
-
     g = SpatialGraph.from_edges(2, [(0, 1)])
     n, t = 2, 2
     data = PanelDataset(y=np.zeros((n, t)), x=np.zeros((n, t, 1)))
@@ -458,3 +463,87 @@ def test_update_v_sequential_sees_latest_values():
     out = update_v(state, data, g, make_rng(30))
     # with no data signal and tight CAR coupling both values stay close
     assert abs(out[0] - out[1]) < 0.1
+
+
+class TestUpdateVAgainstDotOracle:
+    """update_v sums each region's neighbours in Python floats; the oracle
+    takes one numpy dot per region. Each sweep starts from the oracle's
+    previous output, so the comparison never drifts."""
+
+    @staticmethod
+    def _sweeps(graph, seed, n_sweeps=4, sigma2_v=0.7):
+        n, t = graph.n_regions, 3
+        data = _panel(n, t, 2, seed=seed)
+        draw = np.random.default_rng(seed + 1)
+        state = _state(n, t, 2, beta=draw.normal(size=2), u_plus=draw.gamma(2.0, size=(n, t)),
+                       eta_plus=draw.gamma(2.0, size=n), v=draw.normal(size=n),
+                       sigma2_alpha=0.05, sigma2_eps=0.3, sigma2_v=sigma2_v)
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        pairs = []
+        for _ in range(n_sweeps):
+            got = update_v(state, data, graph, rng)
+            want = update_v_dot(state, data, graph, oracle_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+            pairs.append((got, want))
+            state.v = want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        return pairs
+
+    def test_bit_equal_on_a_queen_grid(self):
+        for got, want in self._sweeps(build_queen_grid(6, 7), seed=41):
+            assert got.tobytes() == want.tobytes()
+
+    def test_bit_equal_on_a_label_keyed_adjacency(self, tmp_path):
+        # unit weights, labels 201.., edges shuffled and half reversed, and
+        # a numpy-scalar sigma2_v, as a caller may pass one
+        grid = build_queen_grid(5, 6)
+        labels = np.arange(201, 231)
+        order = np.random.default_rng(5).permutation(grid.edge_i.size)
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(
+            f"{labels[grid.edge_j[k]]} {labels[grid.edge_i[k]]}\n" if k % 2 else
+            f"{labels[grid.edge_i[k]]} {labels[grid.edge_j[k]]}\n" for k in order))
+        graph = load_adjacency(path, labels)
+        for got, want in self._sweeps(graph, seed=42, sigma2_v=np.float64(0.7)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_close_on_a_random_weighted_graph(self):
+        # a numpy dot may fuse a multiply and an add, so non-unit weights
+        # can move the last bits
+        draw = np.random.default_rng(43)
+        n = 40
+        pairs = {(min(i, j), max(i, j)) for i, j in draw.integers(0, n, size=(160, 2)) if i != j}
+        pairs |= {(i, i + 1) for i in range(n - 1)}
+        edges = [(i, j, draw.gamma(2.0)) for i, j in sorted(pairs)]
+        for got, want in self._sweeps(SpatialGraph.from_edges(n, edges), seed=44):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
+SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")
+
+
+def test_chain_scalars_stay_python_floats(monkeypatch):
+    # update_sigma2_v's floored path ends in scipy's gammaincinv, whose
+    # numpy scalar once leaked into the state and turned every later
+    # sweep's scalar arithmetic into numpy-scalar arithmetic
+    truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=5))
+    types, floors = [], []
+    beta_update, sigma2_v_update = sampler.update_beta, sampler.update_sigma2_v
+
+    def beta_spy(state, *args):
+        types.append({name: type(getattr(state, name)) for name in SCALARS})
+        return beta_update(state, *args)
+
+    def sigma2_v_spy(state, graph, prior, rng, floor=0.0):
+        floors.append(floor)
+        draw = sigma2_v_update(state, graph, prior, rng, floor=floor)
+        types.append({"sigma2_v": type(draw)})
+        return draw
+
+    monkeypatch.setattr(sampler, "update_beta", beta_spy)
+    monkeypatch.setattr(sampler, "update_sigma2_v", sigma2_v_spy)
+    run_chain(truth.dataset, build_queen_grid(3, 3),
+              chain=ChainConfig(n_iter=150, burn_in=50, thin=1, seed=3))
+    assert len(floors) == 150 and min(floors) > 0
+    assert len(types) == 300
+    assert all(set(seen.values()) == {float} for seen in types)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,24 @@ from hypothesis import given, settings, strategies as st
 from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.sampler import PosteriorDraws
 from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
+from oracles import per_edge_graph, queen_edges
+
+GRAPH_ARRAYS = ("row_sums", "edge_i", "edge_j", "edge_w")
+
+
+def assert_same_graph(graph, reference):
+    """Every list and array equal bit for bit, with the same dtype."""
+    assert graph.n_regions == reference.n_regions
+    for name in ("neighbors", "weights"):
+        got, want = getattr(graph, name), getattr(reference, name)
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(graph, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestQueenGrid:
@@ -40,6 +60,12 @@ class TestQueenGrid:
         with pytest.raises(ValueError):
             build_queen_grid(1, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (2, 1), (1, 5), (4, 1), (2, 2),
+                                            (3, 4), (7, 7), (30, 30)])
+    def test_equals_the_per_edge_builder(self, rows, cols):
+        assert_same_graph(build_queen_grid(rows, cols),
+                          per_edge_graph(rows * cols, queen_edges(rows, cols)))
+
 
 class TestGraphValidation:
     def test_self_loop_rejected(self):
@@ -56,6 +82,83 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="asymmetric"):
             SpatialGraph(2, [np.array([1]), np.array([0])],
                          [np.array([1.0]), np.array([2.0])])
+
+    # (n_regions, neighbors, weights, message): one case per check of the
+    # constructor, then cases that pin which check speaks first: the lowest
+    # failing region, and at that region the checks in the order listed
+    CASES = [
+        (0, [], [], "graph needs at least one region"),
+        (2, [[1]], [[1.0]], "neighbor/weight lists must have one entry per region"),
+        (2, [[1], [0]], [[1.0]], "neighbor/weight lists must have one entry per region"),
+        (2, [[1], [0]], [[1.0], [1.0, 1.0]], "region 1: neighbor/weight length mismatch"),
+        (2, [[1], []], [[1.0], []], "region 1 is isolated; every region needs a neighbor"),
+        (2, [[1], [0, 1]], [[1.0], [1.0, 1.0]], "region 1 lists itself as a neighbor"),
+        (2, [[2], [0]], [[1.0], [1.0]], "region 0 references an out-of-range neighbor"),
+        (2, [[1], [-1]], [[1.0], [1.0]], "region 1 references an out-of-range neighbor"),
+        (3, [[1, 2], [0, 2, 0], [0, 1]], [[1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0]],
+         "region 1 lists a duplicate neighbor"),
+        (2, [[1], [0]], [[-1.0], [-1.0]], "region 0 has a negative or non-finite edge weight"),
+        (2, [[1], [0]], [[1.0], [np.nan]], "region 1 has a negative or non-finite edge weight"),
+        (2, [[1], [0]], [[np.inf], [np.inf]],
+         "region 0 has a negative or non-finite edge weight"),
+        (3, [[1, 2], [0, 2], [1]], [[1.0, 1.0], [1.0, 1.0], [1.0]],
+         "asymmetric edge between regions 0 and 2"),
+        (3, [[1, 2], [0, 2], [0, 1]], [[1.0, 2.0], [1.0, 1.0], [2.0, 1.5]],
+         "asymmetric edge between regions 1 and 2"),
+        # precedence: mismatch at region 0 before a self-loop at region 1
+        (2, [[1], [1]], [[1.0, 1.0], [1.0]], "region 0: neighbor/weight length mismatch"),
+        # at one region: self-loop before out-of-range, duplicate and weight
+        (3, [[1], [0, 1, 5, 5], [1]], [[1.0], [-1.0, 1.0, 1.0, 1.0], [1.0]],
+         "region 1 lists itself as a neighbor"),
+        # out-of-range before a duplicate, duplicate before a bad weight
+        (3, [[1], [0, 3, 3], [1]], [[1.0], [1.0, 1.0, 1.0], [1.0]],
+         "region 1 references an out-of-range neighbor"),
+        (3, [[1], [0, 0], [1]], [[1.0], [-1.0, 1.0], [1.0]],
+         "region 1 lists a duplicate neighbor"),
+        # a per-region check anywhere comes before any asymmetry
+        (3, [[1], [0, 2], [1]], [[1.0], [2.0, 1.0], [-1.0]],
+         "region 2 has a negative or non-finite edge weight"),
+    ]
+
+    @pytest.mark.parametrize("n, neighbors, weights, message", CASES)
+    def test_each_check_names_its_fault(self, n, neighbors, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpatialGraph(n, [np.array(a, dtype=int) for a in neighbors],
+                         [np.array(a, dtype=float) for a in weights])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_from_edges_equals_the_per_edge_builder(self, data):
+        # a weighted graph with every region on an edge: a random spanning
+        # path plus random extra pairs, each listed once in a random
+        # orientation and order, some rows long enough for numpy's
+        # blocked summation
+        n = data.draw(st.integers(2, 24))
+        path = data.draw(st.permutations(range(n)))
+        pairs = {frozenset(p) for p in zip(path, path[1:])}
+        extra = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=4 * n))
+        pairs |= {frozenset(p) for p in extra if p[0] != p[1]}
+        pairs = data.draw(st.permutations(sorted(tuple(sorted(p)) for p in pairs)))
+        weight = st.one_of(st.just(1.0), st.floats(0.0, 1e3), st.floats(1e-300, 1e-3))
+        edges = []
+        for i, j in pairs:
+            i, j = (j, i) if data.draw(st.booleans()) else (i, j)
+            edges.append((i, j, data.draw(weight)) if data.draw(st.booleans()) else (i, j))
+        assert_same_graph(SpatialGraph.from_edges(n, edges), per_edge_graph(n, edges))
+
+    def test_from_edges_keeps_the_constructor_messages(self):
+        with pytest.raises(ValueError, match="^region 0 lists a duplicate neighbor$"):
+            SpatialGraph.from_edges(3, [(0, 1), (1, 2), (1, 0)])
+        with pytest.raises(ValueError, match="^region 2 is isolated"):
+            SpatialGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="^region 1 lists itself as a neighbor$"):
+            SpatialGraph.from_edges(3, [(0, 1), (1, 1), (2, 0)])
+        with pytest.raises(ValueError, match="^region 1 has a negative or non-finite"):
+            SpatialGraph.from_edges(3, [(0, 2), (1, 2, -0.5)])
+        for edge in ((0, 3), (-1, 2), (3, 4)):
+            with pytest.raises(ValueError, match="^edge endpoint out of range for 3 regions$"):
+                SpatialGraph.from_edges(3, [(0, 1), (1, 2), edge])
 
     def test_precision_is_psd(self):
         g = build_queen_grid(4, 5)
