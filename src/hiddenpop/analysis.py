@@ -8,13 +8,11 @@ percentage / signal-ratio summaries.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import FLOAT_FMT, _write_columns
+from .data import _write_columns, _write_rows
 from .sampler import PosteriorDraws
 
 MIN_HDI_DRAWS = 100
@@ -279,16 +277,6 @@ def chain_summary(draws: PosteriorDraws, level: float = 0.95) -> list[dict]:
             "hdi_upper": hi,
         })
     return rows
-
-
-def _write_rows(path, header: list[str], rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                FLOAT_FMT % v if isinstance(v, float) else v for v in row
-            ])
 
 
 def write_summary_csv(rows: list[dict], path) -> None:

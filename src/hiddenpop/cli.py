@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate -> fit -> analyze, plus SIR screening.
 
 Every subcommand resolves its configuration (defaults, optional key=value
-config file, then flags), writes its outputs plus a manifest.json with the
-fully resolved settings, and removes partial outputs on failure. Given the
+config file, then flags), reads its inputs and writes its outputs. `main`
+owns the rest: it removes any old manifest.json first, removes what the run
+wrote if it fails, and writes manifest.json, with the fully resolved
+settings, last, so a directory without one holds no complete run. Given the
 same inputs and seed, the data outputs are byte-identical across runs; the
 manifest differs only in its wall-clock fields.
 """
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_HDI_DRAWS,
     chain_summary,
     coverage_report,
     hidden_population_draws,
@@ -34,9 +37,8 @@ from .analysis import (
     write_mape_csv,
     write_summary_csv,
     write_uncaptured_csv,
-    _write_rows,
 )
-from .data import CountPanel, PanelDataset
+from .data import CountPanel, PanelDataset, _write_rows
 from .sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chains
 from .simulate import (
     DgpConfig,
@@ -47,7 +49,7 @@ from .simulate import (
     write_truth_csv,
 )
 from .sir import compute_sir, flag_hotspots, score_exceedance, write_sir_csv
-from .spatial import SpatialGraph, build_queen_grid, load_adjacency
+from .spatial import build_queen_grid, load_adjacency
 
 OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
 
@@ -78,12 +80,6 @@ def _out_dir(arg: str | None) -> Path:
         out = root / out
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
 
 
 def save_draws(draws: PosteriorDraws, y: np.ndarray, path) -> None:
@@ -242,185 +238,114 @@ def _manifest(out: Path, subcommand: str, config: dict, inputs: dict,
         "package_version": __version__,
         "duration_seconds": round(time.time() - started, 3),
     }
-    _atomic_write_bytes(out / "manifest.json",
-                        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    tmp = out / "manifest.json.tmp"
+    tmp.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    tmp.replace(out / "manifest.json")
 
 
-class _OutputTracker:
-    """Removes everything this command wrote if it fails midway."""
-
-    def __init__(self, out: Path):
-        self.out = out
-        self.written: list[str] = []
-
-    def path(self, name: str) -> Path:
-        self.written.append(name)
-        return self.out / name
-
-    def cleanup(self) -> None:
-        for name in self.written:
-            try:
-                (self.out / name).unlink(missing_ok=True)
-            except OSError:
-                pass
+def cmd_simulate(args, output) -> tuple[dict, dict]:
+    config = DgpConfig(
+        grid_rows=args.grid[0], grid_cols=args.grid[1], n_periods=args.periods,
+        beta_true=tuple(args.beta), sigma_alpha=args.sigma_alpha,
+        sigma_eta=args.sigma_eta, sigma_u=args.sigma_u, sigma_eps=args.sigma_eps,
+        sigma_v=args.sigma_v, eps_t_df=args.student_t_df, seed=args.seed,
+    )
+    if args.target_lambda is not None:
+        config = make_lambda_scenario(args.target_lambda, config)
+    truth = simulate(config)
+    truth.dataset.to_csv(output("panel.csv"))
+    write_truth_csv(truth, output("truth.csv"))
+    return {**config.__dict__, "beta_true": list(config.beta_true),
+            "lambda": lambda_of(config)}, {}
 
 
-def _graph_from_args(args, regions: np.ndarray) -> SpatialGraph:
-    if args.grid is not None:
-        graph = build_queen_grid(*args.grid)
-    elif args.adjacency is not None:
-        graph = load_adjacency(args.adjacency, regions)
-    else:
-        raise ValueError("either --grid or --adjacency is required")
-    if graph.n_regions != regions.size:
-        raise ValueError(
-            f"graph has {graph.n_regions} regions but panel has {regions.size}"
-        )
-    return graph
+def cmd_fit(args, output) -> tuple[dict, dict]:
+    settings = _read_config_file(args.config) if args.config else {}
+    for name, _ in _FIT_KEYS.values():
+        if getattr(args, name) is not None:  # a flag wins over the file
+            settings[name] = getattr(args, name)
+    n_chains = settings.pop("chains", 1)
+    chain = ChainConfig(**settings)
+    if n_chains < 1:
+        raise ValueError(f"chains must be >= 1, got {n_chains}")
+    if n_chains * chain.n_stored < MIN_HDI_DRAWS:
+        raise ValueError(f"{n_chains} chain(s) x {chain.n_stored} stored draws is fewer than "
+                         f"the {MIN_HDI_DRAWS} draws an HDI needs")
+
+    data = PanelDataset.from_csv(args.data)
+    graph = (build_queen_grid(*args.grid) if args.grid
+             else load_adjacency(args.adjacency, data.regions))
+    draws = run_chains(data, graph, PriorConfig(), chain, n_chains=n_chains)
+
+    save_draws(draws, data.y, output("draws.npz"))
+    write_summary_csv(chain_summary(draws), output("summary.csv"))
+    _write_rows(output("acceptance.csv"), ["quantity", "value"],
+                [["accept_rate_alpha", draws.accept_rate_alpha],
+                 ["accept_rate_eps", draws.accept_rate_eps],
+                 ["accept_rate_level", draws.accept_rate_level],
+                 ["floored_draws", draws.floored_count],
+                 ["stored_draws", draws.n_draws]])
+    if args.export_csv:
+        export_draws_csv(draws, output("draws.csv"))
+    graph_desc = (f"grid:{args.grid[0]}x{args.grid[1]}" if args.grid
+                  else str(args.adjacency))
+    return ({**chain.__dict__, "chains": n_chains},
+            {"data": str(args.data), "graph": graph_desc})
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args.out)
-    tracker = _OutputTracker(out)
-    started = time.time()
-    try:
-        config = DgpConfig(
-            grid_rows=args.grid[0], grid_cols=args.grid[1], n_periods=args.periods,
-            beta_true=tuple(args.beta), sigma_alpha=args.sigma_alpha,
-            sigma_eta=args.sigma_eta, sigma_u=args.sigma_u, sigma_eps=args.sigma_eps,
-            sigma_v=args.sigma_v, eps_t_df=args.student_t_df, seed=args.seed,
-        )
-        if args.target_lambda is not None:
-            config = make_lambda_scenario(args.target_lambda, config)
-        truth = simulate(config)
-        truth.dataset.to_csv(tracker.path("panel.csv"))
-        write_truth_csv(truth, tracker.path("truth.csv"))
-        resolved = {**config.__dict__, "beta_true": list(config.beta_true),
-                    "lambda": lambda_of(config)}
-        _manifest(out, "simulate", resolved, {}, tracker.written, started)
-    except Exception:
-        tracker.cleanup()
-        raise
-    return 0
+def cmd_analyze(args, output) -> tuple[dict, dict]:
+    draws, y_log = load_draws(args.draws)
+    y_level = np.exp(y_log)
+    levels = args.levels
+    if args.truth is None and levels is not None:
+        raise ValueError("coverage levels were requested but no --truth file given")
+    group = "region" if args.by_region else ("period" if args.by_period else None)
+
+    n, t = y_level.shape
+    write_uncaptured_csv(draws, np.arange(n), np.arange(t), output("uncaptured.csv"), group)
+    shares = uncaptured_summaries(draws)
+    _write_rows(output("uncaptured_summary.csv"), ["quantity", "value"],
+                [["permanent_pct", shares.permanent_pct],
+                 ["total_pct", shares.total_pct],
+                 ["lambda", shares.lambda_stat],
+                 ["spatial_share", shares.spatial_share]])
+
+    if args.truth is not None:
+        truth = read_truth_csv(args.truth)
+        if truth["p"].shape != y_level.shape:
+            raise ValueError(
+                f"truth grid {truth['p'].shape} does not match draws {y_level.shape}"
+            )
+        levels = levels if levels is not None else [0.90, 0.95, 0.99]
+        rng = np.random.default_rng(args.seed)
+        point, bounds = predictive_intervals(draws, y_level, levels)
+        reports = [coverage_report(lo, hi, truth["p"], level,
+                                   n_beta_draws=args.beta_draws, rng=rng)
+                   for level, (lo, hi) in zip(levels, bounds)]
+        write_coverage_csv(reports, output("coverage.csv"))
+        summaries = [mape_summary(point, truth["p"])]
+        if args.per_draw_mape:
+            summaries.append(mape_summary(hidden_population_draws(draws, y_level),
+                                          truth["p"]))
+        write_mape_csv(summaries, output("mape.csv"))
+        _write_rows(output("rho.csv"), ["component", "rho_hat"],
+                    [["eta_plus", rho_hat(draws.eta_plus, truth["eta_plus"])],
+                     ["u_plus", rho_hat(draws.u_plus.reshape(draws.n_draws, -1),
+                                        truth["u_plus"].ravel())],
+                     ["v", rho_hat(draws.v, truth["v"])]])
+
+    return ({"levels": levels, "group_by": group, "beta_draws": args.beta_draws,
+             "per_draw_mape": bool(args.per_draw_mape), "seed": args.seed},
+            {"draws": str(args.draws), "truth": str(args.truth) if args.truth else None})
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args.out)
-    tracker = _OutputTracker(out)
-    started = time.time()
-    try:
-        settings = _read_config_file(args.config) if args.config else {}
-        for name, _ in _FIT_KEYS.values():
-            if getattr(args, name) is not None:  # a flag wins over the file
-                settings[name] = getattr(args, name)
-        n_chains = settings.pop("chains", 1)
-        chain = ChainConfig(**settings)
-
-        data = PanelDataset.from_csv(args.data)
-        graph = _graph_from_args(args, data.regions)
-        draws = run_chains(data, graph, PriorConfig(), chain, n_chains=n_chains)
-
-        save_draws(draws, data.y, tracker.path("draws.npz"))
-        write_summary_csv(chain_summary(draws), tracker.path("summary.csv"))
-        _write_rows(tracker.path("acceptance.csv"),
-                    ["quantity", "value"],
-                    [["accept_rate_alpha", draws.accept_rate_alpha],
-                     ["accept_rate_eps", draws.accept_rate_eps],
-                     ["accept_rate_level", draws.accept_rate_level],
-                     ["floored_draws", draws.floored_count],
-                     ["stored_draws", draws.n_draws]])
-        if args.export_csv:
-            export_draws_csv(draws, tracker.path("draws.csv"))
-
-        resolved = {**chain.__dict__, "chains": n_chains}
-        graph_desc = (f"grid:{args.grid[0]}x{args.grid[1]}" if args.grid
-                      else str(args.adjacency))
-        _manifest(out, "fit", resolved,
-                  {"data": str(args.data), "graph": graph_desc},
-                  tracker.written, started)
-    except Exception:
-        tracker.cleanup()
-        raise
-    return 0
-
-
-def cmd_analyze(args) -> int:
-    out = _out_dir(args.out)
-    tracker = _OutputTracker(out)
-    started = time.time()
-    try:
-        draws, y_log = load_draws(args.draws)
-        y_level = np.exp(y_log)
-        levels = args.levels
-        if args.truth is None and levels is not None:
-            raise ValueError("coverage levels were requested but no --truth file given")
-        group = "region" if args.by_region else ("period" if args.by_period else None)
-
-        n, t = y_level.shape
-        regions = np.arange(n)
-        times = np.arange(t)
-        write_uncaptured_csv(draws, regions, times, tracker.path("uncaptured.csv"), group)
-        shares = uncaptured_summaries(draws)
-        _write_rows(tracker.path("uncaptured_summary.csv"), ["quantity", "value"],
-                    [["permanent_pct", shares.permanent_pct],
-                     ["total_pct", shares.total_pct],
-                     ["lambda", shares.lambda_stat],
-                     ["spatial_share", shares.spatial_share]])
-
-        if args.truth is not None:
-            truth = read_truth_csv(args.truth)
-            if truth["p"].shape != y_level.shape:
-                raise ValueError(
-                    f"truth grid {truth['p'].shape} does not match draws {y_level.shape}"
-                )
-            levels = levels if levels is not None else [0.90, 0.95, 0.99]
-            rng = np.random.default_rng(args.seed)
-            point, bounds = predictive_intervals(draws, y_level, levels)
-            reports = [coverage_report(lo, hi, truth["p"], level,
-                                       n_beta_draws=args.beta_draws, rng=rng)
-                       for level, (lo, hi) in zip(levels, bounds)]
-            write_coverage_csv(reports, tracker.path("coverage.csv"))
-            summaries = [mape_summary(point, truth["p"])]
-            if args.per_draw_mape:
-                summaries.append(mape_summary(hidden_population_draws(draws, y_level),
-                                              truth["p"]))
-            write_mape_csv(summaries, tracker.path("mape.csv"))
-            _write_rows(tracker.path("rho.csv"), ["component", "rho_hat"],
-                        [["eta_plus", rho_hat(draws.eta_plus, truth["eta_plus"])],
-                         ["u_plus", rho_hat(draws.u_plus.reshape(draws.n_draws, -1),
-                                            truth["u_plus"].ravel())],
-                         ["v", rho_hat(draws.v, truth["v"])]])
-
-        resolved = {"levels": levels, "group_by": group,
-                    "beta_draws": args.beta_draws,
-                    "per_draw_mape": bool(args.per_draw_mape), "seed": args.seed}
-        _manifest(out, "analyze", resolved,
-                  {"draws": str(args.draws),
-                   "truth": str(args.truth) if args.truth else None},
-                  tracker.written, started)
-    except Exception:
-        tracker.cleanup()
-        raise
-    return 0
-
-
-def cmd_sir(args) -> int:
-    out = _out_dir(args.out)
-    tracker = _OutputTracker(out)
-    started = time.time()
-    try:
-        panel = CountPanel.from_csv(args.counts)
-        table = score_exceedance(compute_sir(panel), nu=args.nu, alpha=args.alpha)
-        tiers = flag_hotspots(table, tuple(args.thresholds))
-        write_sir_csv(table, tiers, tracker.path("sir.csv"))
-        resolved = {"nu": args.nu, "alpha": args.alpha,
-                    "thresholds": list(args.thresholds)}
-        _manifest(out, "sir", resolved, {"counts": str(args.counts)},
-                  tracker.written, started)
-    except Exception:
-        tracker.cleanup()
-        raise
-    return 0
+def cmd_sir(args, output) -> tuple[dict, dict]:
+    panel = CountPanel.from_csv(args.counts)
+    table = score_exceedance(compute_sir(panel), nu=args.nu, alpha=args.alpha)
+    tiers = flag_hotspots(table, tuple(args.thresholds))
+    write_sir_csv(table, tiers, output("sir.csv"))
+    return ({"nu": args.nu, "alpha": args.alpha, "thresholds": list(args.thresholds)},
+            {"counts": str(args.counts)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="run the Gibbs sampler on a panel CSV")
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--grid", type=_parse_grid, default=None, metavar="RxC")
-    p_fit.add_argument("--adjacency", default=None)
+    graph = p_fit.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--grid", type=_parse_grid, default=None, metavar="RxC")
+    graph.add_argument("--adjacency", default=None)
     p_fit.add_argument("--iters", dest="n_iter", type=int, default=None)
     p_fit.add_argument("--burnin", dest="burn_in", type=int, default=None)
     p_fit.add_argument("--thin", type=int, default=None)
@@ -473,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="L1,L2,...")
     p_an.add_argument("--beta-draws", type=int, default=20000)
     p_an.add_argument("--per-draw-mape", action="store_true")
-    p_an.add_argument("--by-region", action="store_true")
-    p_an.add_argument("--by-period", action="store_true")
+    group = p_an.add_mutually_exclusive_group()
+    group.add_argument("--by-region", action="store_true")
+    group.add_argument("--by-period", action="store_true")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=cmd_analyze)
@@ -491,13 +418,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; 0 on success, 1 on an input or file error.
+
+    A `cmd_*` function takes (args, output), names each file it writes
+    through `output(name) -> Path`, and returns the (config, inputs) that
+    the manifest records.
+    """
+    args = build_parser().parse_args(argv)
+    started = time.time()
+    written: list[str] = []
+
+    def output(name: str) -> Path:
+        written.append(name)
+        return out / name
+
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        out = _out_dir(args.out)
+        (out / "manifest.json").unlink(missing_ok=True)
+        config, inputs = args.func(args, output)
+        _manifest(out, args.subcommand, config, inputs, written, started)
+    except Exception as exc:
+        for name in written:
+            try:
+                (out / name).unlink(missing_ok=True)
+            except OSError:
+                pass
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -105,6 +105,14 @@ def _write_columns(path, header: list[str], regions, times, columns) -> None:
                           newline="")
 
 
+def _write_rows(path, header: list[str], rows) -> None:
+    """A small table in csv.writer's bytes: floats with FLOAT_FMT, any other
+    value as str. No cell may need quoting."""
+    lines = [header] + [[FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
+    Path(path).write_text("".join(",".join(line) + "\r\n" for line in lines), newline="")
+
+
 @dataclass
 class PanelDataset:
     """Balanced N x T panel of responses with K regressors."""

@@ -103,12 +103,13 @@ class ChainConfig:
     variation. A finite chain can wander into degenerate allocations
     (spatial variance collapsing to zero while another channel absorbs
     everything). `stabilize` keeps the decomposition away from those
-    corners with four switchable guards: a truncated-prior band on the
-    heterogeneity variance and a truncated-prior floor on the spatial
-    variance (both scaled to the between-region residual variance), a
-    truncated-prior floor on the noise variance (within-region scale),
-    and an extra Metropolis move along the level direction the likelihood
-    cannot see (spatial level vs permanent one-sided level).
+    corners with four guards, all on or all off together: a
+    truncated-prior band on the heterogeneity variance and a
+    truncated-prior floor on the spatial variance (both scaled to the
+    between-region residual variance), a truncated-prior floor on the noise
+    variance (within-region scale), and an extra Metropolis move along the
+    level direction the likelihood cannot see (spatial level vs permanent
+    one-sided level).
     """
 
     n_iter: int = 20000
@@ -387,11 +388,8 @@ def _scaled_chisq_log_prior(s2: float, qbar: float, nbar: float) -> float:
 
 def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
                                prior: PriorConfig, rng: np.random.Generator,
-                               step_scale_alpha: float = 1.0,
-                               step_scale_eps: float = 1.0,
-                               alpha_cap: float = math.inf,
-                               alpha_floor: float = 0.0,
-                               eps_floor: float = 0.0):
+                               step_scale_alpha: float, step_scale_eps: float,
+                               alpha_cap: float, alpha_floor: float, eps_floor: float):
     """Two independent MH moves for the heterogeneity and noise variances.
 
     Both targets are the Sigma-marginalised Gaussian likelihood times a
@@ -460,8 +458,10 @@ def update_level(state: ParameterState, rng: np.random.Generator) -> bool:
     return False
 
 
-def residual_variance_split(data: PanelDataset) -> tuple[float, float, np.ndarray]:
-    """(between_var, within_var, region_means) of pooled-OLS residuals."""
+def residual_variance_split(data: PanelDataset) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(beta, between_var, within_var, region_means) of pooled OLS: the slopes,
+    and the between- and within-region variances and region means of the
+    residuals."""
     n, t, k = data.x.shape
     xf = data.x.reshape(n * t, k)
     yf = data.y.reshape(n * t)
@@ -470,10 +470,11 @@ def residual_variance_split(data: PanelDataset) -> tuple[float, float, np.ndarra
     region_means = resid.mean(axis=1)
     within_var = float(np.var(resid - region_means[:, None]))
     between_var = float(np.var(region_means))
-    return between_var, within_var, region_means
+    return beta, between_var, within_var, region_means
 
 
-def initial_state(data: PanelDataset, prior: PriorConfig) -> ParameterState:
+def initial_state(data: PanelDataset, prior: PriorConfig,
+                  split: tuple[np.ndarray, float, float, np.ndarray]) -> ParameterState:
     """Deterministic starting point.
 
     Pooled least squares for the slopes; the centred region means of the
@@ -482,13 +483,10 @@ def initial_state(data: PanelDataset, prior: PriorConfig) -> ParameterState:
     prior scale qbar_v, and the field would be frozen flat for the rest of
     the run. Region-level variation is deliberately assigned to v rather
     than to the (marginalised) heterogeneity at the start, since the data
-    alone cannot separate the two.
+    alone cannot separate the two. `split` is residual_variance_split(data).
     """
-    n, t, k = data.x.shape
-    xf = data.x.reshape(n * t, k)
-    yf = data.y.reshape(n * t)
-    beta, *_ = np.linalg.lstsq(xf, yf, rcond=None)
-    between_var, within_var, region_means = residual_variance_split(data)
+    n, t, _ = data.x.shape
+    beta, between_var, within_var, region_means = split
 
     s2_u = prior.ig_scale_u() / max(0.5 * prior.v0_u - 1.0, 0.5)
     s2_eta = prior.ig_scale_eta() / max(0.5 * prior.v0_eta - 1.0, 0.5)
@@ -534,7 +532,8 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     work = PanelDataset(y=-data.y, x=data.x, regions=data.regions, times=data.times)
 
     n, t, k = work.x.shape
-    state = initial_state(work, prior)
+    split = residual_variance_split(work)
+    state = initial_state(work, prior, split)
     n_stored = chain.n_stored
 
     alpha_cap = math.inf
@@ -542,16 +541,13 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     eps_floor = 0.0
     v_floor = 0.0
     if chain.stabilize:
-        between_var, within_var, _ = residual_variance_split(work)
+        _, between_var, within_var, _ = split
         alpha_floor = 0.35 * between_var / t
         alpha_cap = 2.0 * between_var / t
         eps_floor = 0.05 * within_var
         v_floor = 0.1 * between_var
-    if math.isfinite(alpha_cap):
         state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
             if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
-    state.sigma2_alpha = max(state.sigma2_alpha, alpha_floor)
-    state.sigma2_eps = max(state.sigma2_eps, eps_floor)
 
     out = PosteriorDraws(
         beta=np.empty((n_stored, k)),

@@ -31,6 +31,22 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--data", "panel.csv"),
+     "one of the arguments --grid --adjacency is required"),
+    (("fit", "--data", "panel.csv", "--grid", "3x3", "--adjacency", "edges.txt"),
+     "argument --adjacency: not allowed with argument --grid"),
+    (("analyze", "--draws", "draws.npz", "--by-region", "--by-period"),
+     "argument --by-period: not allowed with argument --by-region"),
+], ids=["no-graph", "grid-and-adjacency", "region-and-period"])
+def test_missing_or_conflicting_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_panel_row_count_7x7(self, tmp_path):
         out = tmp_path / "sim"
@@ -106,9 +122,31 @@ class TestFitCommand:
         fit = tmp_path / "fit"
         _run("simulate", "--grid", "3x3", "--periods", "3", "--out", str(sim))
         assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "2x2",
-                    "--iters", "100", "--burnin", "50", "--out", str(fit)) == 1
+                    "--iters", "600", "--burnin", "100", "--out", str(fit)) == 1
         assert "regions" in capsys.readouterr().err
         assert not (fit / "draws.npz").exists()
+
+    def test_too_few_draws_fail_before_the_panel_is_read(self, tmp_path, capsys):
+        # the summary's HDI needs 100 draws; the panel file does not exist,
+        # so an error about it shows the draw count was checked first
+        common = ("fit", "--data", str(tmp_path / "nope.csv"), "--grid", "2x2",
+                  "--iters", "60", "--burnin", "10", "--thin", "1", "--out", str(tmp_path / "fit"))
+        assert _run(*common) == 1
+        assert "1 chain(s) x 50 stored draws is fewer than the 100" in capsys.readouterr().err
+        assert _run(*common, "--chains", "2") == 1
+        assert "nope.csv" in capsys.readouterr().err
+        assert _run(*common, "--chains", "0") == 1
+        assert "chains must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        sim = tmp_path / "sim"
+        fit = tmp_path / "fit"
+        _run("simulate", "--grid", "3x3", "--periods", "3", "--out", str(sim))
+        common = ("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3", "--out", str(fit))
+        assert _run(*common, "--iters", "600", "--burnin", "100") == 0
+        assert (fit / "manifest.json").exists()
+        assert _run(*common, "--iters", "60", "--burnin", "10", "--thin", "1") == 1
+        assert not (fit / "manifest.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -234,7 +272,7 @@ class TestFitCommand:
         adjacency = tmp_path / "edges.txt"
         adjacency.write_text("0 1\n0 2\n# region 4 does not exist\n2 4\n1 3\n")
         assert _run("fit", "--data", str(sim / "panel.csv"), "--adjacency", str(adjacency),
-                    "--iters", "100", "--burnin", "50", "--out", str(tmp_path / "fit")) == 1
+                    "--iters", "600", "--burnin", "100", "--out", str(tmp_path / "fit")) == 1
         assert "edges.txt:4: region 4 is not in the panel" in capsys.readouterr().err
 
     def test_export_csv(self, tmp_path):

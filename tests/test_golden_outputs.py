@@ -14,6 +14,12 @@ search and the column writer of `uncaptured.csv` must give the same bytes.
 They were re-recorded once, when `fit --seed s` took the library's stream:
 they are now the outputs of `run_chain` at seed 6, saved and analyzed, as
 the sweep stood before that change.
+
+The rest were recorded later, from the same fit with `--export-csv`, from
+its `--no-stabilize` twin and from `analyze --by-region` and `--by-period`:
+`summary.csv`, both `acceptance.csv` (the unstabilised one carries a `nan`
+row), `draws.csv`, `uncaptured_summary.csv` and both grouped
+`uncaptured.csv`. They pin the row writer of the small tables.
 """
 
 import hashlib
@@ -30,8 +36,17 @@ GOLDEN = {
     "mape.csv": "7cdced05aa1e83b23b9e0fea47c98658a839f7dc9d3f1cf008bab614de7adb93",
     "rho.csv": "a05dcde7a6ff4549bdb5adb91c6aed5993a5c8bbf228cb78a7798742234009b2",
     "uncaptured.csv": "a191f1f8d671fed24e8353fc4d8533078c0167b4c2cda61e8fe423fc9015cce1",
+    "summary.csv": "e15f720dbad9e74147997aecedd6523f868c94fcc6f8c297dec28e0d7efe61e0",
+    "acceptance.csv": "30f58b5c0300c8d36e906eae4613fe8df4cb9c9a9018b489746eceaf53b5049d",
+    "draws.csv": "27ff6552bdd4e285c4990e1a0a8931d7bb9340beb073e1773d9ab3f08d585779",
+    "no-stabilize/acceptance.csv": "6b9e9ac107ad1e7b783a2fbb788d802ba637d9f7cce4711eb17c367ee171bcb5",
+    "uncaptured_summary.csv": "ee7b1e850690df19b551e712ef3fdc52bc32fcde6988ff0539ee5e2cf2a0c893",
+    "by-region/uncaptured.csv": "95c153e461e3b4a31681ad93d6510a35eb9ee6b451a9ac391780d778a4773623",
+    "by-period/uncaptured.csv": "b0c12a1d05ba92b4c593dab2dd8190e4884130defe5bcb24fc2d26ee5d0519a5",
 }
-ANALYZE_FILES = ("coverage.csv", "mape.csv", "rho.csv", "uncaptured.csv")
+ANALYZE_FILES = ("coverage.csv", "mape.csv", "rho.csv", "uncaptured.csv",
+                 "uncaptured_summary.csv")
+FIT_FILES = ("summary.csv", "acceptance.csv", "draws.csv")
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +59,22 @@ def outputs(tmp_path_factory):
         f"{i},{t},{(7 * i + 3 * t) % 11 + 1},{1000 + 37 * i + 5 * t}\n"
         for i in range(25) for t in range(3)))
     assert main(["sir", "--counts", str(counts), "--out", str(root / "sir")]) == 0
-    assert main(["fit", "--data", str(root / "sim" / "panel.csv"), "--grid", "5x5",
-                 "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "6",
-                 "--out", str(root / "fit")]) == 0
-    assert main(["analyze", "--draws", str(root / "fit" / "draws.npz"),
+    fit = ["fit", "--data", str(root / "sim" / "panel.csv"), "--grid", "5x5",
+           "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "6"]
+    assert main(fit + ["--export-csv", "--out", str(root / "fit")]) == 0
+    assert main(fit + ["--no-stabilize", "--out", str(root / "no-stabilize")]) == 0
+    draws = str(root / "fit" / "draws.npz")
+    assert main(["analyze", "--draws", draws,
                  "--truth", str(root / "sim" / "truth.csv"), "--levels", "0.90,0.95,0.99",
                  "--out", str(root / "analyze")]) == 0
+    for group in ("by-region", "by-period"):
+        assert main(["analyze", "--draws", draws, f"--{group}",
+                     "--out", str(root / group)]) == 0
     return {"panel.csv": root / "sim" / "panel.csv", "truth.csv": root / "sim" / "truth.csv",
             "sir.csv": root / "sir" / "sir.csv",
-            **{name: root / "analyze" / name for name in ANALYZE_FILES}}
+            **{name: root / "fit" / name for name in FIT_FILES},
+            **{name: root / "analyze" / name for name in ANALYZE_FILES},
+            **{name: root / name for name in GOLDEN if "/" in name}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

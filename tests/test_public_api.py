@@ -92,7 +92,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 def test_every_chain_setting_is_reachable_from_fit(tmp_path):
     keyed = {name for name, _ in _FIT_KEYS.values()}
-    flagged = set(vars(build_parser().parse_args(["fit", "--data", "panel.csv"])))
+    flagged = set(vars(build_parser().parse_args(["fit", "--data", "panel.csv", "--grid", "2x2"])))
     fields = {f.name for f in dataclasses.fields(ChainConfig)}
     assert fields <= keyed | flagged
     # and a config file that sets every key away from its default reaches

@@ -15,6 +15,7 @@ from hiddenpop.sampler import (
     PriorConfig,
     beta_posterior_moments,
     initial_state,
+    residual_variance_split,
     run_chain,
     run_chains,
     update_beta,
@@ -424,8 +425,8 @@ class TestRunChain:
 class TestInitialState:
     def test_valid_and_deterministic(self):
         truth = simulate(DgpConfig(grid_rows=4, grid_cols=4, n_periods=5, seed=11))
-        a = initial_state(truth.dataset, PriorConfig())
-        b = initial_state(truth.dataset, PriorConfig())
+        a, b = (initial_state(truth.dataset, PriorConfig(), residual_variance_split(truth.dataset))
+                for _ in range(2))
         assert np.all(a.u_plus > 0) and np.all(a.eta_plus > 0)
         for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
             assert getattr(a, name) > 0
