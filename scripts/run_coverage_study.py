@@ -16,7 +16,7 @@ import numpy as np
 
 from hiddenpop.analysis import coverage_report, mape_summary, predictive_intervals
 from hiddenpop.kernels import make_rng
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain
+from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 
 SIZES = [(7, 7, 5), (7, 7, 10), (10, 10, 5), (10, 10, 10), (14, 14, 10)]
@@ -38,8 +38,7 @@ def main(argv=None) -> int:
     for rows_, cols, periods in sizes:
         truth = simulate(DgpConfig(grid_rows=rows_, grid_cols=cols,
                                    n_periods=periods, seed=args.seed))
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(),
-                          ChainConfig(seed=1, **chain_kwargs))
+        draws = run_chain(truth.dataset, truth.graph, ChainConfig(seed=1, **chain_kwargs))
         y_level = np.exp(truth.dataset.y)
         label = f"N={rows_ * cols} T={periods}"
         rng = make_rng(9)

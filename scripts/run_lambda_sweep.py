@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from hiddenpop.analysis import hdi
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain
+from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, lambda_of, make_lambda_scenario, simulate
 
 
@@ -35,8 +35,7 @@ def main(argv=None) -> int:
     for ratio in ratios:
         config = make_lambda_scenario(ratio, DgpConfig(seed=args.seed))
         truth = simulate(config)
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(),
-                          ChainConfig(seed=1, **chain_kwargs))
+        draws = run_chain(truth.dataset, truth.graph, ChainConfig(seed=1, **chain_kwargs))
         b1 = float(draws.beta[:, 0].mean())
         lo, hi = hdi(draws.beta[:, 0], 0.95)
         lam_draws = ((np.sqrt(draws.sigma2_eta) + np.sqrt(draws.sigma2_u))

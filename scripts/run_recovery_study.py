@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from hiddenpop.analysis import chain_summary, rho_hat
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain
+from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 
 SIZES = [(7, 7, 5), (7, 7, 10), (10, 10, 5), (10, 10, 10), (14, 14, 10)]
@@ -39,8 +39,7 @@ def main(argv=None) -> int:
         n = rows_ * cols
         truth = simulate(DgpConfig(grid_rows=rows_, grid_cols=cols,
                                    n_periods=periods, seed=args.seed))
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(),
-                          ChainConfig(seed=1, **chain_kwargs))
+        draws = run_chain(truth.dataset, truth.graph, ChainConfig(seed=1, **chain_kwargs))
         summary = {r["parameter"]: r for r in chain_summary(draws)}
         rho = {
             "eta_plus": rho_hat(draws.eta_plus, truth.true_eta_plus),

@@ -2,9 +2,10 @@
 
 Every subcommand resolves its configuration (defaults, optional key=value
 config file, then flags), reads its inputs and writes its outputs. `main`
-owns the rest: it removes any old manifest.json first, removes what the run
-wrote if it fails, and writes manifest.json, with the fully resolved
-settings, last, so a directory without one holds no complete run. Given the
+owns the rest: it first removes any old manifest.json and the files it
+lists, removes what the run wrote if it fails, and writes manifest.json,
+with the fully resolved settings, last, so a directory without one holds no
+complete run and one with it holds no file of an earlier run. Given the
 same inputs and seed, the data outputs are byte-identical across runs; the
 manifest differs only in its wall-clock fields.
 """
@@ -39,7 +40,7 @@ from .analysis import (
     write_uncaptured_csv,
 )
 from .data import CountPanel, PanelDataset, _write_rows
-from .sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chains
+from .sampler import ChainConfig, PosteriorDraws, run_chains
 from .simulate import (
     DgpConfig,
     lambda_of,
@@ -243,6 +244,27 @@ def _manifest(out: Path, subcommand: str, config: dict, inputs: dict,
     tmp.replace(out / "manifest.json")
 
 
+def _remove_previous_run(out: Path, keep: set[Path]) -> None:
+    """Remove the files the old manifest.json in `out` lists, then the manifest.
+
+    Only bare file names are removed, so nothing outside `out` is touched,
+    and never a file in `keep` (this run's inputs). A manifest that cannot
+    be read is removed alone.
+    """
+    manifest = out / "manifest.json"
+    try:
+        names = json.loads(manifest.read_text())["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        names = []
+    for name in names if isinstance(names, list) else []:
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            continue
+        path = out / name
+        if path.is_file() and path.resolve() not in keep:
+            path.unlink()
+    manifest.unlink(missing_ok=True)
+
+
 def cmd_simulate(args, output) -> tuple[dict, dict]:
     config = DgpConfig(
         grid_rows=args.grid[0], grid_cols=args.grid[1], n_periods=args.periods,
@@ -275,7 +297,7 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
     data = PanelDataset.from_csv(args.data)
     graph = (build_queen_grid(*args.grid) if args.grid
              else load_adjacency(args.adjacency, data.regions))
-    draws = run_chains(data, graph, PriorConfig(), chain, n_chains=n_chains)
+    draws = run_chains(data, graph, chain, n_chains=n_chains)
 
     save_draws(draws, data.y, output("draws.npz"))
     write_summary_csv(chain_summary(draws), output("summary.csv"))
@@ -434,7 +456,9 @@ def main(argv=None) -> int:
 
     try:
         out = _out_dir(args.out)
-        (out / "manifest.json").unlink(missing_ok=True)
+        # every string argument but --out may name an input file
+        _remove_previous_run(out, {Path(value).resolve() for key, value in vars(args).items()
+                                   if key != "out" and isinstance(value, str)})
         config, inputs = args.func(args, output)
         _manifest(out, args.subcommand, config, inputs, written, started)
     except Exception as exc:

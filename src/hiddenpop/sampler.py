@@ -49,47 +49,20 @@ from .spatial import SpatialGraph, car_quadratic_form
 VARIANCE_FLOOR = 1e-12
 
 
-@dataclass
-class PriorConfig:
-    """Hyperparameters: vague normal slopes, scaled chi-squared scales for
-    the two-sided variances, median-anchored inverse gamma for the
-    one-sided variances (r_star is the prior median report rate)."""
-
-    beta_mean: np.ndarray | None = None   # None -> zero vector
-    beta_cov_scale: float = 1000.0
-    qbar_eps: float = 1e-4
-    qbar_alpha: float = 1e-4
-    qbar_v: float = 1e-4
-    nbar_eps: float = 1.0
-    nbar_alpha: float = 1.0
-    nbar_v: float = 1.0
-    v0_u: float = 10.0
-    v0_eta: float = 10.0
-    r_star_u: float = 0.85
-    r_star_eta: float = 0.70
-
-    def __post_init__(self):
-        for name in ("beta_cov_scale", "qbar_eps", "qbar_alpha", "qbar_v",
-                     "nbar_eps", "nbar_alpha", "nbar_v", "v0_u", "v0_eta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("r_star_u", "r_star_eta"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-
-    def beta_mean_vector(self, k: int) -> np.ndarray:
-        if self.beta_mean is None:
-            return np.zeros(k)
-        mean = np.asarray(self.beta_mean, dtype=float)
-        if mean.shape != (k,):
-            raise ValueError(f"beta_mean must have length {k}")
-        return mean
-
-    def ig_scale_u(self) -> float:
-        return self.v0_u * math.log(self.r_star_u) ** 2
-
-    def ig_scale_eta(self) -> float:
-        return self.v0_eta * math.log(self.r_star_eta) ** 2
+# The model's one prior. Slopes: N(0, BETA_PRIOR_SCALE * I). The two-sided
+# variances s2_eps, s2_alpha and s2_v: scaled chi-squared, QBAR / s2 ~
+# chi2(NBAR). The one-sided variances s2_u and s2_eta: inverse gamma with
+# shape V0 / 2 and scale V0 log(r*)^2, anchored so that the prior median
+# report rate exp(-u+) is r* (R_STAR_U for the transient errors, R_STAR_ETA
+# for the permanent ones).
+BETA_PRIOR_SCALE = 1000.0
+QBAR = 1e-4
+NBAR = 1.0
+V0 = 10.0
+R_STAR_U = 0.85
+R_STAR_ETA = 0.70
+IG_SCALE_U = V0 * math.log(R_STAR_U) ** 2
+IG_SCALE_ETA = V0 * math.log(R_STAR_ETA) ** 2
 
 
 @dataclass
@@ -195,9 +168,9 @@ class PosteriorDraws:
         return self.u_plus.shape[2]
 
 
-def _residual(data: PanelDataset, state: ParameterState, *, u=True, eta=True, v=True):
-    """y - X beta minus the requested latent components, shape (N, T)."""
-    r = data.y - np.einsum("ntk,k->nt", data.x, state.beta)
+def _residual(resid: np.ndarray, state: ParameterState, *, u=True, eta=True, v=True):
+    """`resid` (y - X beta) minus the requested latent components, shape (N, T)."""
+    r = resid
     if u:
         r = r - state.u_plus
     if v:
@@ -207,12 +180,13 @@ def _residual(data: PanelDataset, state: ParameterState, *, u=True, eta=True, v=
     return r
 
 
-def beta_posterior_moments(state: ParameterState, data: PanelDataset, prior: PriorConfig):
+def beta_posterior_moments(state: ParameterState, data: PanelDataset):
     """Mean and lower Cholesky factor of the precision of the slope full conditional.
 
-    Precision = sum_i X_i' Sigma^{-1} X_i + B0^{-1}; the Sigma^{-1} products
-    use the rank-one form, and the panel's Gram pieces X'X and X_i'1 are
-    computed once per panel, so a call costs O(N T K + N K^2).
+    Precision = sum_i X_i' Sigma^{-1} X_i + I / BETA_PRIOR_SCALE (the prior
+    mean is zero); the Sigma^{-1} products use the rank-one form, and the
+    panel's Gram pieces X'X and X_i'1 are computed once per panel, so a
+    call costs O(N T K + N K^2).
     """
     n, t, k = data.x.shape
     a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
@@ -222,8 +196,7 @@ def beta_posterior_moments(state: ParameterState, data: PanelDataset, prior: Pri
     gram = a * xtx - cxs @ xs
     rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - cxs @ ytil.sum(axis=1)
 
-    prec = gram + np.eye(k) / prior.beta_cov_scale
-    rhs = rhs + prior.beta_mean_vector(k) / prior.beta_cov_scale
+    prec = gram + np.eye(k) / BETA_PRIOR_SCALE
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
@@ -234,9 +207,9 @@ def beta_posterior_moments(state: ParameterState, data: PanelDataset, prior: Pri
     return mean, chol
 
 
-def update_beta(state: ParameterState, data: PanelDataset, prior: PriorConfig,
+def update_beta(state: ParameterState, data: PanelDataset,
                 rng: np.random.Generator) -> np.ndarray:
-    mean, chol = beta_posterior_moments(state, data, prior)
+    mean, chol = beta_posterior_moments(state, data)
     z = rng.standard_normal(mean.size)
     # chol is the lower factor of the precision; solve L' x = z gives a
     # draw with covariance prec^{-1}.
@@ -251,7 +224,7 @@ def _omega_factors(a: float, c: float, sigma2_u: float, t: int) -> tuple[float, 
     return e, f
 
 
-def update_u_plus(state: ParameterState, data: PanelDataset,
+def update_u_plus(state: ParameterState, resid: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Gibbs sub-sweep over t = 1..T of the truncated-MVN block.
 
@@ -260,13 +233,14 @@ def update_u_plus(state: ParameterState, data: PanelDataset,
     is compound symmetric, the univariate conditional of coordinate t given
     the others has closed-form mean mu_t + k (sum_{s != t} (u_s - mu_s))
     and a variance shared by all coordinates; regions are conditionally
-    independent, so each step draws all N coordinates at once.
+    independent, so each step draws all N coordinates at once. `resid` is
+    y - X beta, as for every update after beta's.
     """
-    n, t = data.y.shape
+    n, t = resid.shape
     a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
     e, f = _omega_factors(a, c, state.sigma2_u, t)
 
-    r = _residual(data, state, u=False)
+    r = _residual(resid, state, u=False)
     row = r.sum(axis=1)
     # mu = Omega Sigma^{-1} r reduces to e*a*r + kappa * (1'r) per cell.
     kappa = f * (a - c * t) - e * c
@@ -286,19 +260,19 @@ def update_u_plus(state: ParameterState, data: PanelDataset,
     return u
 
 
-def update_eta_plus(state: ParameterState, data: PanelDataset,
+def update_eta_plus(state: ParameterState, resid: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     """Truncated normal N+(m_i, psi2) with psi2 = s2_eta / (1 + s2_eta 1'Sigma^{-1}1)."""
-    n, t = data.y.shape
+    n, t = resid.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
     psi2 = state.sigma2_eta / (1.0 + state.sigma2_eta * one_inv_one)
-    r = _residual(data, state, eta=False)
+    r = _residual(resid, state, eta=False)
     m = psi2 * r.sum(axis=1) / denom
     return truncated_normal(m, math.sqrt(psi2), 0.0, rng=rng)
 
 
-def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
+def update_v(state: ParameterState, resid: np.ndarray, graph: SpatialGraph,
              rng: np.random.Generator) -> np.ndarray:
     """Sequential CAR sweep.
 
@@ -311,10 +285,10 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     than its handful of multiply-adds. The neighbour sum runs left to
     right from 0.0, so on unit weights it has the bits of a numpy dot.
     """
-    n, t = data.y.shape
+    n, t = resid.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
-    r = _residual(data, state, v=False)
+    r = _residual(resid, state, v=False)
     data_pull = (r.sum(axis=1) / denom).tolist()   # 1' Sigma^{-1} r_i
 
     v = state.v.tolist()
@@ -331,18 +305,18 @@ def update_v(state: ParameterState, data: PanelDataset, graph: SpatialGraph,
     return np.fromiter(v, dtype=float, count=n)
 
 
-def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConfig,
+def update_sigma2_v(state: ParameterState, graph: SpatialGraph,
                     rng: np.random.Generator, floor: float = 0.0) -> float:
-    """Scaled chi-squared draw: (qbar_v + v'(D_w - W)v) / chi2(df).
+    """Scaled chi-squared draw: (QBAR + v'(D_w - W)v) / chi2(df).
 
-    df is (N - 1) + nbar_v: the quadratic form has rank N - 1 on a
+    df is (N - 1) + NBAR: the quadratic form has rank N - 1 on a
     connected graph, so this is the conditional implied by the intrinsic
     CAR joint law. A positive floor truncates the prior support below;
     the draw then comes from the truncated conditional via its inverse CDF.
     """
     quad = car_quadratic_form(graph, state.v)
-    dof = graph.n_regions - 1 + prior.nbar_v
-    scale = prior.qbar_v + quad
+    dof = graph.n_regions - 1 + NBAR
+    scale = QBAR + quad
     if floor <= 0.0:
         return scale / rng.chisquare(dof)
     # sigma2_v >= floor  <=>  chi2 draw <= scale / floor; chdtr and
@@ -356,38 +330,36 @@ def update_sigma2_v(state: ParameterState, graph: SpatialGraph, prior: PriorConf
     return float(max(scale / draw, floor))
 
 
-def update_sigma2_u(state: ParameterState, prior: PriorConfig,
-                    rng: np.random.Generator) -> float:
+def update_sigma2_u(state: ParameterState, rng: np.random.Generator) -> float:
     n_total = state.u_plus.size
-    shape = 0.5 * (n_total + prior.v0_u)
-    scale = 0.5 * (float(np.sum(state.u_plus**2)) + 2.0 * prior.ig_scale_u())
+    shape = 0.5 * (n_total + V0)
+    scale = 0.5 * (float(np.sum(state.u_plus**2)) + 2.0 * IG_SCALE_U)
     return sample_inverse_gamma(shape, scale, rng)
 
 
-def update_sigma2_eta(state: ParameterState, prior: PriorConfig,
-                      rng: np.random.Generator) -> float:
+def update_sigma2_eta(state: ParameterState, rng: np.random.Generator) -> float:
     n = state.eta_plus.size
-    shape = 0.5 * (n + prior.v0_eta)
-    scale = 0.5 * (float(np.sum(state.eta_plus**2)) + 2.0 * prior.ig_scale_eta())
+    shape = 0.5 * (n + V0)
+    scale = 0.5 * (float(np.sum(state.eta_plus**2)) + 2.0 * IG_SCALE_ETA)
     return sample_inverse_gamma(shape, scale, rng)
 
 
-def _marginal_loglik_terms(data: PanelDataset, state: ParameterState):
+def _marginal_loglik_terms(resid: np.ndarray, state: ParameterState):
     """Sufficient statistics of the Sigma-marginalised Gaussian likelihood."""
-    resid = _residual(data, state)
-    ss = float((resid * resid).sum())
-    rows = resid.sum(axis=1)
+    r = _residual(resid, state)
+    ss = float((r * r).sum())
+    rows = r.sum(axis=1)
     ss_rows = float((rows * rows).sum())
     return ss, ss_rows
 
 
-def _scaled_chisq_log_prior(s2: float, qbar: float, nbar: float) -> float:
-    """Log density of s2 when qbar / s2 ~ chi2(nbar)."""
-    return float(-(0.5 * nbar + 1.0) * np.log(s2) - 0.5 * qbar / s2)
+def _scaled_chisq_log_prior(s2: float) -> float:
+    """Log density of s2 when QBAR / s2 ~ chi2(NBAR)."""
+    return float(-(0.5 * NBAR + 1.0) * np.log(s2) - 0.5 * QBAR / s2)
 
 
-def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
-                               prior: PriorConfig, rng: np.random.Generator,
+def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
+                               rng: np.random.Generator,
                                step_scale_alpha: float, step_scale_eps: float,
                                alpha_cap: float, alpha_floor: float, eps_floor: float):
     """Two independent MH moves for the heterogeneity and noise variances.
@@ -398,8 +370,8 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
     alpha_cap / eps_floor truncate the respective prior supports; proposals
     outside are rejected, which is exact MH for the truncated-prior model.
     """
-    n, t = data.y.shape
-    ss, ss_rows = _marginal_loglik_terms(data, state)
+    n, t = resid.shape
+    ss, ss_rows = _marginal_loglik_terms(resid, state)
 
     def loglik(s2_alpha: float, s2_eps: float) -> float:
         a, c = _inverse_factors(s2_eps, s2_alpha, t)
@@ -411,8 +383,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
         s2 = float(s2)
         if s2 > alpha_cap or s2 < alpha_floor:
             return -math.inf
-        return loglik(s2, s2_eps_cur) + _scaled_chisq_log_prior(
-            s2, prior.qbar_alpha, prior.nbar_alpha)
+        return loglik(s2, s2_eps_cur) + _scaled_chisq_log_prior(s2)
 
     new_alpha, acc_alpha = mh_scaled_chisq_step(
         target_alpha, state.sigma2_alpha, rng, step_scale_alpha
@@ -423,8 +394,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, data: PanelDataset,
         s2 = float(s2)
         if s2 < eps_floor:
             return -math.inf
-        return loglik(new_alpha, s2) + _scaled_chisq_log_prior(
-            s2, prior.qbar_eps, prior.nbar_eps)
+        return loglik(new_alpha, s2) + _scaled_chisq_log_prior(s2)
 
     new_eps, acc_eps = mh_scaled_chisq_step(
         target_eps, state.sigma2_eps, rng, step_scale_eps
@@ -473,14 +443,14 @@ def residual_variance_split(data: PanelDataset) -> tuple[np.ndarray, float, floa
     return beta, between_var, within_var, region_means
 
 
-def initial_state(data: PanelDataset, prior: PriorConfig,
+def initial_state(data: PanelDataset,
                   split: tuple[np.ndarray, float, float, np.ndarray]) -> ParameterState:
     """Deterministic starting point.
 
     Pooled least squares for the slopes; the centred region means of the
     residuals seed the spatial field. Starting v at zero is a trap: the CAR
     quadratic form would be zero, the first s2_v draw would be near the
-    prior scale qbar_v, and the field would be frozen flat for the rest of
+    prior scale QBAR, and the field would be frozen flat for the rest of
     the run. Region-level variation is deliberately assigned to v rather
     than to the (marginalised) heterogeneity at the start, since the data
     alone cannot separate the two. `split` is residual_variance_split(data).
@@ -488,8 +458,8 @@ def initial_state(data: PanelDataset, prior: PriorConfig,
     n, t, _ = data.x.shape
     beta, between_var, within_var, region_means = split
 
-    s2_u = prior.ig_scale_u() / max(0.5 * prior.v0_u - 1.0, 0.5)
-    s2_eta = prior.ig_scale_eta() / max(0.5 * prior.v0_eta - 1.0, 0.5)
+    s2_u = IG_SCALE_U / (0.5 * V0 - 1.0)       # the prior means
+    s2_eta = IG_SCALE_ETA / (0.5 * V0 - 1.0)
     return ParameterState(
         beta=beta,
         u_plus=np.full((n, t), math.sqrt(s2_u)),
@@ -508,7 +478,6 @@ class SamplerError(RuntimeError):
 
 
 def run_chain(data: PanelDataset, graph: SpatialGraph,
-              prior: PriorConfig | None = None,
               chain: ChainConfig | None = None,
               chain_id: int = 0) -> PosteriorDraws:
     """Run one chain and return the thinned post-burn-in draws.
@@ -517,7 +486,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     moves. Variances are floored at 1e-12 after each draw; floor events
     are counted and reported on the result.
     """
-    prior = prior or PriorConfig()
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
         raise ValueError(
@@ -533,7 +501,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
     n, t, k = work.x.shape
     split = residual_variance_split(work)
-    state = initial_state(work, prior, split)
+    state = initial_state(work, split)
     n_stored = chain.n_stored
 
     alpha_cap = math.inf
@@ -585,17 +553,19 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
     for it in range(1, chain.n_iter + 1):
         try:
-            state.beta = update_beta(state, work, prior, rng)
-            state.u_plus = update_u_plus(state, work, rng)
-            state.eta_plus = update_eta_plus(state, work, rng)
-            state.v = update_v(state, work, graph, rng)
+            state.beta = update_beta(state, work, rng)
+            # beta is fixed for the rest of the sweep, and so is y - X beta
+            resid = work.y - np.einsum("ntk,k->nt", work.x, state.beta)
+            state.u_plus = update_u_plus(state, resid, rng)
+            state.eta_plus = update_eta_plus(state, resid, rng)
+            state.v = update_v(state, resid, graph, rng)
             if chain.stabilize:
                 accepted_level += update_level(state, rng)
-            state.sigma2_v = floor_var(update_sigma2_v(state, graph, prior, rng, floor=v_floor))
-            state.sigma2_u = floor_var(update_sigma2_u(state, prior, rng))
-            state.sigma2_eta = floor_var(update_sigma2_eta(state, prior, rng))
+            state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
+            state.sigma2_u = floor_var(update_sigma2_u(state, rng))
+            state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
             s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
-                state, work, prior, rng,
+                state, resid, rng,
                 chain.mh_step_scale_alpha, chain.mh_step_scale_eps,
                 alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
             )
@@ -627,7 +597,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
 
 def run_chains(data: PanelDataset, graph: SpatialGraph,
-               prior: PriorConfig | None = None,
                chain: ChainConfig | None = None,
                n_chains: int = 1) -> PosteriorDraws:
     """Run n_chains independent chains and stack the draws.
@@ -640,7 +609,7 @@ def run_chains(data: PanelDataset, graph: SpatialGraph,
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     return stack_draws([
-        run_chain(data, graph, prior, replace(chain, seed=chain.seed + idx), chain_id=idx)
+        run_chain(data, graph, replace(chain, seed=chain.seed + idx), chain_id=idx)
         for idx in range(n_chains)
     ])
 

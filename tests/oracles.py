@@ -153,13 +153,14 @@ def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
     )
 
 
-def update_v_dot(state, data, graph, rng) -> np.ndarray:
+def update_v_dot(state, resid, graph, rng) -> np.ndarray:
     """The sequential CAR sweep with one numpy dot product per region, as
-    the sampler ran it before it walked a table of Python floats."""
-    n, t = data.y.shape
+    the sampler ran it before it walked a table of Python floats. `resid`
+    is y - X beta."""
+    n, t = resid.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
-    r = _residual(data, state, v=False)
+    r = _residual(resid, state, v=False)
     data_pull = (r.sum(axis=1) / denom).tolist()
 
     v = state.v.copy()

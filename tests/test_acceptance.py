@@ -19,7 +19,7 @@ from hiddenpop.analysis import (
 )
 from hiddenpop.cli import main as cli_main
 from hiddenpop.kernels import make_rng, truncated_normal
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain
+from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, make_lambda_scenario, simulate
 from hiddenpop.sir import exceedance_probability
 from hiddenpop.spatial import build_queen_grid, car_quadratic_form
@@ -40,7 +40,7 @@ SIGMA_SPANS = {
 def _fit(dgp: DgpConfig, chain_seed: int = 1):
     truth = simulate(dgp)
     chain = ChainConfig(seed=chain_seed, **PAPER_CHAIN)
-    draws = run_chain(truth.dataset, truth.graph, PriorConfig(), chain)
+    draws = run_chain(truth.dataset, truth.graph, chain)
     return truth, draws
 
 
@@ -220,10 +220,9 @@ def test_criterion_7_oracle_suites():
                            eta_plus=np.full(10, 1e-12), v=np.zeros(10),
                            sigma2_alpha=0.0, sigma2_eps=0.3, sigma2_v=0.1,
                            sigma2_u=0.1, sigma2_eta=0.1)
-    prior = PriorConfig()
-    mean, chol = beta_posterior_moments(state, data, prior)
+    mean, chol = beta_posterior_moments(state, data)
     cov_b = np.linalg.inv(chol @ chol.T)
-    betas = np.array([update_beta(state, data, prior, rng) for _ in range(20000)])
+    betas = np.array([update_beta(state, data, rng) for _ in range(20000)])
     mcse = np.sqrt(np.diag(cov_b) / betas.shape[0])
     ok &= np.all(np.abs(betas.mean(axis=0) - mean) < 2.5 * mcse)
     ok &= np.max(np.abs(np.cov(betas.T) - cov_b)) < 0.05 * np.max(np.abs(cov_b))

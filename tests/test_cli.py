@@ -17,7 +17,7 @@ import pytest
 from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.cli import _read_config_file, load_draws, main, save_draws
 from hiddenpop.data import FLOAT_FMT
-from hiddenpop.sampler import ChainConfig, PosteriorDraws, PriorConfig, run_chain
+from hiddenpop.sampler import ChainConfig, PosteriorDraws, run_chain
 from hiddenpop.simulate import DgpConfig, read_truth_csv, simulate
 from hiddenpop.spatial import build_queen_grid
 
@@ -344,6 +344,26 @@ class TestAnalyzeCommand:
         manifest = json.loads((an / "manifest.json").read_text())
         assert "uncaptured_summary.csv" in manifest["outputs"]
 
+    def test_rerun_removes_the_previous_runs_outputs(self, tmp_path):
+        sim, fit = self._pipeline(tmp_path)
+        an = tmp_path / "an"
+        assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                    "--truth", str(sim / "truth.csv"), "--out", str(an)) == 0
+        assert (an / "coverage.csv").exists()
+        assert _run("analyze", "--draws", str(fit / "draws.npz"), "--out", str(an)) == 0
+        listed = json.loads((an / "manifest.json").read_text())["outputs"]
+        assert sorted(path.name for path in an.iterdir()) == sorted(listed + ["manifest.json"])
+        assert "coverage.csv" not in listed
+
+    def test_rerun_keeps_its_own_inputs(self, tmp_path):
+        # analyze into the fit directory: fit's manifest lists draws.npz,
+        # which this run reads, so only fit's other outputs go
+        sim, fit = self._pipeline(tmp_path)
+        assert _run("analyze", "--draws", str(fit / "draws.npz"), "--out", str(fit)) == 0
+        assert (fit / "draws.npz").exists()
+        assert not (fit / "summary.csv").exists()
+        assert not (fit / "acceptance.csv").exists()
+
     def test_levels_without_truth_is_usage_error(self, tmp_path, capsys):
         sim, fit = self._pipeline(tmp_path)
         an = tmp_path / "an"
@@ -393,7 +413,7 @@ class TestSirCommand:
 class TestDrawsRoundTrip:
     def test_save_load_identity(self, tmp_path):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=12))
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(),
+        draws = run_chain(truth.dataset, truth.graph,
                           ChainConfig(n_iter=200, burn_in=100, thin=5, seed=1))
         path = tmp_path / "draws.npz"
         save_draws(draws, truth.dataset.y, path)
@@ -513,3 +533,25 @@ class TestDrawsRoundTrip:
         assert set(manifest["outputs"]) == {"panel.csv", "truth.csv"}
         assert manifest["subcommand"] == "simulate"
         assert "package_version" in manifest
+
+    def test_previous_manifest_removes_only_bare_names_inside_out(self, tmp_path):
+        out = tmp_path / "sim"
+        (out / "sub").mkdir(parents=True)
+        for path in (tmp_path / "outside.csv", out / "sub" / "inner.csv", out / "stray.csv"):
+            path.write_text("x\n")
+        (out / "manifest.json").write_text(json.dumps(
+            {"outputs": ["../outside.csv", "sub/inner.csv", str(out / "stray.csv"),
+                         "..", ".", "", "sub", 7, "stray.csv"]}))
+        assert _run("simulate", "--grid", "2x2", "--periods", "2", "--out", str(out)) == 0
+        assert (tmp_path / "outside.csv").exists() and (out / "sub" / "inner.csv").exists()
+        assert not (out / "stray.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{", '["stray.csv"]', '{"outputs": "stray.csv"}'])
+    def test_unreadable_previous_manifest_is_removed_alone(self, tmp_path, text):
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "stray.csv").write_text("x\n")
+        (out / "manifest.json").write_text(text)
+        assert _run("simulate", "--grid", "2x2", "--periods", "2", "--out", str(out)) == 0
+        assert (out / "stray.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["subcommand"] == "simulate"

@@ -19,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hiddenpop.sampler import ChainConfig, PriorConfig, run_chain, run_chains
+from hiddenpop.sampler import ChainConfig, run_chain, run_chains
 from hiddenpop.simulate import DgpConfig, simulate
 
 ARRAYS = ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps",
@@ -42,20 +42,20 @@ def _paper_panel():
 def _stabilized_chain():
     truth = _paper_panel()
     cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=5)
-    return run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+    return run_chain(truth.dataset, truth.graph, cfg)
 
 
 def _two_chains():
     truth = _paper_panel()
     cfg = ChainConfig(n_iter=200, burn_in=50, thin=3, seed=6)
-    return run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
+    return run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
 
 
 def _unstabilized_chain():
     # unfloored chi-squared path for s2_v, no guards and no level move
     truth = _paper_panel()
     cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=7, stabilize=False)
-    return run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+    return run_chain(truth.dataset, truth.graph, cfg)
 
 
 GOLDEN = {

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
+from hiddenpop import sampler
 from hiddenpop.kernels import (
     CHI2_DF1_MEDIAN,
     NumericalError,
@@ -146,15 +147,16 @@ class TestInverseGamma:
             sample_inverse_gamma(1.0, -1.0, make_rng(0))
 
     def test_anchored_prior_recovers_median_report_rate(self):
-        # shape v0/2 = 5, scale v0 * log^2(0.85): the prior median of
-        # exp(-u) with u half-normal given the drawn scale sits near 0.85
-        rng = make_rng(12)
-        v0, r_star = 10.0, 0.85
-        scale = v0 * math.log(r_star) ** 2
-        n = 10**6
-        s2 = scale / rng.gamma(v0 / 2, size=n)
-        u = np.abs(rng.normal(0.0, np.sqrt(s2)))
-        assert abs(np.median(np.exp(-u)) - r_star) < 0.02
+        # the sampler's one-sided variance prior, shape V0/2 and scale
+        # V0 * log^2(r*): the prior median of exp(-u) with u half-normal
+        # given the drawn scale sits near r*, for u+ and for eta+
+        for r_star, scale in ((sampler.R_STAR_U, sampler.IG_SCALE_U),
+                              (sampler.R_STAR_ETA, sampler.IG_SCALE_ETA)):
+            assert scale == sampler.V0 * math.log(r_star) ** 2
+            rng = make_rng(12)
+            s2 = scale / rng.gamma(sampler.V0 / 2, size=10**6)
+            u = np.abs(rng.normal(0.0, np.sqrt(s2)))
+            assert abs(np.median(np.exp(-u)) - r_star) < 0.02
 
 
 class TestCompoundSymmetricCov:

@@ -7,16 +7,22 @@ it cannot tell two methods of one name apart; it errs toward passing.
 
 A chain setting that `hiddenpop fit` cannot set is a dead knob in the same
 way: every `ChainConfig` field must be reachable from a config key or a flag.
+
+The study scripts are not run by the suite, so each is imported by path:
+a script that names a deleted symbol fails here.
 """
 
 import ast
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 from hiddenpop.cli import _FIT_KEYS, build_parser, main
 from hiddenpop.sampler import ChainConfig
@@ -78,6 +84,14 @@ def unreferenced_public_symbols() -> list[str]:
 
 def test_every_public_symbol_is_used_outside_tests():
     assert unreferenced_public_symbols() == []
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_every_script_imports(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -12,7 +12,6 @@ from hiddenpop.kernels import _inverse_factors, _logdet, make_rng, truncated_nor
 from hiddenpop.sampler import (
     ChainConfig,
     ParameterState,
-    PriorConfig,
     beta_posterior_moments,
     initial_state,
     residual_variance_split,
@@ -49,6 +48,11 @@ def _state(n, t, k, **overrides):
     return ParameterState(**base)
 
 
+def _resid(data, state):
+    """y - X beta, the array the updates after beta's take."""
+    return data.y - np.einsum("ntk,k->nt", data.x, state.beta)
+
+
 def _panel(n, t, k, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, t, k))
@@ -65,8 +69,7 @@ class TestBetaUpdate:
                        eta_plus=np.abs(np.random.default_rng(3).normal(size=n)),
                        v=np.random.default_rng(4).normal(size=n),
                        sigma2_alpha=0.3, sigma2_eps=0.4)
-        prior = PriorConfig(beta_cov_scale=50.0)
-        mean, chol = beta_posterior_moments(state, data, prior)
+        mean, chol = beta_posterior_moments(state, data)
         cov = np.linalg.inv(chol @ chol.T)
 
         sigma = CompoundSymmetricCov(0.4, 0.3, t).dense()
@@ -74,22 +77,11 @@ class TestBetaUpdate:
         ytil = data.y - state.u_plus - state.v[:, None] - state.eta_plus[:, None]
         gram = sum(data.x[i].T @ sigma_inv @ data.x[i] for i in range(n))
         rhs = sum(data.x[i].T @ sigma_inv @ ytil[i] for i in range(n))
-        prec = gram + np.eye(k) / 50.0
+        prec = gram + np.eye(k) / 1000.0   # the fixed N(0, 1000 I) slope prior
         mean_oracle = np.linalg.solve(prec, rhs)
         cov_oracle = np.linalg.inv(prec)
         assert np.max(np.abs(mean - mean_oracle)) < 1e-8
         assert np.max(np.abs(cov - cov_oracle)) < 1e-8
-
-    def test_flat_prior_reduces_to_ols(self):
-        n, t = 30, 5
-        data = _panel(n, t, 1, seed=5)
-        state = _state(n, t, 1, sigma2_alpha=0.0, sigma2_eps=0.25)
-        prior = PriorConfig(beta_cov_scale=1e12)
-        mean, _ = beta_posterior_moments(state, data, prior)
-        xf = data.x.reshape(-1, 1)
-        yf = data.y.reshape(-1)
-        ols = np.linalg.lstsq(xf, yf, rcond=None)[0]
-        assert mean == pytest.approx(ols, abs=1e-8)
 
     def test_draws_match_analytic_posterior(self):
         # conjugate oracle: latents frozen near zero, variances fixed, so
@@ -97,11 +89,10 @@ class TestBetaUpdate:
         n, t, k = 10, 3, 2
         data = _panel(n, t, k, seed=6)
         state = _state(n, t, k, sigma2_alpha=0.0, sigma2_eps=0.3)
-        prior = PriorConfig()
-        mean, chol = beta_posterior_moments(state, data, prior)
+        mean, chol = beta_posterior_moments(state, data)
         cov = np.linalg.inv(chol @ chol.T)
         rng = make_rng(7)
-        draws = np.array([update_beta(state, data, prior, rng) for _ in range(20000)])
+        draws = np.array([update_beta(state, data, rng) for _ in range(20000)])
         mcse = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 2.5 * mcse)
         emp_cov = np.cov(draws.T)
@@ -114,7 +105,7 @@ class TestUPlusUpdate:
         data = _panel(n, t, 1, seed=8)
         state = _state(n, t, 1, sigma2_u=1e-12)
         rng = make_rng(9)
-        u = update_u_plus(state, data, rng)
+        u = update_u_plus(state, _resid(data, state), rng)
         assert np.all(u > 0)
         assert u.mean() < 1e-4
 
@@ -129,7 +120,7 @@ class TestUPlusUpdate:
         state = _state(n, t, 1, sigma2_eps=s2e, sigma2_alpha=s2a, sigma2_u=s2u)
         rng = make_rng(11)
         draws = np.concatenate(
-            [update_u_plus(state, data, rng).ravel() for _ in range(5)]
+            [update_u_plus(state, _resid(data, state), rng).ravel() for _ in range(5)]
         )
         sigma_scalar = s2e + s2a
         omega = 1.0 / (1.0 / sigma_scalar + 1.0 / s2u)
@@ -163,7 +154,7 @@ class TestUPlusUpdate:
             return draw
 
         monkeypatch.setattr(sampler, "truncated_normal", spy)
-        u_new = update_u_plus(state, data, make_rng(14))
+        u_new = update_u_plus(state, _resid(data, state), make_rng(14))
         resid = data.y - state.v[:, None] - state.eta_plus[:, None]   # beta = 0
         mu = resid @ (omega @ sigma_inv).T
         u = state.u_plus.copy()
@@ -180,7 +171,7 @@ class TestUPlusUpdate:
         n, t = 40, 6
         data = PanelDataset(y=np.full((n, t), -3.0), x=np.zeros((n, t, 1)))
         state = _state(n, t, 1, sigma2_u=0.2)
-        u = update_u_plus(state, data, make_rng(12))
+        u = update_u_plus(state, _resid(data, state), make_rng(12))
         assert np.all(u > 0)
 
 
@@ -189,7 +180,7 @@ class TestEtaPlusUpdate:
         n, t = 50, 4
         data = _panel(n, t, 1, seed=13)
         state = _state(n, t, 1, sigma2_eta=1e-12)
-        eta = update_eta_plus(state, data, make_rng(14))
+        eta = update_eta_plus(state, _resid(data, state), make_rng(14))
         assert np.all(eta > 0)
         assert eta.mean() < 1e-4
 
@@ -199,7 +190,7 @@ class TestEtaPlusUpdate:
         data = PanelDataset(y=y, x=np.zeros((n, t, 1)))
         s2e, s2a, s2eta = 0.15, 0.1, 0.4
         state = _state(n, t, 1, sigma2_eps=s2e, sigma2_alpha=s2a, sigma2_eta=s2eta)
-        draws = update_eta_plus(state, data, make_rng(15))
+        draws = update_eta_plus(state, _resid(data, state), make_rng(15))
         one_inv_one = t / (s2e + t * s2a)
         psi2 = s2eta / (1 + s2eta * one_inv_one)
         m = psi2 * (t * 0.8) / (s2e + t * s2a)
@@ -211,34 +202,33 @@ class TestEtaPlusUpdate:
 
 class TestVarianceUpdates:
     def test_sigma2_v_chi2_mean_identity(self):
-        # fixed field on a 16x16 grid, df = 255 + nbar_v: the reciprocal
+        # fixed field on a 16x16 grid, df = 255 + NBAR: the reciprocal
         # draw has mean df / (qbar + v'(D_w - W)v)
         g = build_queen_grid(16, 16)
         state = _state(256, 5, 1, v=np.random.default_rng(16).normal(size=256))
-        prior = PriorConfig()
-        expected = (255 + prior.nbar_v) / (prior.qbar_v + car_quadratic_form(g, state.v))
+        expected = (255 + sampler.NBAR) / (sampler.QBAR + car_quadratic_form(g, state.v))
         rng = make_rng(16)
-        draws = np.array([update_sigma2_v(state, g, prior, rng) for _ in range(200_000)])
+        draws = np.array([update_sigma2_v(state, g, rng) for _ in range(200_000)])
         assert abs(np.mean(1.0 / draws) - expected) < 0.005 * expected
 
     def test_sigma2_v_null_field_is_tiny(self):
         g = build_queen_grid(2, 2)
         state = _state(4, 3, 1, v=np.zeros(4))
-        draw = update_sigma2_v(state, g, PriorConfig(), make_rng(17))
+        draw = update_sigma2_v(state, g, make_rng(17))
         assert 0 < draw < 1e-2
 
     def test_sigma2_v_floor_respected(self):
         g = build_queen_grid(3, 3)
         state = _state(9, 3, 1, v=np.random.default_rng(0).normal(size=9))
         rng = make_rng(18)
-        draws = [update_sigma2_v(state, g, PriorConfig(), rng, floor=0.5)
+        draws = [update_sigma2_v(state, g, rng, floor=0.5)
                  for _ in range(200)]
         assert min(draws) >= 0.5
 
     def test_chi2_special_functions_match_scipy_stats_bitwise(self):
         # the floored s2_v draw calls chdtr and 2 * gammaincinv(df / 2, q)
         # directly; they must return exactly what scipy.stats.chi2 returns
-        # df grid from 1 to 1000, with 246 = N*T + nbar_v at the paper size
+        # df grid from 1 to 1000, with 246 = N*T + NBAR at the paper size
         dfs = np.concatenate([np.arange(1.0, 50.0), np.geomspace(50.0, 1000.0, 40), [246.0]])
         qs = np.concatenate([np.geomspace(1e-300, 1e-3, 30), np.linspace(0.01, 0.99, 30),
                              1.0 - np.geomspace(1e-3, 1e-16, 30)])
@@ -248,17 +238,16 @@ class TestVarianceUpdates:
             assert np.array_equal(2 * gammaincinv(df / 2, qs), xs)
 
     def test_sigma2_v_floor_matches_scipy_stats_oracle(self):
-        # df = (N - 1) + nbar_v: 10 on the 3x3 grid, 30 on 5x6, 300 on 15x20
-        prior = PriorConfig()
+        # df = (N - 1) + NBAR: 10 on the 3x3 grid, 30 on 5x6, 300 on 15x20
         for rows, cols, floor in ((3, 3, 0.05), (3, 3, 0.5), (5, 6, 0.2), (15, 20, 1e-3)):
             g = build_queen_grid(rows, cols)
             n = rows * cols
             state = _state(n, 3, 1, v=np.random.default_rng(3).normal(size=n))
-            scale = prior.qbar_v + car_quadratic_form(g, state.v)
-            dof = n - 1 + prior.nbar_v
+            scale = sampler.QBAR + car_quadratic_form(g, state.v)
+            dof = n - 1 + sampler.NBAR
             rng, ref_rng = make_rng(31), make_rng(31)
             for _ in range(50):
-                got = update_sigma2_v(state, g, prior, rng, floor=floor)
+                got = update_sigma2_v(state, g, rng, floor=floor)
                 mass = stats.chi2.cdf(scale / floor, dof)
                 want = (floor if mass <= 0.0 else max(
                     scale / stats.chi2.ppf(ref_rng.uniform() * mass, dof), floor))
@@ -268,25 +257,23 @@ class TestVarianceUpdates:
         n, t = 7, 7
         u = np.abs(np.random.default_rng(19).normal(0.2, 0.05, (n, t)))
         state = _state(n, t, 1, u_plus=u)
-        prior = PriorConfig()
-        shape = 0.5 * (n * t + prior.v0_u)
-        scale = 0.5 * (np.sum(u**2) + 2 * prior.v0_u * math.log(prior.r_star_u) ** 2)
+        shape = 0.5 * (n * t + sampler.V0)
+        scale = 0.5 * (np.sum(u**2) + 2 * sampler.V0 * math.log(sampler.R_STAR_U) ** 2)
         rng = make_rng(20)
-        draws = np.array([update_sigma2_u(state, prior, rng) for _ in range(100_000)])
+        draws = np.array([update_sigma2_u(state, rng) for _ in range(100_000)])
         assert abs(draws.mean() - scale / (shape - 1)) < 0.005 * scale / (shape - 1)
 
     def test_sigma2_eta_null_field_moment(self):
-        # 49 regions, permanent errors at zero: IG(29.5, 10*log^2(0.70))
+        # 49 regions, permanent errors at zero: IG((49 + V0) / 2, V0 log^2(R_STAR_ETA))
         state = _state(49, 5, 1, eta_plus=np.full(49, 1e-9))
-        prior = PriorConfig()
         rng = make_rng(21)
-        draws = np.array([update_sigma2_eta(state, prior, rng) for _ in range(100_000)])
-        expected = 10 * math.log(0.70) ** 2 / 28.5
+        draws = np.array([update_sigma2_eta(state, rng) for _ in range(100_000)])
+        expected = sampler.V0 * math.log(sampler.R_STAR_ETA) ** 2 / (0.5 * (49 + sampler.V0) - 1)
         assert abs(draws.mean() - expected) < 0.01 * expected
 
     def test_sigma2_eta_single_region_proper(self):
         state = _state(1, 1, 1, eta_plus=np.array([1e-9]))
-        draw = update_sigma2_eta(state, PriorConfig(), make_rng(22))
+        draw = update_sigma2_eta(state, make_rng(22))
         assert np.isfinite(draw) and draw > 0
 
 
@@ -317,14 +304,14 @@ class TestRunChain:
     def test_exactly_one_stored_draw(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=1))
         cfg = ChainConfig(n_iter=105, burn_in=100, thin=5, seed=2)
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        draws = run_chain(truth.dataset, truth.graph, cfg)
         assert draws.n_draws == 1
 
     def test_identical_seeds_bit_identical(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=3))
         cfg = ChainConfig(n_iter=400, burn_in=200, thin=2, seed=11)
-        a = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
-        b = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        a = run_chain(truth.dataset, truth.graph, cfg)
+        b = run_chain(truth.dataset, truth.graph, cfg)
         for name in ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha",
                      "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -332,7 +319,7 @@ class TestRunChain:
     def test_stored_draws_strictly_positive(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=4, n_periods=4, seed=4))
         cfg = ChainConfig(n_iter=600, burn_in=300, thin=3, seed=5)
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        draws = run_chain(truth.dataset, truth.graph, cfg)
         assert np.all(draws.u_plus > 0)
         assert np.all(draws.eta_plus > 0)
         for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
@@ -342,14 +329,14 @@ class TestRunChain:
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=6))
         wrong = build_queen_grid(2, 2)
         with pytest.raises(ValueError, match="regions"):
-            run_chain(truth.dataset, wrong, PriorConfig(), ChainConfig(n_iter=20, burn_in=10, thin=1))
+            run_chain(truth.dataset, wrong, ChainConfig(n_iter=20, burn_in=10, thin=1))
 
     def test_rank_one_identity_along_chain(self):
         # spot check the rank-one inverse and log-determinant the sampler
         # uses against dense algebra at the stored variance pairs
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=4, seed=7))
         cfg = ChainConfig(n_iter=300, burn_in=150, thin=5, seed=8)
-        draws = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        draws = run_chain(truth.dataset, truth.graph, cfg)
         t = truth.dataset.n_periods
         for s in range(draws.n_draws):
             s2e, s2a = draws.sigma2_eps[s], draws.sigma2_alpha[s]
@@ -364,8 +351,8 @@ class TestRunChain:
     def test_multi_chain_stacking_and_determinism(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=200, burn_in=100, thin=5, seed=13)
-        a = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
-        b = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
+        a = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
+        b = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
         assert a.n_draws == 2 * cfg.n_stored
         assert np.array_equal(a.beta, b.beta)
         assert set(np.unique(a.chain_id)) == {0, 1}
@@ -375,11 +362,10 @@ class TestRunChain:
         # so a single chain is run_chain itself
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=17)
-        both = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
-        one = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=1)
+        both = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
+        one = run_chains(truth.dataset, truth.graph, cfg, n_chains=1)
         for idx in range(2):
-            alone = run_chain(truth.dataset, truth.graph, PriorConfig(),
-                              replace(cfg, seed=cfg.seed + idx))
+            alone = run_chain(truth.dataset, truth.graph, replace(cfg, seed=cfg.seed + idx))
             assert np.array_equal(both.sigma2_v[both.chain_id == idx], alone.sigma2_v)
             assert np.array_equal(both.v[both.chain_id == idx], alone.v)
             if idx == 0:
@@ -390,19 +376,18 @@ class TestRunChain:
     def test_level_move_acceptance_counted(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18)
-        a = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        a = run_chain(truth.dataset, truth.graph, cfg)
         assert 0.0 < a.accept_rate_level < 1.0
-        pair = run_chains(truth.dataset, truth.graph, PriorConfig(), cfg, n_chains=2)
+        pair = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
         assert 0.0 < pair.accept_rate_level < 1.0
         off = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18, stabilize=False)
-        assert math.isnan(run_chain(truth.dataset, truth.graph, PriorConfig(),
-                                    off).accept_rate_level)
+        assert math.isnan(run_chain(truth.dataset, truth.graph, off).accept_rate_level)
 
     def test_region_exchangeability(self):
         # permuting region labels (and the graph) permutes posterior means
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=4, seed=10))
         cfg = ChainConfig(n_iter=6000, burn_in=3000, thin=3, seed=14)
-        base = run_chain(truth.dataset, truth.graph, PriorConfig(), cfg)
+        base = run_chain(truth.dataset, truth.graph, cfg)
 
         rng = np.random.default_rng(15)
         perm = rng.permutation(9)          # new index -> old index
@@ -414,7 +399,7 @@ class TestRunChain:
             [inv[truth.graph.neighbors[perm[i]]] for i in range(9)],
             [truth.graph.weights[perm[i]] for i in range(9)],
         )
-        permuted = run_chain(data_p, graph_p, PriorConfig(), cfg)
+        permuted = run_chain(data_p, graph_p, cfg)
 
         base_eta = base.eta_plus.mean(axis=0)
         perm_eta = permuted.eta_plus.mean(axis=0)
@@ -425,7 +410,7 @@ class TestRunChain:
 class TestInitialState:
     def test_valid_and_deterministic(self):
         truth = simulate(DgpConfig(grid_rows=4, grid_cols=4, n_periods=5, seed=11))
-        a, b = (initial_state(truth.dataset, PriorConfig(), residual_variance_split(truth.dataset))
+        a, b = (initial_state(truth.dataset, residual_variance_split(truth.dataset))
                 for _ in range(2))
         assert np.all(a.u_plus > 0) and np.all(a.eta_plus > 0)
         for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
@@ -446,12 +431,6 @@ class TestInitialState:
             ChainConfig(n_iter=100, burn_in=10, **{name: value})
         ChainConfig(n_iter=100, burn_in=10, **{name: 1e-3})
 
-    def test_prior_config_validation(self):
-        with pytest.raises(ValueError):
-            PriorConfig(r_star_u=1.5)
-        with pytest.raises(ValueError):
-            PriorConfig(v0_u=-1.0)
-
 
 def test_update_v_sequential_sees_latest_values():
     # two-region graph: with a dominant CAR prior the second region's draw
@@ -461,7 +440,7 @@ def test_update_v_sequential_sees_latest_values():
     data = PanelDataset(y=np.zeros((n, t)), x=np.zeros((n, t, 1)))
     state = _state(n, t, 1, v=np.array([5.0, 5.0]),
                    sigma2_eps=1e6, sigma2_v=1e-6)
-    out = update_v(state, data, g, make_rng(30))
+    out = update_v(state, _resid(data, state), g, make_rng(30))
     # with no data signal and tight CAR coupling both values stay close
     assert abs(out[0] - out[1]) < 0.1
 
@@ -482,8 +461,8 @@ class TestUpdateVAgainstDotOracle:
         rng, oracle_rng = make_rng(seed), make_rng(seed)
         pairs = []
         for _ in range(n_sweeps):
-            got = update_v(state, data, graph, rng)
-            want = update_v_dot(state, data, graph, oracle_rng)
+            got = update_v(state, _resid(data, state), graph, rng)
+            want = update_v_dot(state, _resid(data, state), graph, oracle_rng)
             assert got.dtype == want.dtype and got.shape == want.shape == (n,)
             pairs.append((got, want))
             state.v = want
@@ -535,9 +514,9 @@ def test_chain_scalars_stay_python_floats(monkeypatch):
         types.append({name: type(getattr(state, name)) for name in SCALARS})
         return beta_update(state, *args)
 
-    def sigma2_v_spy(state, graph, prior, rng, floor=0.0):
+    def sigma2_v_spy(state, graph, rng, floor=0.0):
         floors.append(floor)
-        draw = sigma2_v_update(state, graph, prior, rng, floor=floor)
+        draw = sigma2_v_update(state, graph, rng, floor=floor)
         types.append({"sigma2_v": type(draw)})
         return draw
 
