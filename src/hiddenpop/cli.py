@@ -40,7 +40,7 @@ from .analysis import (
     write_uncaptured_csv,
 )
 from .data import CountPanel, PanelDataset, _write_rows
-from .sampler import ChainConfig, PosteriorDraws, run_chains
+from .sampler import ChainConfig, PosteriorDraws, run_chain
 from .simulate import (
     DgpConfig,
     lambda_of,
@@ -49,7 +49,7 @@ from .simulate import (
     simulate,
     write_truth_csv,
 )
-from .sir import compute_sir, flag_hotspots, score_exceedance, write_sir_csv
+from .sir import compute_sir, flag_hotspots, write_sir_csv
 from .spatial import build_queen_grid, load_adjacency
 
 OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
@@ -58,8 +58,8 @@ _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 
-# fit's config-file keys: key -> (ChainConfig field, or "chains", type); the
-# flags that override them store into the same names
+# fit's config-file keys: key -> (ChainConfig field, type); the flags that
+# override them store into the same names
 _FIT_KEYS = {
     "iters": ("n_iter", int),
     "burnin": ("burn_in", int),
@@ -200,6 +200,13 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
+def _parse_beta_draws(text: str) -> int:
+    count = int(text)
+    if count < MIN_HDI_DRAWS:
+        raise argparse.ArgumentTypeError(f"an HDI needs at least {MIN_HDI_DRAWS} draws, got {count}")
+    return count
+
+
 def _read_config_file(path) -> dict:
     """fit settings from key=value lines, keyed by field name. An unknown or
     repeated key and a value of the wrong type name the file and line."""
@@ -286,18 +293,15 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
     for name, _ in _FIT_KEYS.values():
         if getattr(args, name) is not None:  # a flag wins over the file
             settings[name] = getattr(args, name)
-    n_chains = settings.pop("chains", 1)
     chain = ChainConfig(**settings)
-    if n_chains < 1:
-        raise ValueError(f"chains must be >= 1, got {n_chains}")
-    if n_chains * chain.n_stored < MIN_HDI_DRAWS:
-        raise ValueError(f"{n_chains} chain(s) x {chain.n_stored} stored draws is fewer than "
+    if chain.chains * chain.n_stored < MIN_HDI_DRAWS:
+        raise ValueError(f"{chain.chains} chain(s) x {chain.n_stored} stored draws is fewer than "
                          f"the {MIN_HDI_DRAWS} draws an HDI needs")
 
     data = PanelDataset.from_csv(args.data)
     graph = (build_queen_grid(*args.grid) if args.grid
              else load_adjacency(args.adjacency, data.regions))
-    draws = run_chains(data, graph, chain, n_chains=n_chains)
+    draws = run_chain(data, graph, chain)
 
     save_draws(draws, data.y, output("draws.npz"))
     write_summary_csv(chain_summary(draws), output("summary.csv"))
@@ -311,8 +315,7 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
         export_draws_csv(draws, output("draws.csv"))
     graph_desc = (f"grid:{args.grid[0]}x{args.grid[1]}" if args.grid
                   else str(args.adjacency))
-    return ({**chain.__dict__, "chains": n_chains},
-            {"data": str(args.data), "graph": graph_desc})
+    return (chain.__dict__, {"data": str(args.data), "graph": graph_desc})
 
 
 def cmd_analyze(args, output) -> tuple[dict, dict]:
@@ -363,7 +366,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
 
 def cmd_sir(args, output) -> tuple[dict, dict]:
     panel = CountPanel.from_csv(args.counts)
-    table = score_exceedance(compute_sir(panel), nu=args.nu, alpha=args.alpha)
+    table = compute_sir(panel, nu=args.nu, alpha=args.alpha)
     tiers = flag_hotspots(table, tuple(args.thresholds))
     write_sir_csv(table, tiers, output("sir.csv"))
     return ({"nu": args.nu, "alpha": args.alpha, "thresholds": list(args.thresholds)},
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--truth", default=None)
     p_an.add_argument("--levels", type=_parse_levels, default=None,
                       metavar="L1,L2,...")
-    p_an.add_argument("--beta-draws", type=int, default=20000)
+    p_an.add_argument("--beta-draws", type=_parse_beta_draws, default=20000)
     p_an.add_argument("--per-draw-mape", action="store_true")
     group = p_an.add_mutually_exclusive_group()
     group.add_argument("--by-region", action="store_true")

@@ -29,7 +29,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import chdtr, gammaincinv
@@ -89,6 +89,7 @@ class ChainConfig:
     burn_in: int = 10000
     thin: int = 5
     seed: int = 0
+    chains: int = 1   # chain i of run_chain runs at seed + i
     mh_step_scale_alpha: float = 0.25
     mh_step_scale_eps: float = 0.4
     stabilize: bool = True
@@ -98,6 +99,8 @@ class ChainConfig:
             raise ValueError("burn_in must be smaller than n_iter")
         if self.burn_in < 0 or self.thin < 1:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
+        if self.chains < 1:
+            raise ValueError(f"chains must be >= 1, got {self.chains}")
         # a zero scale proposes the current value every time, so the chain
         # freezes while the Hastings term still reports acceptances
         for name in ("mh_step_scale_alpha", "mh_step_scale_eps"):
@@ -478,20 +481,23 @@ class SamplerError(RuntimeError):
 
 
 def run_chain(data: PanelDataset, graph: SpatialGraph,
-              chain: ChainConfig | None = None,
-              chain_id: int = 0) -> PosteriorDraws:
-    """Run one chain and return the thinned post-burn-in draws.
+              chain: ChainConfig | None = None) -> PosteriorDraws:
+    """Run `chain.chains` chains and return their thinned post-burn-in draws.
+
+    Chain i runs at seed chain.seed + i and fills the i-th block of n_stored
+    rows (`chain_id` i). The chains run one after another: a sweep is mostly
+    small numpy calls that hold the interpreter lock, so threads only add
+    contention. The acceptance rates are the means of the per-chain rates.
 
     Sweep order: beta, u+, eta+, v, s2_v, s2_u, s2_eta, then the two MH
     moves. Variances are floored at 1e-12 after each draw; floor events
-    are counted and reported on the result.
+    are counted over all chains and reported on the result.
     """
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
         raise ValueError(
             f"graph has {graph.n_regions} regions but panel has {data.n_regions}"
         )
-    rng = make_rng(chain.seed)
 
     # The one-sided components depress the observed response, while every
     # update below is written for the mirrored model in which they enter
@@ -501,8 +507,8 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
     n, t, k = work.x.shape
     split = residual_variance_split(work)
-    state = initial_state(work, split)
     n_stored = chain.n_stored
+    n_total = chain.chains * n_stored
 
     alpha_cap = math.inf
     alpha_floor = 0.0
@@ -514,19 +520,17 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         alpha_cap = 2.0 * between_var / t
         eps_floor = 0.05 * within_var
         v_floor = 0.1 * between_var
-        state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
-            if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
 
     out = PosteriorDraws(
-        beta=np.empty((n_stored, k)),
-        u_plus=np.empty((n_stored, n, t)),
-        eta_plus=np.empty((n_stored, n)),
-        v=np.empty((n_stored, n)),
-        sigma2_alpha=np.empty(n_stored),
-        sigma2_eps=np.empty(n_stored),
-        sigma2_v=np.empty(n_stored),
-        sigma2_u=np.empty(n_stored),
-        sigma2_eta=np.empty(n_stored),
+        beta=np.empty((n_total, k)),
+        u_plus=np.empty((n_total, n, t)),
+        eta_plus=np.empty((n_total, n)),
+        v=np.empty((n_total, n)),
+        sigma2_alpha=np.empty(n_total),
+        sigma2_eps=np.empty(n_total),
+        sigma2_v=np.empty(n_total),
+        sigma2_u=np.empty(n_total),
+        sigma2_eta=np.empty(n_total),
         seed=chain.seed,
         n_iter=chain.n_iter,
         burn_in=chain.burn_in,
@@ -535,14 +539,11 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         accept_rate_alpha=0.0,
         accept_rate_eps=0.0,
         floored_count=0,
-        chain_id=np.full(n_stored, chain_id, dtype=np.int64),
+        chain_id=np.repeat(np.arange(chain.chains, dtype=np.int64), n_stored),
     )
 
     floored = 0
-    accepted_alpha = 0
-    accepted_eps = 0
-    accepted_level = 0
-    stored = 0
+    accepted = [[0, 0, 0] for _ in range(chain.chains)]   # alpha, eps, level moves
 
     def floor_var(value: float) -> float:
         nonlocal floored
@@ -551,90 +552,56 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
             return VARIANCE_FLOOR
         return value
 
-    for it in range(1, chain.n_iter + 1):
-        try:
-            state.beta = update_beta(state, work, rng)
-            # beta is fixed for the rest of the sweep, and so is y - X beta
-            resid = work.y - np.einsum("ntk,k->nt", work.x, state.beta)
-            state.u_plus = update_u_plus(state, resid, rng)
-            state.eta_plus = update_eta_plus(state, resid, rng)
-            state.v = update_v(state, resid, graph, rng)
-            if chain.stabilize:
-                accepted_level += update_level(state, rng)
-            state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
-            state.sigma2_u = floor_var(update_sigma2_u(state, rng))
-            state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
-            s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
-                state, resid, rng,
-                chain.mh_step_scale_alpha, chain.mh_step_scale_eps,
-                alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
-            )
-            state.sigma2_alpha = floor_var(s2a)
-            state.sigma2_eps = floor_var(s2e)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            raise SamplerError(f"iteration {it}: {exc}") from exc
-        accepted_alpha += acc_a
-        accepted_eps += acc_e
+    for idx in range(chain.chains):
+        rng = make_rng(chain.seed + idx)
+        state = initial_state(work, split)
+        if chain.stabilize:
+            state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
+                if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
+        counts = accepted[idx]
+        stored = idx * n_stored
 
-        if it > chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
-            out.beta[stored] = -state.beta
-            out.u_plus[stored] = state.u_plus
-            out.eta_plus[stored] = state.eta_plus
-            out.v[stored] = -state.v
-            out.sigma2_alpha[stored] = state.sigma2_alpha
-            out.sigma2_eps[stored] = state.sigma2_eps
-            out.sigma2_v[stored] = state.sigma2_v
-            out.sigma2_u[stored] = state.sigma2_u
-            out.sigma2_eta[stored] = state.sigma2_eta
-            stored += 1
+        for it in range(1, chain.n_iter + 1):
+            try:
+                state.beta = update_beta(state, work, rng)
+                # beta is fixed for the rest of the sweep, and so is y - X beta
+                resid = work.y - np.einsum("ntk,k->nt", work.x, state.beta)
+                state.u_plus = update_u_plus(state, resid, rng)
+                state.eta_plus = update_eta_plus(state, resid, rng)
+                state.v = update_v(state, resid, graph, rng)
+                if chain.stabilize:
+                    counts[2] += update_level(state, rng)
+                state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
+                state.sigma2_u = floor_var(update_sigma2_u(state, rng))
+                state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
+                s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
+                    state, resid, rng,
+                    chain.mh_step_scale_alpha, chain.mh_step_scale_eps,
+                    alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
+                )
+                state.sigma2_alpha = floor_var(s2a)
+                state.sigma2_eps = floor_var(s2e)
+            except (NumericalError, np.linalg.LinAlgError) as exc:
+                raise SamplerError(f"iteration {it}: {exc}") from exc
+            counts[0] += acc_a
+            counts[1] += acc_e
 
-    out.accept_rate_alpha = accepted_alpha / chain.n_iter
-    out.accept_rate_eps = accepted_eps / chain.n_iter
+            if it > chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
+                out.beta[stored] = -state.beta
+                out.u_plus[stored] = state.u_plus
+                out.eta_plus[stored] = state.eta_plus
+                out.v[stored] = -state.v
+                out.sigma2_alpha[stored] = state.sigma2_alpha
+                out.sigma2_eps[stored] = state.sigma2_eps
+                out.sigma2_v[stored] = state.sigma2_v
+                out.sigma2_u[stored] = state.sigma2_u
+                out.sigma2_eta[stored] = state.sigma2_eta
+                stored += 1
+
+    rates = np.array(accepted) / chain.n_iter
+    out.accept_rate_alpha = float(np.mean(rates[:, 0]))
+    out.accept_rate_eps = float(np.mean(rates[:, 1]))
     if chain.stabilize:
-        out.accept_rate_level = accepted_level / chain.n_iter
+        out.accept_rate_level = float(np.mean(rates[:, 2]))
     out.floored_count = floored
     return out
-
-
-def run_chains(data: PanelDataset, graph: SpatialGraph,
-               chain: ChainConfig | None = None,
-               n_chains: int = 1) -> PosteriorDraws:
-    """Run n_chains independent chains and stack the draws.
-
-    Chain i is run_chain at seed chain.seed + i, so one chain is run_chain
-    itself. The chains run one after another: a sweep is mostly small numpy
-    calls that hold the interpreter lock, so threads only add contention.
-    """
-    chain = chain or ChainConfig()
-    if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
-    return stack_draws([
-        run_chain(data, graph, replace(chain, seed=chain.seed + idx), chain_id=idx)
-        for idx in range(n_chains)
-    ])
-
-
-def stack_draws(parts: list[PosteriorDraws]) -> PosteriorDraws:
-    first = parts[0]
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts], axis=0)
-    return PosteriorDraws(
-        beta=cat("beta"),
-        u_plus=cat("u_plus"),
-        eta_plus=cat("eta_plus"),
-        v=cat("v"),
-        sigma2_alpha=cat("sigma2_alpha"),
-        sigma2_eps=cat("sigma2_eps"),
-        sigma2_v=cat("sigma2_v"),
-        sigma2_u=cat("sigma2_u"),
-        sigma2_eta=cat("sigma2_eta"),
-        seed=first.seed,
-        n_iter=first.n_iter,
-        burn_in=first.burn_in,
-        thin=first.thin,
-        avg_row_sum=first.avg_row_sum,
-        accept_rate_alpha=float(np.mean([p.accept_rate_alpha for p in parts])),
-        accept_rate_eps=float(np.mean([p.accept_rate_eps for p in parts])),
-        floored_count=int(sum(p.floored_count for p in parts)),
-        chain_id=cat("chain_id"),
-        accept_rate_level=float(np.mean([p.accept_rate_level for p in parts])),
-    )

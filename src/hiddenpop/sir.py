@@ -9,7 +9,7 @@ hot spots at fixed credibility tiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -25,19 +25,20 @@ DEFAULT_TIERS = (0.90, 0.95, 0.99)
 class SirTable:
     sir: np.ndarray          # (N, T) observed / expected
     expected: np.ndarray     # (N, T)
-    exceedance: np.ndarray | None
-    prior_nu: float
-    prior_alpha: float
+    exceedance: np.ndarray   # (N, T) P(relative risk > 1)
     regions: np.ndarray
     times: np.ndarray
 
 
-def compute_sir(panel: CountPanel) -> SirTable:
-    """Expected counts and incidence ratios, one standardisation per period.
+def compute_sir(panel: CountPanel, nu: float = DEFAULT_PRIOR_NU,
+                alpha: float = DEFAULT_PRIOR_ALPHA) -> SirTable:
+    """Expected counts, incidence ratios and exceedance probabilities.
 
-    E_it = n_it * (sum_i s_it) / (sum_i n_it), so expected counts sum to
-    the observed counts within each period. The ratio s/E is also the
-    Poisson maximum-likelihood estimate of the relative risk.
+    One standardisation per period: E_it = n_it * (sum_i s_it) / (sum_i
+    n_it), so expected counts sum to the observed counts within each
+    period. The ratio s/E is also the Poisson maximum-likelihood estimate
+    of the relative risk. The exceedance takes the observed counts, not
+    (s/E) * E, which rounds.
     """
     s = panel.s.astype(float)
     n = panel.n
@@ -46,10 +47,9 @@ def compute_sir(panel: CountPanel) -> SirTable:
         bad = np.flatnonzero(s_tot <= 0).tolist()
         raise ValueError(f"periods with zero total count: {bad}")
     expected = n * (s_tot / n.sum(axis=0))[None, :]
-    sir = s / expected
     return SirTable(
-        sir=sir, expected=expected, exceedance=None,
-        prior_nu=DEFAULT_PRIOR_NU, prior_alpha=DEFAULT_PRIOR_ALPHA,
+        sir=s / expected, expected=expected,
+        exceedance=exceedance_probability(s, expected, nu, alpha),
         regions=panel.regions, times=panel.times,
     )
 
@@ -74,21 +74,12 @@ def exceedance_probability(s, expected, nu: float = DEFAULT_PRIOR_NU,
     return float(out) if out.ndim == 0 else out
 
 
-def score_exceedance(table: SirTable, nu: float = DEFAULT_PRIOR_NU,
-                     alpha: float = DEFAULT_PRIOR_ALPHA) -> SirTable:
-    s = table.sir * table.expected
-    exc = exceedance_probability(s, table.expected, nu, alpha)
-    return replace(table, exceedance=exc, prior_nu=nu, prior_alpha=alpha)
-
-
 def flag_hotspots(table: SirTable, thresholds=DEFAULT_TIERS) -> np.ndarray:
     """Tier label per cell: the highest threshold its exceedance reaches.
 
     Thresholds are inclusive (an exceedance of exactly 0.90 earns the 90
     tier); cells under every threshold are labelled 'none'.
     """
-    if table.exceedance is None:
-        raise ValueError("exceedance probabilities not computed yet")
     thresholds = sorted(thresholds)
     tiers = np.full(table.exceedance.shape, "none", dtype=object)
     for thr in thresholds:
@@ -98,8 +89,6 @@ def flag_hotspots(table: SirTable, thresholds=DEFAULT_TIERS) -> np.ndarray:
 
 
 def write_sir_csv(table: SirTable, tiers: np.ndarray, path) -> None:
-    if table.exceedance is None:
-        raise ValueError("exceedance probabilities not computed yet")
     _write_columns(path, ["region", "time", "sir", "expected", "exceedance", "tier"],
                    table.regions, table.times,
                    [table.sir, table.expected, table.exceedance, tiers])

@@ -371,6 +371,19 @@ class TestAnalyzeCommand:
                     "--levels", "0.9", "--out", str(an)) == 1
         assert "truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count, message", [
+        ("50", "an HDI needs at least 100 draws, got 50"),
+        ("-5", "an HDI needs at least 100 draws, got -5"),
+    ], ids=["too-few", "negative"])
+    def test_beta_draws_are_checked_when_parsed(self, tmp_path, capsys, count, message):
+        # rejected before the draws file is even looked for
+        with pytest.raises(SystemExit) as exc:
+            _run("analyze", "--draws", str(tmp_path / "nope.npz"), "--beta-draws", count,
+                 "--out", str(tmp_path / "an"))
+        assert exc.value.code == 2
+        assert f"argument --beta-draws: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
+
     def test_missing_draws_file_fails(self, tmp_path, capsys):
         an = tmp_path / "an"
         assert _run("analyze", "--draws", str(tmp_path / "nope.npz"),

@@ -8,10 +8,12 @@ conditional shows up here. The hashes depend on IEEE double arithmetic
 and numpy's generator, not on timing; a change that alters the stream on
 purpose must re-record them and say so in CHANGES.md.
 
-`two_chains` was re-recorded once, when chain i of `run_chains` became
-`run_chain` at seed + i: its hash is that of `stack_draws` over
-`run_chain` at seeds 6 and 7 as the sweep stood before, so the library
-stream did not move.
+`two_chains` was re-recorded once, when chain i of a multi-chain run
+became the single chain at seed + i: its hash is that of the single chains
+at seeds 6 and 7, as the sweep stood before, stacked in chain order, so
+the library stream did not move. It was kept, not re-recorded, when the
+chain count became `ChainConfig.chains` and `run_chain` came to write
+every chain straight into one set of arrays.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hiddenpop.sampler import ChainConfig, run_chain, run_chains
+from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 
 ARRAYS = ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps",
@@ -47,8 +49,8 @@ def _stabilized_chain():
 
 def _two_chains():
     truth = _paper_panel()
-    cfg = ChainConfig(n_iter=200, burn_in=50, thin=3, seed=6)
-    return run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
+    cfg = ChainConfig(n_iter=200, burn_in=50, thin=3, seed=6, chains=2)
+    return run_chain(truth.dataset, truth.graph, cfg)
 
 
 def _unstabilized_chain():

@@ -20,6 +20,12 @@ its `--no-stabilize` twin and from `analyze --by-region` and `--by-period`:
 `summary.csv`, both `acceptance.csv` (the unstabilised one carries a `nan`
 row), `draws.csv`, `uncaptured_summary.csv` and both grouped
 `uncaptured.csv`. They pin the row writer of the small tables.
+
+The `two-chains/` files come from the same fit with `--chains 2`. They
+were recorded while each chain still ran into arrays of its own that were
+then stacked: `draws.npz` pins the chain ids and the order of the draws,
+and `acceptance.csv` the rates averaged over the chains, which no draws
+hash covers.
 """
 
 import hashlib
@@ -43,6 +49,9 @@ GOLDEN = {
     "uncaptured_summary.csv": "ee7b1e850690df19b551e712ef3fdc52bc32fcde6988ff0539ee5e2cf2a0c893",
     "by-region/uncaptured.csv": "95c153e461e3b4a31681ad93d6510a35eb9ee6b451a9ac391780d778a4773623",
     "by-period/uncaptured.csv": "b0c12a1d05ba92b4c593dab2dd8190e4884130defe5bcb24fc2d26ee5d0519a5",
+    "two-chains/draws.npz": "c33dfbdc6605e37233dd29bf53f369d73a232427d8f7b85c9c823efd6480a5f7",
+    "two-chains/acceptance.csv": "c14f99fac2c6b7309723f6258d86c86584e70c956415b58b05058300eda8b1f6",
+    "two-chains/summary.csv": "68b11a098838c533d756625c1cb8343988cc6d7f5b94a1b5cf66b46a181195da",
 }
 ANALYZE_FILES = ("coverage.csv", "mape.csv", "rho.csv", "uncaptured.csv",
                  "uncaptured_summary.csv")
@@ -63,6 +72,7 @@ def outputs(tmp_path_factory):
            "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "6"]
     assert main(fit + ["--export-csv", "--out", str(root / "fit")]) == 0
     assert main(fit + ["--no-stabilize", "--out", str(root / "no-stabilize")]) == 0
+    assert main(fit + ["--chains", "2", "--out", str(root / "two-chains")]) == 0
     draws = str(root / "fit" / "draws.npz")
     assert main(["analyze", "--draws", draws,
                  "--truth", str(root / "sim" / "truth.csv"), "--levels", "0.90,0.95,0.99",

@@ -272,9 +272,9 @@ class TestMhScaledChisq:
     def test_chi2_median_constant(self):
         assert abs(CHI2_DF1_MEDIAN - stats.chi2.ppf(0.5, 1)) < 1e-12
 
-    def _run_parallel(self, log_target, n_chains, n_steps, burn, thin, seed, start):
+    def _run_parallel(self, log_target, n_parallel, n_steps, burn, thin, seed, start):
         rng = make_rng(seed)
-        cur = np.full(n_chains, start)
+        cur = np.full(n_parallel, start)
         kept = []
         for step in range(n_steps):
             cur, _ = mh_scaled_chisq_step(log_target, cur, rng, 1.0)

@@ -114,7 +114,7 @@ def test_every_chain_setting_is_reachable_from_fit(tmp_path):
     values = {"iters": 120, "burnin": 20, "thin": 1, "seed": 3, "chains": 2,
               "stabilize": False, "mh_step_scale_alpha": 0.3, "mh_step_scale_eps": 0.5}
     assert set(values) == set(_FIT_KEYS)
-    defaults = {**{f.name: f.default for f in dataclasses.fields(ChainConfig)}, "chains": 1}
+    defaults = {f.name: f.default for f in dataclasses.fields(ChainConfig)}
     simulate(DgpConfig(grid_rows=2, grid_cols=2, n_periods=2, seed=1)).dataset.to_csv(
         tmp_path / "panel.csv")
     cfg = tmp_path / "chain.cfg"

@@ -16,7 +16,6 @@ from hiddenpop.sampler import (
     initial_state,
     residual_variance_split,
     run_chain,
-    run_chains,
     update_beta,
     update_eta_plus,
     update_level,
@@ -350,35 +349,37 @@ class TestRunChain:
 
     def test_multi_chain_stacking_and_determinism(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
-        cfg = ChainConfig(n_iter=200, burn_in=100, thin=5, seed=13)
-        a = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
-        b = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
+        cfg = ChainConfig(n_iter=200, burn_in=100, thin=5, seed=13, chains=2)
+        a = run_chain(truth.dataset, truth.graph, cfg)
+        b = run_chain(truth.dataset, truth.graph, cfg)
         assert a.n_draws == 2 * cfg.n_stored
         assert np.array_equal(a.beta, b.beta)
-        assert set(np.unique(a.chain_id)) == {0, 1}
+        assert np.array_equal(a.chain_id, np.repeat([0, 1], cfg.n_stored))
 
     def test_chain_i_is_run_chain_at_seed_plus_i(self):
-        # one seeding rule: chain i of run_chains is run_chain at seed + i,
-        # so a single chain is run_chain itself
+        # one seeding rule: chain i of a multi-chain run is the single chain
+        # at seed + i, and the rates are the means of the per-chain rates
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=120, burn_in=60, thin=3, seed=17)
-        both = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
-        one = run_chains(truth.dataset, truth.graph, cfg, n_chains=1)
-        for idx in range(2):
-            alone = run_chain(truth.dataset, truth.graph, replace(cfg, seed=cfg.seed + idx))
-            assert np.array_equal(both.sigma2_v[both.chain_id == idx], alone.sigma2_v)
-            assert np.array_equal(both.v[both.chain_id == idx], alone.v)
-            if idx == 0:
-                for name in ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha",
-                             "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
-                    assert np.array_equal(getattr(one, name), getattr(alone, name))
+        both = run_chain(truth.dataset, truth.graph, replace(cfg, chains=2))
+        alone = [run_chain(truth.dataset, truth.graph, replace(cfg, seed=cfg.seed + idx))
+                 for idx in range(2)]
+        for idx, single in enumerate(alone):
+            for name in ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha",
+                         "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
+                assert np.array_equal(getattr(both, name)[both.chain_id == idx],
+                                      getattr(single, name))
+        for name in ("accept_rate_alpha", "accept_rate_eps", "accept_rate_level"):
+            assert getattr(both, name) == float(np.mean([getattr(a, name) for a in alone]))
+        assert both.floored_count == sum(a.floored_count for a in alone)
+        assert both.seed == cfg.seed
 
     def test_level_move_acceptance_counted(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
         cfg = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18)
         a = run_chain(truth.dataset, truth.graph, cfg)
         assert 0.0 < a.accept_rate_level < 1.0
-        pair = run_chains(truth.dataset, truth.graph, cfg, n_chains=2)
+        pair = run_chain(truth.dataset, truth.graph, replace(cfg, chains=2))
         assert 0.0 < pair.accept_rate_level < 1.0
         off = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18, stabilize=False)
         assert math.isnan(run_chain(truth.dataset, truth.graph, off).accept_rate_level)
@@ -423,6 +424,10 @@ class TestInitialState:
             ChainConfig(n_iter=100, burn_in=100)
         with pytest.raises(ValueError):
             ChainConfig(n_iter=100, burn_in=10, thin=0)
+
+    def test_chain_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="^chains must be >= 1, got 0$"):
+            ChainConfig(n_iter=100, burn_in=10, chains=0)
 
     @pytest.mark.parametrize("name", ["mh_step_scale_alpha", "mh_step_scale_eps"])
     @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf, -math.inf])

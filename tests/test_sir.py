@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from hiddenpop.sir import (
     compute_sir,
     exceedance_probability,
     flag_hotspots,
-    score_exceedance,
 )
 
 
@@ -33,6 +34,18 @@ class TestComputeSir:
         s = rng.poisson(n * 0.02) + 1
         table = compute_sir(CountPanel(s=s, n=n))
         assert np.allclose(table.expected.sum(axis=0), s.sum(axis=0), atol=1e-9)
+
+    @pytest.mark.parametrize("nu, alpha", [(0.01, 0.01), (0.5, 2.0)])
+    def test_exceedance_is_taken_at_the_observed_counts(self, nu, alpha):
+        rng = np.random.default_rng(3)
+        n = rng.uniform(500, 50_000, size=(200, 6))
+        panel = CountPanel(s=rng.poisson(n * 1e-3), n=n)
+        table = compute_sir(panel, nu=nu, alpha=alpha)
+        # rebuilding the counts as sir * expected rounds in some cells ...
+        assert np.any(table.sir * table.expected != panel.s)
+        # ... so the exceedance must come from the counts themselves
+        assert np.array_equal(table.exceedance,
+                              exceedance_probability(panel.s, table.expected, nu, alpha))
 
     def test_zero_period_total_rejected(self):
         panel = CountPanel(s=np.array([[0], [0]]), n=np.array([[10.0], [10.0]]))
@@ -95,11 +108,7 @@ class TestExceedance:
 class TestHotspots:
     def _table(self, exceedance):
         panel = CountPanel(s=np.ones((2, 2), dtype=int), n=np.full((2, 2), 10.0))
-        table = score_exceedance(compute_sir(panel))
-        return type(table)(sir=table.sir, expected=table.expected,
-                           exceedance=np.asarray(exceedance),
-                           prior_nu=0.01, prior_alpha=0.01,
-                           regions=table.regions, times=table.times)
+        return replace(compute_sir(panel), exceedance=np.asarray(exceedance))
 
     def test_tier_bucketing(self):
         table = self._table([[0.96, 0.50], [0.995, 0.91]])
@@ -115,11 +124,6 @@ class TestHotspots:
         rng = np.random.default_rng(0)
         n = np.full((30, 4), 1000.0)
         s = rng.poisson(20.0, size=(30, 4))
-        table = score_exceedance(compute_sir(CountPanel(s=s, n=n)))
+        table = compute_sir(CountPanel(s=s, n=n))
         tiers = flag_hotspots(table)
         assert np.mean(tiers == "none") > 0.7
-
-    def test_requires_exceedance(self):
-        panel = CountPanel(s=np.ones((2, 2), dtype=int), n=np.full((2, 2), 10.0))
-        with pytest.raises(ValueError):
-            flag_hotspots(compute_sir(panel))
