@@ -8,7 +8,7 @@ percentage / signal-ratio summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,14 @@ def hdi(draws, level: float) -> tuple[float, float]:
     order statistics, ties broken toward the smallest lower endpoint.
     """
     x = np.asarray(draws, dtype=float).ravel()
-    if x.size < MIN_HDI_DRAWS:
-        raise ValueError(f"need at least {MIN_HDI_DRAWS} draws for an HDI, got {x.size}")
+    _check_draw_count(x.size)
     lo, hi = _hdi_columns(np.sort(x)[:, None], level)
     return float(lo[0]), float(hi[0])
+
+
+def _check_draw_count(n_draws: int) -> None:
+    if n_draws < MIN_HDI_DRAWS:
+        raise ValueError(f"need at least {MIN_HDI_DRAWS} draws for an HDI, got {n_draws}")
 
 
 def _check_level(level: float) -> None:
@@ -73,11 +77,8 @@ def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, levels):
     levels = list(levels)
     for level in levels:
         _check_level(level)
-    q = hidden_population_draws(draws, y_observed)
-    s = q.shape[0]
-    if s < MIN_HDI_DRAWS:
-        raise ValueError(f"need at least {MIN_HDI_DRAWS} draws, got {s}")
-    flat = q.reshape(s, -1)
+    _check_draw_count(draws.n_draws)
+    flat = hidden_population_draws(draws, y_observed).reshape(draws.n_draws, -1)
     shape = y_observed.shape
     point = flat.mean(axis=0).reshape(shape)
     flat.sort(axis=0)
@@ -192,20 +193,23 @@ class UncapturedSummary:
     total_pct: float
     lambda_stat: float
     spatial_share: float
+    cell: np.ndarray = field(compare=False)
 
 
 def uncaptured_summaries(draws: PosteriorDraws) -> UncapturedSummary:
     """Posterior means of the uncaptured percentages and variability shares.
 
     permanent: 1 - exp(-eta+) averaged over draws and regions;
-    total: 1 - exp(-(eta+ + u+)) averaged over draws and cells;
+    total: 1 - exp(-(eta+ + u+)) averaged over draws and cells, and `cell`
+    its (N, T) average over draws alone;
     lambda: (sigma_eta + sigma_u) / sigma_eps per draw, then averaged;
     spatial share: marginal spatial sd over the total sd, where the
     marginal spatial sd is sigma_v / (0.7 * average row sum) and the total
     pools it with the other four components on the sd scale.
     """
     permanent = float(np.mean(1.0 - np.exp(-draws.eta_plus)))
-    total = float(np.mean(1.0 - np.exp(-(draws.eta_plus[:, :, None] + draws.u_plus))))
+    uncaptured = 1.0 - np.exp(-(draws.eta_plus[:, :, None] + draws.u_plus))
+    total = float(np.mean(uncaptured))
     s_eta = np.sqrt(draws.sigma2_eta)
     s_u = np.sqrt(draws.sigma2_u)
     s_eps = np.sqrt(draws.sigma2_eps)
@@ -214,23 +218,7 @@ def uncaptured_summaries(draws: PosteriorDraws) -> UncapturedSummary:
     msd = np.sqrt(draws.sigma2_v) / (0.7 * draws.avg_row_sum)
     total_sd = np.sqrt(msd**2 + s_alpha**2 + s_eps**2 + s_eta**2 + s_u**2)
     share = float(np.mean(msd / total_sd))
-    return UncapturedSummary(permanent, total, lam, share)
-
-
-def uncaptured_by_cell(draws: PosteriorDraws, group_by: str | None = None) -> np.ndarray:
-    """Posterior mean uncaptured percentage per cell (N, T).
-
-    group_by='region' averages across periods (length N), 'period' across
-    regions (length T); None keeps the full grid.
-    """
-    cell = np.mean(1.0 - np.exp(-(draws.eta_plus[:, :, None] + draws.u_plus)), axis=0)
-    if group_by is None:
-        return cell
-    if group_by == "region":
-        return cell.mean(axis=1)
-    if group_by == "period":
-        return cell.mean(axis=0)
-    raise ValueError(f"unknown grouping {group_by!r}")
+    return UncapturedSummary(permanent, total, lam, share, uncaptured.mean(axis=0))
 
 
 def chain_summary(draws: PosteriorDraws, level: float = 0.95) -> list[dict]:
@@ -239,44 +227,24 @@ def chain_summary(draws: PosteriorDraws, level: float = 0.95) -> list[dict]:
     Scale parameters are summarised on the standard-deviation scale. The
     one-sided blocks report the negated components (their effect on the
     response); their mean/median aggregate the per-unit posterior means
-    and the HDI is taken over the per-draw cross-unit average.
+    and the HDI is taken over the per-draw cross-unit average. The HDIs
+    come from one sort of the (draws x quantities) matrix.
     """
-    rows = []
-
-    def add(name, samples):
-        lo, hi = hdi(samples, level)
-        rows.append({
-            "parameter": name,
-            "mean": float(np.mean(samples)),
-            "median": float(np.median(samples)),
-            "hdi_lower": lo,
-            "hdi_upper": hi,
-        })
-
-    for k in range(draws.beta.shape[1]):
-        add(f"beta_{k + 1}", draws.beta[:, k])
-    for name in ("sigma2_eta", "sigma2_u", "sigma2_v", "sigma2_alpha", "sigma2_eps"):
-        add(name.replace("sigma2_", "sigma_"), np.sqrt(getattr(draws, name)))
-    lam = (np.sqrt(draws.sigma2_eta) + np.sqrt(draws.sigma2_u)) / np.sqrt(draws.sigma2_eps)
-    add("lambda", lam)
-
-    minus_eta_units = -draws.eta_plus.mean(axis=0)          # per region
-    minus_u_units = -draws.u_plus.mean(axis=0).ravel()      # per cell
-    v_units = draws.v.mean(axis=0)
-    for name, units, per_draw_avg in (
-        ("minus_eta_plus", minus_eta_units, -draws.eta_plus.mean(axis=1)),
-        ("minus_u_plus", minus_u_units, -draws.u_plus.mean(axis=(1, 2))),
-        ("v", v_units, draws.v.mean(axis=1)),
-    ):
-        lo, hi = hdi(per_draw_avg, level)
-        rows.append({
-            "parameter": name,
-            "mean": float(np.mean(units)),
-            "median": float(np.median(units)),
-            "hdi_lower": lo,
-            "hdi_upper": hi,
-        })
-    return rows
+    _check_draw_count(draws.n_draws)
+    sd = {name.replace("sigma2_", "sigma_"): np.sqrt(getattr(draws, name))
+          for name in ("sigma2_eta", "sigma2_u", "sigma2_v", "sigma2_alpha", "sigma2_eps")}
+    scalars = {**{f"beta_{k + 1}": draws.beta[:, k] for k in range(draws.beta.shape[1])},
+               **sd, "lambda": (sd["sigma_eta"] + sd["sigma_u"]) / sd["sigma_eps"]}
+    per_draw = np.column_stack([*scalars.values(), -draws.eta_plus.mean(axis=1),
+                                -draws.u_plus.mean(axis=(1, 2)), draws.v.mean(axis=1)])
+    per_unit = {"minus_eta_plus": -draws.eta_plus.mean(axis=0),        # per region
+                "minus_u_plus": -draws.u_plus.mean(axis=0).ravel(),    # per cell
+                "v": draws.v.mean(axis=0)}
+    lower, upper = _hdi_columns(np.sort(per_draw, axis=0), level)
+    return [{"parameter": name, "mean": float(np.mean(values)),
+             "median": float(np.median(values)),
+             "hdi_lower": float(lo), "hdi_upper": float(hi)}
+            for (name, values), lo, hi in zip({**scalars, **per_unit}.items(), lower, upper)]
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
@@ -301,14 +269,17 @@ def write_mape_csv(summaries: list[MapeSummary], path) -> None:
                  for s in summaries])
 
 
-def write_uncaptured_csv(draws: PosteriorDraws, regions, times, path,
+def write_uncaptured_csv(cell: np.ndarray, regions, times, path,
                          group_by: str | None = None) -> None:
-    cell = uncaptured_by_cell(draws, group_by)
+    """The (N, T) uncaptured grid per cell, or its mean per region
+    (group_by='region') or per period (group_by='period')."""
     if group_by == "region":
         _write_rows(path, ["region", "pct"],
-                    [[int(regions[i]), float(cell[i])] for i in range(len(regions))])
+                    [[int(r), float(p)] for r, p in zip(regions, cell.mean(axis=1))])
     elif group_by == "period":
         _write_rows(path, ["time", "pct"],
-                    [[int(times[t]), float(cell[t])] for t in range(len(times))])
-    else:
+                    [[int(t), float(p)] for t, p in zip(times, cell.mean(axis=0))])
+    elif group_by is None:
         _write_columns(path, ["region", "time", "pct"], regions, times, [cell])
+    else:
+        raise ValueError(f"unknown grouping {group_by!r}")

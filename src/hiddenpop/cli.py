@@ -186,14 +186,22 @@ def export_draws_csv(draws: PosteriorDraws, path) -> None:
 
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
-        rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"grid must look like 7x7, got {text!r}") from exc
+        rows, cols = (int(side) for side in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must look like 7x7, got {text!r}") from None
+    if rows < 1 or cols < 1:
+        raise argparse.ArgumentTypeError(f"grid sides must be positive, got {text!r}")
+    return rows, cols
 
 
 def _parse_levels(text: str) -> list[float]:
-    levels = [float(part) for part in text.split(",") if part]
+    try:
+        levels = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not levels:
+        raise argparse.ArgumentTypeError("expected at least one level, got none")
     for lv in levels:
         if not 0.0 < lv < 1.0:
             raise argparse.ArgumentTypeError(f"levels must lie in (0, 1), got {lv}")
@@ -201,7 +209,10 @@ def _parse_levels(text: str) -> list[float]:
 
 
 def _parse_beta_draws(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
     if count < MIN_HDI_DRAWS:
         raise argparse.ArgumentTypeError(f"an HDI needs at least {MIN_HDI_DRAWS} draws, got {count}")
     return count
@@ -326,9 +337,9 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
         raise ValueError("coverage levels were requested but no --truth file given")
     group = "region" if args.by_region else ("period" if args.by_period else None)
 
-    n, t = y_level.shape
-    write_uncaptured_csv(draws, np.arange(n), np.arange(t), output("uncaptured.csv"), group)
     shares = uncaptured_summaries(draws)
+    n, t = y_level.shape
+    write_uncaptured_csv(shares.cell, np.arange(n), np.arange(t), output("uncaptured.csv"), group)
     _write_rows(output("uncaptured_summary.csv"), ["quantity", "value"],
                 [["permanent_pct", shares.permanent_pct],
                  ["total_pct", shares.total_pct],

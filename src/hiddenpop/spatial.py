@@ -150,14 +150,14 @@ def build_queen_grid(rows: int, cols: int) -> SpatialGraph:
     return SpatialGraph._from_pairs(rows * cols, i, j, np.ones(i.size))
 
 
-def load_adjacency(path, regions=None) -> SpatialGraph:
+def load_adjacency(path, regions) -> SpatialGraph:
     """Read an edge-list file: one `i j [weight]` triple per line.
 
-    Endpoints are region labels: the graph's region k is `regions[k]`, or
-    label k (0-based) when `regions` is None. `#` starts a comment and each
-    undirected edge appears exactly once. Self-loops, duplicate edges (in
-    either orientation), labels outside `regions` and isolated regions are
-    rejected with the offending line or region named.
+    Endpoints are region labels, joined by label only: the graph's region k
+    is `regions[k]`. `#` starts a comment and each undirected edge appears
+    exactly once. Self-loops, duplicate edges (in either orientation),
+    labels outside `regions` and isolated regions are rejected with the
+    offending line or region named.
     """
     path = Path(path)
     edges, lines = [], []
@@ -177,8 +177,6 @@ def load_adjacency(path, regions=None) -> SpatialGraph:
                 raise ValueError(f"{path.name}:{lineno}: unparsable entry {raw!r}") from exc
             if i == j:
                 raise ValueError(f"{path.name}:{lineno}: self-loop on region {i}")
-            if regions is None and (i < 0 or j < 0):
-                raise ValueError(f"{path.name}:{lineno}: negative region index")
             if w <= 0:
                 raise ValueError(f"{path.name}:{lineno}: edge weight must be positive")
             key = (min(i, j), max(i, j))
@@ -191,8 +189,6 @@ def load_adjacency(path, regions=None) -> SpatialGraph:
             lines.append(lineno)
     if not edges:
         raise ValueError(f"{path.name}: no edges found")
-    if regions is None:
-        regions = range(max(max(i, j) for i, j, _ in edges) + 1)
     regions = np.asarray(regions)
     position = {label: k for k, label in enumerate(regions.tolist())}
     for (i, j, _), lineno in zip(edges, lines):

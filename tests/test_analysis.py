@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,10 @@ from hiddenpop.analysis import (
     mape_summary,
     predictive_intervals,
     rho_hat,
-    uncaptured_by_cell,
     uncaptured_summaries,
+    write_uncaptured_csv,
 )
+from hiddenpop.data import FLOAT_FMT
 from hiddenpop.sampler import PosteriorDraws
 
 
@@ -258,14 +261,35 @@ class TestUncaptured:
         expected = msd / np.sqrt(msd**2 + 0.35**2 + 0.81**2 + 0.11**2 + 0.17**2)
         assert out.spatial_share == pytest.approx(expected, abs=1e-9)
 
-    def test_by_cell_grouping(self):
+    def test_cell_is_the_posterior_mean_grid(self):
         d = _draws(150, 3, 2, seed=18)
-        grid = uncaptured_by_cell(d)
-        assert grid.shape == (3, 2)
-        assert uncaptured_by_cell(d, "region") == pytest.approx(grid.mean(axis=1))
-        assert uncaptured_by_cell(d, "period") == pytest.approx(grid.mean(axis=0))
-        with pytest.raises(ValueError):
-            uncaptured_by_cell(d, "bogus")
+        out = uncaptured_summaries(d)
+        uncaptured = 1.0 - np.exp(-(d.eta_plus[:, :, None] + d.u_plus))
+        assert np.array_equal(out.cell, np.mean(uncaptured, axis=0))
+        assert out.total_pct == np.mean(uncaptured)
+        # the grid does not take part in equality
+        assert out == replace(out, cell=np.zeros((3, 2)))
+
+    def test_by_cell_grouping(self, tmp_path):
+        d = _draws(150, 3, 2, seed=18)
+        cell = uncaptured_summaries(d).cell
+        regions, times = np.array([101, 102, 105]), np.array([7, 9])
+        path = tmp_path / "uncaptured.csv"
+
+        def rows(group_by):
+            write_uncaptured_csv(cell, regions, times, path, group_by)
+            return [line.split(",") for line in path.read_text().splitlines()]
+
+        assert rows(None) == [["region", "time", "pct"]] + [
+            [str(r), str(t), FLOAT_FMT % cell[i, j]]
+            for i, r in enumerate(regions) for j, t in enumerate(times)]
+        assert rows("region") == [["region", "pct"]] + [
+            [str(r), FLOAT_FMT % p] for r, p in zip(regions, cell.mean(axis=1))]
+        assert rows("period") == [["time", "pct"]] + [
+            [str(t), FLOAT_FMT % p] for t, p in zip(times, cell.mean(axis=0))]
+        with pytest.raises(ValueError, match="unknown grouping 'bogus'"):
+            write_uncaptured_csv(cell, regions, times, tmp_path / "bogus.csv", "bogus")
+        assert not (tmp_path / "bogus.csv").exists()
 
 
 class TestChainSummary:
@@ -281,3 +305,42 @@ class TestChainSummary:
         assert rows["minus_eta_plus"]["mean"] < 0
         for r in rows.values():
             assert r["hdi_lower"] <= r["hdi_upper"]
+
+    def test_rows_are_hdi_mean_and_median_of_each_quantity(self):
+        # two chains of 120 draws, every scalar varying across draws; the one
+        # sorted matrix gives what `hdi`, np.mean and np.median give per row
+        rng = np.random.default_rng(23)
+        s = 240
+        scales = ("sigma2_eta", "sigma2_u", "sigma2_v", "sigma2_alpha", "sigma2_eps")
+        d = replace(_draws(s, 4, 3, seed=23), beta=rng.normal(0.5, 0.3, (s, 3)),
+                    chain_id=np.repeat([0, 1], s // 2),
+                    **{name: rng.gamma(2.0, 0.05, s) for name in scales})
+        scalars = {f"beta_{k + 1}": d.beta[:, k] for k in range(3)}
+        scalars.update({name.replace("sigma2_", "sigma_"): np.sqrt(getattr(d, name))
+                        for name in scales})
+        scalars["lambda"] = ((np.sqrt(d.sigma2_eta) + np.sqrt(d.sigma2_u))
+                             / np.sqrt(d.sigma2_eps))
+        # name -> (per-draw quantity for the HDI, values for mean and median)
+        expected = {name: (x, x) for name, x in scalars.items()}
+        expected["minus_eta_plus"] = (-d.eta_plus.mean(axis=1), -d.eta_plus.mean(axis=0))
+        expected["minus_u_plus"] = (-d.u_plus.mean(axis=(1, 2)),
+                                    -d.u_plus.mean(axis=0).ravel())
+        expected["v"] = (d.v.mean(axis=1), d.v.mean(axis=0))
+        for level in (0.5, 0.95):
+            rows = chain_summary(d, level)
+            assert [r["parameter"] for r in rows] == list(expected)
+            for r in rows:
+                per_draw, values = expected[r["parameter"]]
+                assert (r["hdi_lower"], r["hdi_upper"]) == hdi(per_draw, level)
+                assert r["mean"] == np.mean(values)
+                assert r["median"] == np.median(values)
+
+    def test_too_few_draws_share_one_message(self):
+        d = _draws(99, 3, 2, seed=20)
+        message = "^need at least 100 draws for an HDI, got 99$"
+        with pytest.raises(ValueError, match=message):
+            chain_summary(d)
+        with pytest.raises(ValueError, match=message):
+            hdi(d.v[:, 0], 0.9)
+        with pytest.raises(ValueError, match=message):
+            predictive_intervals(d, np.ones((3, 2)), [0.9])

@@ -47,6 +47,30 @@ def test_missing_or_conflicting_flags_are_usage_errors(tmp_path, capsys, argv, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--draws", "draws.npz", "--levels", "0.9,abc"),
+     "argument --levels: expected comma-separated numbers, got '0.9,abc'"),
+    (("analyze", "--draws", "draws.npz", "--truth", "truth.csv", "--levels="),
+     "argument --levels: expected at least one level, got none"),
+    (("sir", "--counts", "counts.csv", "--thresholds", "0.9,x"),
+     "argument --thresholds: expected comma-separated numbers, got '0.9,x'"),
+    (("sir", "--counts", "counts.csv", "--thresholds="),
+     "argument --thresholds: expected at least one level, got none"),
+    (("fit", "--data", "panel.csv", "--grid", "0x5"),
+     "argument --grid: grid sides must be positive, got '0x5'"),
+    (("simulate", "--grid=-3x-3"),
+     "argument --grid: grid sides must be positive, got '-3x-3'"),
+], ids=["level-not-a-number", "no-levels", "threshold-not-a-number", "no-thresholds",
+        "zero-grid-side", "negative-grid-sides"])
+def test_levels_and_grids_are_checked_when_parsed(tmp_path, capsys, argv, message):
+    # each parser words its own error, naming the flag, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_panel_row_count_7x7(self, tmp_path):
         out = tmp_path / "sim"
@@ -374,7 +398,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("count, message", [
         ("50", "an HDI needs at least 100 draws, got 50"),
         ("-5", "an HDI needs at least 100 draws, got -5"),
-    ], ids=["too-few", "negative"])
+        ("abc", "expected a whole number, got 'abc'"),
+    ], ids=["too-few", "negative", "not-a-number"])
     def test_beta_draws_are_checked_when_parsed(self, tmp_path, capsys, count, message):
         # rejected before the draws file is even looked for
         with pytest.raises(SystemExit) as exc:

@@ -170,34 +170,34 @@ class TestLoadAdjacency:
     def test_basic(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("# comment\n0 1\n1 2\n")
-        g = load_adjacency(path)
+        g = load_adjacency(path, np.arange(3))
         assert g.n_regions == 3
         assert sorted(g.neighbors[1].tolist()) == [0, 2]
 
     def test_weights_parsed(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1 2.5\n1 2 1.0\n")
-        g = load_adjacency(path)
+        g = load_adjacency(path, np.arange(3))
         assert g.row_sums[1] == pytest.approx(3.5)
 
     def test_self_loop_names_line(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n2 2\n")
         with pytest.raises(ValueError, match="edges.txt:2"):
-            load_adjacency(path)
+            load_adjacency(path, np.arange(3))
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1 0\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_adjacency(path)
+            load_adjacency(path, np.arange(2))
 
     def test_isolated_region_listed(self, tmp_path):
-        # region 2 appears nowhere but region 3 pushes the count to 4
+        # region 2 of the four appears in no edge
         path = tmp_path / "edges.txt"
         path.write_text("0 1\n1 3\n")
         with pytest.raises(ValueError, match=r"\[2\]"):
-            load_adjacency(path)
+            load_adjacency(path, np.arange(4))
 
 
     def test_shuffled_labelled_edges_give_the_queen_grid(self, tmp_path):
