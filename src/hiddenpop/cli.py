@@ -195,16 +195,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_levels(text: str) -> list[float]:
+    if not text:
+        raise argparse.ArgumentTypeError("expected at least one level, got none")
+    if "" in text.split(","):
+        raise argparse.ArgumentTypeError(f"empty item in {text!r}")
     try:
-        levels = [float(part) for part in text.split(",") if part]
+        levels = [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
-    if not levels:
-        raise argparse.ArgumentTypeError("expected at least one level, got none")
-    for lv in levels:
+    for k, lv in enumerate(levels):
         if not 0.0 < lv < 1.0:
             raise argparse.ArgumentTypeError(f"levels must lie in (0, 1), got {lv}")
+        if lv in levels[:k]:
+            raise argparse.ArgumentTypeError(f"level {lv} is repeated in {text!r}")
     return levels
 
 

@@ -1,97 +1,41 @@
 """Contiguity graphs and the intrinsic CAR precision structure D_w - W.
 
-Graphs are stored as adjacency lists with cached row sums; the dense
-precision matrix is only ever materialised for test oracles and for
-drawing ground-truth spatial fields, never inside the sampler.
+A graph is built only from its undirected edge list and keeps what the
+sampler reads: the row sums, the i < j edge arrays and each region's
+(neighbour, weight) pairs. The dense precision matrix is only ever
+materialised for test oracles and for drawing ground-truth spatial fields,
+never inside the sampler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 
-@dataclass
 class SpatialGraph:
-    """Symmetric contiguity graph with nonnegative edge weights.
+    """Undirected contiguity graph with finite, positive edge weights.
 
+    Built by `from_edges` or `build_queen_grid`, never from its fields.
     Every region must have at least one neighbour (the CAR conditional
     variance sigma2_v / row_sum is undefined otherwise) and the diagonal
-    is zero by construction. Symmetry plus nonnegative weights make
-    D_w - W diagonally dominant, hence positive semidefinite.
+    is zero. An undirected edge list is symmetric by construction, so with
+    positive weights D_w - W is diagonally dominant, hence positive
+    semidefinite.
     """
 
     n_regions: int
-    neighbors: list[np.ndarray]
-    weights: list[np.ndarray]
-    row_sums: np.ndarray = field(init=False)
-    edge_i: np.ndarray = field(init=False)
-    edge_j: np.ndarray = field(init=False)
-    edge_w: np.ndarray = field(init=False)
+    row_sums: np.ndarray
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_w: np.ndarray
     # per region, its (neighbour, weight) pairs as Python ints and floats in
     # neighbour-list order: the table the sequential CAR sweep walks
-    _pairs: tuple = field(init=False, repr=False, compare=False)
+    _pairs: tuple
 
-    def __post_init__(self):
-        n = self.n_regions
-        if n < 1:
-            raise ValueError("graph needs at least one region")
-        if len(self.neighbors) != n or len(self.weights) != n:
-            raise ValueError("neighbor/weight lists must have one entry per region")
-        self.neighbors = [np.asarray(a, dtype=np.intp) for a in self.neighbors]
-        self.weights = [np.asarray(a, dtype=float) for a in self.weights]
-
-        # Each per-region check is one boolean per region; a graph fails at
-        # its lowest failing region, with the first check there that fails.
-        sizes = np.array([a.size for a in self.neighbors])
-        mismatch = sizes != np.array([a.size for a in self.weights])
-        whole = np.flatnonzero(~mismatch)
-        owner = np.repeat(whole, sizes[whole])
-        nbr = np.concatenate([self.neighbors[i] for i in whole] or [np.empty(0, np.intp)])
-        wts = np.concatenate([self.weights[i] for i in whole] or [np.empty(0)])
-        order = np.lexsort((nbr, owner))
-        repeated = (np.diff(owner[order]) == 0) & (np.diff(nbr[order]) == 0)
-
-        def regions_with(bad):
-            hit = np.zeros(n, dtype=bool)
-            hit[owner[bad]] = True
-            return hit
-
-        checks = (
-            (mismatch, "region {}: neighbor/weight length mismatch"),
-            (sizes == 0, "region {} is isolated; every region needs a neighbor"),
-            (regions_with(nbr == owner), "region {} lists itself as a neighbor"),
-            (regions_with((nbr < 0) | (nbr >= n)),
-             "region {} references an out-of-range neighbor"),
-            (regions_with(order[1:][repeated]), "region {} lists a duplicate neighbor"),
-            (regions_with((wts < 0) | ~np.isfinite(wts)),
-             "region {} has a negative or non-finite edge weight"),
-        )
-        failing = np.stack([hit for hit, _ in checks])
-        if failing.any():
-            region = int(np.flatnonzero(failing.any(axis=0))[0])
-            raise ValueError(checks[int(np.argmax(failing[:, region]))][1].format(region))
-
-        # every edge i -> j needs j -> i with the same weight; `order` sorts
-        # the edges by (i, j), so the reverse of each is found by bisection
-        keys = (owner * n + nbr)[order]
-        at = np.minimum(np.searchsorted(keys, nbr * n + owner), keys.size - 1)
-        asymmetric = (keys[at] != nbr * n + owner) | (wts[order][at] != wts)
-        if asymmetric.any():
-            e = int(np.argmax(asymmetric))
-            raise ValueError(f"asymmetric edge between regions {owner[e]} and {nbr[e]}")
-
-        # one numpy sum per row: np.add.reduceat adds long rows in another order
-        self.row_sums = np.array([np.add.reduce(w) for w in self.weights])
-        upper = nbr > owner
-        self.edge_i = owner[upper]
-        self.edge_j = nbr[upper]
-        self.edge_w = wts[upper]
-        pairs = list(zip(nbr.tolist(), wts.tolist()))
-        bounds = np.cumsum(sizes).tolist()
-        self._pairs = tuple(tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a SpatialGraph with SpatialGraph.from_edges or build_queen_grid")
 
     @property
     def average_degree(self) -> float:
@@ -99,7 +43,8 @@ class SpatialGraph:
 
     @classmethod
     def from_edges(cls, n_regions: int, edges) -> "SpatialGraph":
-        """Build from an iterable of (i, j) or (i, j, weight) tuples.
+        """Build from an iterable of (i, j) or (i, j, weight) tuples, each
+        undirected edge once.
 
         Region r lists the other endpoint of each edge that touches r, in
         the order the edges come.
@@ -112,22 +57,57 @@ class SpatialGraph:
     @classmethod
     def _from_pairs(cls, n_regions: int, i: np.ndarray, j: np.ndarray,
                     w: np.ndarray) -> "SpatialGraph":
-        """from_edges on edge arrays: each edge as i -> j then j -> i, sorted
-        stably by source, so each region keeps the edges' order."""
+        """The one builder, on undirected edge arrays: each edge as i -> j
+        then j -> i, sorted stably by source, so each region keeps the
+        edges' order."""
         src = np.column_stack([i, j]).ravel()
         if src.size and not 0 <= src.min() <= src.max() < n_regions:
             raise ValueError(f"edge endpoint out of range for {n_regions} regions")
+        if n_regions < 1:
+            raise ValueError("graph needs at least one region")
         order = np.argsort(src, kind="stable")
-        dst = np.column_stack([j, i]).ravel()[order]
+        owner = src[order]
+        nbr = np.column_stack([j, i]).ravel()[order]
         wts = np.repeat(w, 2)[order]
-        bounds = np.searchsorted(src[order], np.arange(n_regions + 1)).tolist()
-        rows = list(zip(bounds, bounds[1:]))
-        return cls(n_regions, [dst[a:b] for a, b in rows], [wts[a:b] for a, b in rows])
+
+        # Each check is one boolean per region; a graph fails at its lowest
+        # failing region, with the first check there that fails.
+        def regions_with(bad):
+            hit = np.zeros(n_regions, dtype=bool)
+            hit[owner[bad]] = True
+            return hit
+
+        sizes = np.bincount(owner, minlength=n_regions)
+        by_pair = np.lexsort((nbr, owner))
+        repeated = (np.diff(owner[by_pair]) == 0) & (np.diff(nbr[by_pair]) == 0)
+        checks = (
+            (sizes == 0, "region {} is isolated; every region needs a neighbor"),
+            (regions_with(nbr == owner), "region {} lists itself as a neighbor"),
+            (regions_with(by_pair[1:][repeated]), "region {} lists a duplicate neighbor"),
+            (regions_with(~(np.isfinite(wts) & (wts > 0))),
+             "region {} has an edge weight that is not finite and > 0"),
+        )
+        failing = np.stack([hit for hit, _ in checks])
+        if failing.any():
+            region = int(np.flatnonzero(failing.any(axis=0))[0])
+            raise ValueError(checks[int(np.argmax(failing[:, region]))][1].format(region))
+
+        graph = object.__new__(cls)
+        graph.n_regions = n_regions
+        bounds = np.cumsum(sizes).tolist()
+        rows = list(zip([0] + bounds, bounds))
+        # one numpy sum per row: np.add.reduceat adds long rows in another order
+        graph.row_sums = np.array([np.add.reduce(wts[a:b]) for a, b in rows])
+        upper = nbr > owner
+        graph.edge_i, graph.edge_j, graph.edge_w = owner[upper], nbr[upper], wts[upper]
+        pairs = list(zip(nbr.tolist(), wts.tolist()))
+        graph._pairs = tuple(tuple(pairs[a:b]) for a, b in rows)
+        return graph
 
     def dense_weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n_regions, self.n_regions))
-        for i, (nbr, wts) in enumerate(zip(self.neighbors, self.weights)):
-            w[i, nbr] = wts
+        w[self.edge_i, self.edge_j] = self.edge_w
+        w[self.edge_j, self.edge_i] = self.edge_w
         return w
 
     def dense_precision(self) -> np.ndarray:
@@ -155,7 +135,8 @@ def load_adjacency(path, regions) -> SpatialGraph:
 
     Endpoints are region labels, joined by label only: the graph's region k
     is `regions[k]`. `#` starts a comment and each undirected edge appears
-    exactly once. Self-loops, duplicate edges (in either orientation),
+    exactly once, with a weight (default 1) that is finite and > 0.
+    Self-loops, duplicate edges (in either orientation), bad weights,
     labels outside `regions` and isolated regions are rejected with the
     offending line or region named.
     """
@@ -177,8 +158,9 @@ def load_adjacency(path, regions) -> SpatialGraph:
                 raise ValueError(f"{path.name}:{lineno}: unparsable entry {raw!r}") from exc
             if i == j:
                 raise ValueError(f"{path.name}:{lineno}: self-loop on region {i}")
-            if w <= 0:
-                raise ValueError(f"{path.name}:{lineno}: edge weight must be positive")
+            if not (np.isfinite(w) and w > 0):
+                raise ValueError(f"{path.name}:{lineno}: edge weight must be finite and > 0, "
+                                 f"got {parts[2]}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(
@@ -196,10 +178,7 @@ def load_adjacency(path, regions) -> SpatialGraph:
             if label not in position:
                 raise ValueError(f"{path.name}:{lineno}: region {label} is not in the panel")
     edges = [(position[i], position[j], w) for i, j, w in edges]
-    degree = np.zeros(regions.size, dtype=int)
-    for i, j, _ in edges:
-        degree[i] += 1
-        degree[j] += 1
+    degree = np.bincount([k for edge in edges for k in edge[:2]], minlength=regions.size)
     isolated = regions[degree == 0]
     if isolated.size:
         raise ValueError(

@@ -126,8 +126,9 @@ def queen_edges(rows: int, cols: int) -> list[tuple[int, int]]:
 def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
     """Every array of a graph as the original per-edge builder and the
     per-region loops of the original constructor produced them: each edge
-    appended to both endpoints' lists in input order, row sums as one numpy
-    sum per row, and the i < j edge arrays region by region."""
+    appended to both endpoints' neighbour and weight lists in input order,
+    row sums as one numpy sum per row, the i < j edge arrays region by
+    region, and each region's (neighbour, weight) pairs as Python numbers."""
     nbr = [[] for _ in range(n_regions)]
     wts = [[] for _ in range(n_regions)]
     for edge in edges:
@@ -150,13 +151,15 @@ def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
         row_sums=np.array([w.sum() for w in weights]),
         edge_i=np.asarray(ei, dtype=np.intp), edge_j=np.asarray(ej, dtype=np.intp),
         edge_w=np.asarray(ew, dtype=float),
+        _pairs=tuple(tuple(zip(n, w)) for n, w in zip(nbr, wts)),
     )
 
 
-def update_v_dot(state, resid, graph, rng) -> np.ndarray:
+def update_v_dot(state, resid, reference, rng) -> np.ndarray:
     """The sequential CAR sweep with one numpy dot product per region, as
     the sampler ran it before it walked a table of Python floats. `resid`
-    is y - X beta."""
+    is y - X beta; `reference` is the `per_edge_graph` of the graph's edges,
+    whose per-region lists the sweep walks."""
     n, t = resid.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
@@ -166,9 +169,9 @@ def update_v_dot(state, resid, graph, rng) -> np.ndarray:
     v = state.v.copy()
     z = rng.standard_normal(n)
     inv_s2v = 1.0 / state.sigma2_v
-    var = 1.0 / (one_inv_one + graph.row_sums * inv_s2v)
+    var = 1.0 / (one_inv_one + reference.row_sums * inv_s2v)
     noise = (np.sqrt(var) * z).tolist()
     var = var.tolist()
-    for i, (nbr, wts) in enumerate(zip(graph.neighbors, graph.weights)):
+    for i, (nbr, wts) in enumerate(zip(reference.neighbors, reference.weights)):
         v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
     return v

@@ -56,11 +56,20 @@ def test_missing_or_conflicting_flags_are_usage_errors(tmp_path, capsys, argv, m
      "argument --thresholds: expected comma-separated numbers, got '0.9,x'"),
     (("sir", "--counts", "counts.csv", "--thresholds="),
      "argument --thresholds: expected at least one level, got none"),
+    (("analyze", "--draws", "draws.npz", "--truth", "truth.csv", "--levels", "0.9,,0.95"),
+     "argument --levels: empty item in '0.9,,0.95'"),
+    (("analyze", "--draws", "draws.npz", "--truth", "truth.csv", "--levels", "0.9,0.90"),
+     "argument --levels: level 0.9 is repeated in '0.9,0.90'"),
+    (("sir", "--counts", "counts.csv", "--thresholds", "0.9,"),
+     "argument --thresholds: empty item in '0.9,'"),
+    (("sir", "--counts", "counts.csv", "--thresholds", "0.95,0.9,0.95"),
+     "argument --thresholds: level 0.95 is repeated in '0.95,0.9,0.95'"),
     (("fit", "--data", "panel.csv", "--grid", "0x5"),
      "argument --grid: grid sides must be positive, got '0x5'"),
     (("simulate", "--grid=-3x-3"),
      "argument --grid: grid sides must be positive, got '-3x-3'"),
 ], ids=["level-not-a-number", "no-levels", "threshold-not-a-number", "no-thresholds",
+        "empty-level", "repeated-level", "empty-threshold", "repeated-threshold",
         "zero-grid-side", "negative-grid-sides"])
 def test_levels_and_grids_are_checked_when_parsed(tmp_path, capsys, argv, message):
     # each parser words its own error, naming the flag, before any file is read

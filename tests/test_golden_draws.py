@@ -14,6 +14,14 @@ at seeds 6 and 7, as the sweep stood before, stacked in chain order, so
 the library stream did not move. It was kept, not re-recorded, when the
 chain count became `ChainConfig.chains` and `run_chain` came to write
 every chain straight into one set of arrays.
+
+`weighted_shuffled` is the only pin on a weighted graph given as a raw
+edge list: the 7x7 queen edges in a random order, half of them reversed,
+with gamma weights. Its neighbour lists come in no grid order, so it pins
+the order in which the graph builder lays out each region's neighbours,
+which the CAR sweep and `car_quadratic_form` sum in. It was recorded
+while the graph still kept per-region neighbour lists, and did not move
+when the edge list became its only input.
 """
 
 import hashlib
@@ -23,6 +31,7 @@ import pytest
 
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
+from hiddenpop.spatial import SpatialGraph, build_queen_grid
 
 ARRAYS = ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps",
           "sigma2_v", "sigma2_u", "sigma2_eta", "chain_id")
@@ -60,6 +69,19 @@ def _unstabilized_chain():
     return run_chain(truth.dataset, truth.graph, cfg)
 
 
+def _weighted_shuffled_chain():
+    grid = build_queen_grid(7, 7)
+    rng = np.random.default_rng(8)
+    order = rng.permutation(grid.edge_i.size)
+    i, j = grid.edge_i[order], grid.edge_j[order]
+    odd = np.arange(i.size) % 2 == 1
+    i, j = np.where(odd, j, i), np.where(odd, i, j)
+    w = rng.gamma(2.0, size=i.size)
+    graph = SpatialGraph.from_edges(49, zip(i.tolist(), j.tolist(), w.tolist()))
+    cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=9)
+    return run_chain(_paper_panel().dataset, graph, cfg)
+
+
 GOLDEN = {
     "stabilized": (
         _stabilized_chain,
@@ -70,6 +92,9 @@ GOLDEN = {
     "unstabilized": (
         _unstabilized_chain,
         "401d20be75e56598764852a0aeafb836b1ff5b9e83943970878aefc1624da0e0"),
+    "weighted_shuffled": (
+        _weighted_shuffled_chain,
+        "b01b25327ea08d9494426abc8a7645e77020b170c485e9496448afc317416c3d"),
 }
 
 

@@ -28,7 +28,8 @@ from hiddenpop.sampler import (
 )
 from hiddenpop.simulate import DgpConfig, simulate
 from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
-from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse, update_v_dot
+from oracles import (CompoundSymmetricCov, conditional_mvn, per_edge_graph, queen_edges,
+                     sigma_inverse, update_v_dot)
 
 
 def _state(n, t, k, **overrides):
@@ -394,12 +395,9 @@ class TestRunChain:
         perm = rng.permutation(9)          # new index -> old index
         inv = np.argsort(perm)
         data_p = PanelDataset(y=truth.dataset.y[perm], x=truth.dataset.x[perm])
-        from hiddenpop.spatial import SpatialGraph
-        graph_p = SpatialGraph(
-            9,
-            [inv[truth.graph.neighbors[perm[i]]] for i in range(9)],
-            [truth.graph.weights[perm[i]] for i in range(9)],
-        )
+        g = truth.graph
+        graph_p = SpatialGraph.from_edges(
+            9, zip(inv[g.edge_i].tolist(), inv[g.edge_j].tolist(), g.edge_w.tolist()))
         permuted = run_chain(data_p, graph_p, cfg)
 
         base_eta = base.eta_plus.mean(axis=0)
@@ -452,11 +450,13 @@ def test_update_v_sequential_sees_latest_values():
 
 class TestUpdateVAgainstDotOracle:
     """update_v sums each region's neighbours in Python floats; the oracle
-    takes one numpy dot per region. Each sweep starts from the oracle's
-    previous output, so the comparison never drifts."""
+    takes one numpy dot per region over the per-region lists that
+    `per_edge_graph` builds from the same edges. Each sweep starts from the
+    oracle's previous output, so the comparison never drifts."""
 
     @staticmethod
-    def _sweeps(graph, seed, n_sweeps=4, sigma2_v=0.7):
+    def _sweeps(graph, edges, seed, n_sweeps=4, sigma2_v=0.7):
+        reference = per_edge_graph(graph.n_regions, edges)
         n, t = graph.n_regions, 3
         data = _panel(n, t, 2, seed=seed)
         draw = np.random.default_rng(seed + 1)
@@ -467,7 +467,7 @@ class TestUpdateVAgainstDotOracle:
         pairs = []
         for _ in range(n_sweeps):
             got = update_v(state, _resid(data, state), graph, rng)
-            want = update_v_dot(state, _resid(data, state), graph, oracle_rng)
+            want = update_v_dot(state, _resid(data, state), reference, oracle_rng)
             assert got.dtype == want.dtype and got.shape == want.shape == (n,)
             pairs.append((got, want))
             state.v = want
@@ -475,7 +475,7 @@ class TestUpdateVAgainstDotOracle:
         return pairs
 
     def test_bit_equal_on_a_queen_grid(self):
-        for got, want in self._sweeps(build_queen_grid(6, 7), seed=41):
+        for got, want in self._sweeps(build_queen_grid(6, 7), queen_edges(6, 7), seed=41):
             assert got.tobytes() == want.tobytes()
 
     def test_bit_equal_on_a_label_keyed_adjacency(self, tmp_path):
@@ -484,12 +484,12 @@ class TestUpdateVAgainstDotOracle:
         grid = build_queen_grid(5, 6)
         labels = np.arange(201, 231)
         order = np.random.default_rng(5).permutation(grid.edge_i.size)
+        edges = [(grid.edge_j[k], grid.edge_i[k]) if k % 2 else (grid.edge_i[k], grid.edge_j[k])
+                 for k in order]
         path = tmp_path / "edges.txt"
-        path.write_text("".join(
-            f"{labels[grid.edge_j[k]]} {labels[grid.edge_i[k]]}\n" if k % 2 else
-            f"{labels[grid.edge_i[k]]} {labels[grid.edge_j[k]]}\n" for k in order))
+        path.write_text("".join(f"{labels[i]} {labels[j]}\n" for i, j in edges))
         graph = load_adjacency(path, labels)
-        for got, want in self._sweeps(graph, seed=42, sigma2_v=np.float64(0.7)):
+        for got, want in self._sweeps(graph, edges, seed=42, sigma2_v=np.float64(0.7)):
             assert got.tobytes() == want.tobytes()
 
     def test_close_on_a_random_weighted_graph(self):
@@ -500,7 +500,7 @@ class TestUpdateVAgainstDotOracle:
         pairs = {(min(i, j), max(i, j)) for i, j in draw.integers(0, n, size=(160, 2)) if i != j}
         pairs |= {(i, i + 1) for i in range(n - 1)}
         edges = [(i, j, draw.gamma(2.0)) for i, j in sorted(pairs)]
-        for got, want in self._sweeps(SpatialGraph.from_edges(n, edges), seed=44):
+        for got, want in self._sweeps(SpatialGraph.from_edges(n, edges), edges, seed=44):
             assert np.max(np.abs(got - want)) <= 1e-13
 
 

@@ -13,28 +13,30 @@ GRAPH_ARRAYS = ("row_sums", "edge_i", "edge_j", "edge_w")
 
 
 def assert_same_graph(graph, reference):
-    """Every list and array equal bit for bit, with the same dtype."""
+    """Every array equal bit for bit, with the same dtype, and the same
+    (neighbour, weight) pairs per region in the same order."""
     assert graph.n_regions == reference.n_regions
-    for name in ("neighbors", "weights"):
-        got, want = getattr(graph, name), getattr(reference, name)
-        assert isinstance(got, list) and len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
     for name in GRAPH_ARRAYS:
         a, b = getattr(graph, name), getattr(reference, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+    assert graph._pairs == reference._pairs
+
+
+def degrees(graph):
+    """Neighbour count per region, from the i < j edge arrays."""
+    ends = np.concatenate([graph.edge_i, graph.edge_j])
+    return np.bincount(ends, minlength=graph.n_regions)
 
 
 class TestQueenGrid:
     def test_two_by_two_complete(self):
         g = build_queen_grid(2, 2)
-        assert all(len(n) == 3 for n in g.neighbors)
+        assert degrees(g).tolist() == [3, 3, 3, 3]
 
     def test_seven_by_seven_against_enumeration(self):
         g = build_queen_grid(7, 7)
-        degrees = np.array([len(n) for n in g.neighbors]).reshape(7, 7)
+        grid = degrees(g).reshape(7, 7)
         # brute-force oracle over the lattice
         expected = np.zeros((7, 7), dtype=int)
         for r in range(7):
@@ -45,16 +47,16 @@ class TestQueenGrid:
                             continue
                         if 0 <= r + dr < 7 and 0 <= c + dc < 7:
                             expected[r, c] += 1
-        assert np.array_equal(degrees, expected)
-        corners = [degrees[0, 0], degrees[0, 6], degrees[6, 0], degrees[6, 6]]
+        assert np.array_equal(grid, expected)
+        corners = [grid[0, 0], grid[0, 6], grid[6, 0], grid[6, 6]]
         assert corners == [3, 3, 3, 3]
-        assert degrees[0, 3] == 5 and degrees[3, 0] == 5
-        assert degrees[3, 3] == 8
+        assert grid[0, 3] == 5 and grid[3, 0] == 5
+        assert grid[3, 3] == 8
         assert g.edge_i.size == 2 * (6 * 7) + 2 * (6 * 6)
 
     def test_path_graph(self):
         g = build_queen_grid(1, 3)
-        assert [len(n) for n in g.neighbors] == [1, 2, 1]
+        assert degrees(g).tolist() == [1, 2, 1]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -70,61 +72,54 @@ class TestQueenGrid:
 class TestGraphValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="itself"):
-            SpatialGraph(2, [np.array([0, 1]), np.array([0])],
-                         [np.array([1.0, 1.0]), np.array([1.0])])
+            SpatialGraph.from_edges(2, [(0, 1), (0, 0)])
 
     def test_isolated_region_rejected(self):
         with pytest.raises(ValueError, match="isolated"):
-            SpatialGraph(2, [np.array([], dtype=int), np.array([], dtype=int)],
-                         [np.array([]), np.array([])])
+            SpatialGraph.from_edges(2, [])
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            SpatialGraph(2, [np.array([1]), np.array([0])],
-                         [np.array([1.0]), np.array([2.0])])
+        # an edge list holds each edge once, so the only way to give i -> j
+        # and j -> i different weights is to list the edge twice
+        with pytest.raises(ValueError, match="^region 0 lists a duplicate neighbor$"):
+            SpatialGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
-    # (n_regions, neighbors, weights, message): one case per check of the
-    # constructor, then cases that pin which check speaks first: the lowest
-    # failing region, and at that region the checks in the order listed
+    # (n_regions, edges, message): one case per check of the builder, then
+    # cases that pin which check speaks first: an endpoint out of range
+    # before anything else, then the lowest failing region, and at that
+    # region the checks in the order listed
     CASES = [
-        (0, [], [], "graph needs at least one region"),
-        (2, [[1]], [[1.0]], "neighbor/weight lists must have one entry per region"),
-        (2, [[1], [0]], [[1.0]], "neighbor/weight lists must have one entry per region"),
-        (2, [[1], [0]], [[1.0], [1.0, 1.0]], "region 1: neighbor/weight length mismatch"),
-        (2, [[1], []], [[1.0], []], "region 1 is isolated; every region needs a neighbor"),
-        (2, [[1], [0, 1]], [[1.0], [1.0, 1.0]], "region 1 lists itself as a neighbor"),
-        (2, [[2], [0]], [[1.0], [1.0]], "region 0 references an out-of-range neighbor"),
-        (2, [[1], [-1]], [[1.0], [1.0]], "region 1 references an out-of-range neighbor"),
-        (3, [[1, 2], [0, 2, 0], [0, 1]], [[1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0]],
-         "region 1 lists a duplicate neighbor"),
-        (2, [[1], [0]], [[-1.0], [-1.0]], "region 0 has a negative or non-finite edge weight"),
-        (2, [[1], [0]], [[1.0], [np.nan]], "region 1 has a negative or non-finite edge weight"),
-        (2, [[1], [0]], [[np.inf], [np.inf]],
-         "region 0 has a negative or non-finite edge weight"),
-        (3, [[1, 2], [0, 2], [1]], [[1.0, 1.0], [1.0, 1.0], [1.0]],
-         "asymmetric edge between regions 0 and 2"),
-        (3, [[1, 2], [0, 2], [0, 1]], [[1.0, 2.0], [1.0, 1.0], [2.0, 1.5]],
-         "asymmetric edge between regions 1 and 2"),
-        # precedence: mismatch at region 0 before a self-loop at region 1
-        (2, [[1], [1]], [[1.0, 1.0], [1.0]], "region 0: neighbor/weight length mismatch"),
-        # at one region: self-loop before out-of-range, duplicate and weight
-        (3, [[1], [0, 1, 5, 5], [1]], [[1.0], [-1.0, 1.0, 1.0, 1.0], [1.0]],
-         "region 1 lists itself as a neighbor"),
-        # out-of-range before a duplicate, duplicate before a bad weight
-        (3, [[1], [0, 3, 3], [1]], [[1.0], [1.0, 1.0, 1.0], [1.0]],
-         "region 1 references an out-of-range neighbor"),
-        (3, [[1], [0, 0], [1]], [[1.0], [-1.0, 1.0], [1.0]],
-         "region 1 lists a duplicate neighbor"),
-        # a per-region check anywhere comes before any asymmetry
-        (3, [[1], [0, 2], [1]], [[1.0], [2.0, 1.0], [-1.0]],
-         "region 2 has a negative or non-finite edge weight"),
+        (0, [], "graph needs at least one region"),
+        (3, [(0, 1), (1, 3)], "edge endpoint out of range for 3 regions"),
+        (3, [(0, 1), (-1, 2)], "edge endpoint out of range for 3 regions"),
+        (3, [(0, 1)], "region 2 is isolated; every region needs a neighbor"),
+        (2, [(0, 1), (1, 1)], "region 1 lists itself as a neighbor"),
+        (3, [(0, 1), (1, 2), (2, 1)], "region 1 lists a duplicate neighbor"),
+        (2, [(0, 1, -1.0)], "region 0 has an edge weight that is not finite and > 0"),
+        (2, [(0, 1, 0.0)], "region 0 has an edge weight that is not finite and > 0"),
+        (3, [(0, 1), (1, 2, np.nan)], "region 1 has an edge weight that is not finite and > 0"),
+        (2, [(0, 1, np.inf)], "region 0 has an edge weight that is not finite and > 0"),
+        # out of range before a region check, even with no region at all
+        (3, [(1, 1), (0, 5)], "edge endpoint out of range for 3 regions"),
+        (0, [(0, 1)], "edge endpoint out of range for 0 regions"),
+        # the lowest region first: isolated 0 before a self-loop at 2, a bad
+        # weight at 0 before a self-loop at 1
+        (3, [(1, 2), (2, 2)], "region 0 is isolated; every region needs a neighbor"),
+        (2, [(0, 1, -1.0), (1, 1)], "region 0 has an edge weight that is not finite and > 0"),
+        # at one region: self-loop before a duplicate and a bad weight, and
+        # a duplicate before a bad weight
+        (3, [(0, 1), (1, 1, -1.0), (1, 2), (2, 1)], "region 1 lists itself as a neighbor"),
+        (3, [(0, 1), (1, 2, -1.0), (2, 1)], "region 1 lists a duplicate neighbor"),
     ]
 
-    @pytest.mark.parametrize("n, neighbors, weights, message", CASES)
-    def test_each_check_names_its_fault(self, n, neighbors, weights, message):
+    @pytest.mark.parametrize("n, edges, message", CASES)
+    def test_each_check_names_its_fault(self, n, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SpatialGraph(n, [np.array(a, dtype=int) for a in neighbors],
-                         [np.array(a, dtype=float) for a in weights])
+            SpatialGraph.from_edges(n, edges)
+
+    def test_no_constructor_takes_region_lists(self):
+        with pytest.raises(TypeError, match="from_edges"):
+            SpatialGraph(2, [np.array([1]), np.array([0])], [np.array([1.0]), np.array([1.0])])
 
     @settings(deadline=None, max_examples=150)
     @given(st.data())
@@ -140,7 +135,8 @@ class TestGraphValidation:
                                    max_size=4 * n))
         pairs |= {frozenset(p) for p in extra if p[0] != p[1]}
         pairs = data.draw(st.permutations(sorted(tuple(sorted(p)) for p in pairs)))
-        weight = st.one_of(st.just(1.0), st.floats(0.0, 1e3), st.floats(1e-300, 1e-3))
+        weight = st.one_of(st.just(1.0), st.floats(0.0, 1e3, exclude_min=True),
+                           st.floats(1e-300, 1e-3))
         edges = []
         for i, j in pairs:
             i, j = (j, i) if data.draw(st.booleans()) else (i, j)
@@ -154,7 +150,7 @@ class TestGraphValidation:
             SpatialGraph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="^region 1 lists itself as a neighbor$"):
             SpatialGraph.from_edges(3, [(0, 1), (1, 1), (2, 0)])
-        with pytest.raises(ValueError, match="^region 1 has a negative or non-finite"):
+        with pytest.raises(ValueError, match="^region 1 has an edge weight that is not finite"):
             SpatialGraph.from_edges(3, [(0, 2), (1, 2, -0.5)])
         for edge in ((0, 3), (-1, 2), (3, 4)):
             with pytest.raises(ValueError, match="^edge endpoint out of range for 3 regions$"):
@@ -172,7 +168,7 @@ class TestLoadAdjacency:
         path.write_text("# comment\n0 1\n1 2\n")
         g = load_adjacency(path, np.arange(3))
         assert g.n_regions == 3
-        assert sorted(g.neighbors[1].tolist()) == [0, 2]
+        assert g.edge_i.tolist() == [0, 1] and g.edge_j.tolist() == [1, 2]
 
     def test_weights_parsed(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -192,6 +188,14 @@ class TestLoadAdjacency:
         with pytest.raises(ValueError, match="duplicate"):
             load_adjacency(path, np.arange(2))
 
+    @pytest.mark.parametrize("weight", ["0", "-0.5", "nan", "inf", "-inf"])
+    def test_weight_must_be_finite_and_positive(self, tmp_path, weight):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match=f"^edges.txt:2: edge weight must be finite and > 0, "
+                                             f"got {re.escape(weight)}$"):
+            load_adjacency(path, np.arange(3))
+
     def test_isolated_region_listed(self, tmp_path):
         # region 2 of the four appears in no edge
         path = tmp_path / "edges.txt"
@@ -210,8 +214,8 @@ class TestLoadAdjacency:
                                 f"{edges[k][0]} {edges[k][1]}\n" for k in order))
         g = load_adjacency(path, labels)
         assert g.n_regions == 25
-        for i in range(25):
-            assert sorted(g.neighbors[i].tolist()) == sorted(grid.neighbors[i].tolist())
+        assert sorted(zip(g.edge_i.tolist(), g.edge_j.tolist())) == \
+            sorted(zip(grid.edge_i.tolist(), grid.edge_j.tolist()))
         assert np.array_equal(g.row_sums, grid.row_sums)
 
     def test_label_missing_from_regions_names_line(self, tmp_path):
@@ -271,19 +275,23 @@ class TestCarConditional:
         v = rng.normal(size=20)
         s2 = 0.37
         prec = g.dense_precision() / s2
+        ends = np.concatenate([g.edge_i, g.edge_j])
+        weighted_sum = np.bincount(ends, weights=np.concatenate([g.edge_w * v[g.edge_j],
+                                                                 g.edge_w * v[g.edge_i]]))
         for i in range(g.n_regions):
             cond_var_dense = 1.0 / prec[i, i]
             others = np.delete(np.arange(20), i)
             cond_mean_dense = -cond_var_dense * prec[i, others] @ v[others]
-            mean_form = g.weights[i] @ v[g.neighbors[i]] / g.row_sums[i]
+            mean_form = weighted_sum[i] / g.row_sums[i]
             var_form = s2 / g.row_sums[i]
             assert abs(mean_form - cond_mean_dense) < 1e-10
             assert abs(var_form - cond_var_dense) < 1e-10
 
     def test_normalized_weights_sum_to_one(self):
         g = build_queen_grid(5, 5)
-        for w, row_sum in zip(g.weights, g.row_sums):
-            assert (w / row_sum).sum() == pytest.approx(1.0)
+        ends = np.concatenate([g.edge_i, g.edge_j])
+        weight_sums = np.bincount(ends, weights=np.concatenate([g.edge_w, g.edge_w]))
+        assert weight_sums / g.row_sums == pytest.approx(np.ones(25))
 
 
 def _spatial_share(sigma_v, avg_row_sum, other_sd):
