@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from hiddenpop.analysis import coverage_report, mape_summary, predictive_intervals
-from hiddenpop.kernels import make_rng
+from hiddenpop.cli import _parse_levels
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 
@@ -26,10 +26,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--seed", type=int, default=301)
-    parser.add_argument("--levels", default="0.90,0.95,0.99")
+    parser.add_argument("--levels", type=_parse_levels, default="0.90,0.95,0.99")
     args = parser.parse_args(argv)
 
-    levels = [float(x) for x in args.levels.split(",")]
     sizes = SIZES[:2] if args.quick else SIZES
     chain_kwargs = (dict(n_iter=4000, burn_in=2000, thin=5) if args.quick
                     else dict(n_iter=20000, burn_in=10000, thin=5))
@@ -41,9 +40,9 @@ def main(argv=None) -> int:
         draws = run_chain(truth.dataset, truth.graph, ChainConfig(seed=1, **chain_kwargs))
         y_level = np.exp(truth.dataset.y)
         label = f"N={rows_ * cols} T={periods}"
-        rng = make_rng(9)
-        point, bounds = predictive_intervals(draws, y_level, levels)
-        for level, (lo, hi) in zip(levels, bounds):
+        rng = np.random.default_rng(9)
+        point, bounds = predictive_intervals(draws, y_level, args.levels)
+        for level, (lo, hi) in zip(args.levels, bounds):
             rep = coverage_report(lo, hi, truth.true_p, level, rng=rng)
             print(f"{label:>14} {level:>6.2f} {rep.posterior_mean_coverage:>9.3f}"
                   f"   ({rep.coverage_hdi[0]:.3f}, {rep.coverage_hdi[1]:.3f})")

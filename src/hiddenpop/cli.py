@@ -20,11 +20,12 @@ import sys
 import time
 import zipfile
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sir
 from .analysis import (
     MIN_HDI_DRAWS,
     chain_summary,
@@ -67,8 +68,6 @@ _FIT_KEYS = {
     "seed": ("seed", int),
     "chains": ("chains", int),
     "stabilize": ("stabilize", bool),
-    "mh_step_scale_alpha": ("mh_step_scale_alpha", float),
-    "mh_step_scale_eps": ("mh_step_scale_eps", float),
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -212,16 +211,6 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
-def _parse_beta_draws(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if count < MIN_HDI_DRAWS:
-        raise argparse.ArgumentTypeError(f"an HDI needs at least {MIN_HDI_DRAWS} draws, got {count}")
-    return count
-
-
 def _read_config_file(path) -> dict:
     """fit settings from key=value lines, keyed by field name. An unknown or
     repeated key and a value of the wrong type name the file and line."""
@@ -288,12 +277,14 @@ def _remove_previous_run(out: Path, keep: set[Path]) -> None:
 
 
 def cmd_simulate(args, output) -> tuple[dict, dict]:
-    config = DgpConfig(
-        grid_rows=args.grid[0], grid_cols=args.grid[1], n_periods=args.periods,
-        beta_true=tuple(args.beta), sigma_alpha=args.sigma_alpha,
-        sigma_eta=args.sigma_eta, sigma_u=args.sigma_u, sigma_eps=args.sigma_eps,
-        sigma_v=args.sigma_v, eps_t_df=args.student_t_df, seed=args.seed,
-    )
+    # a flag overrides DgpConfig only when it is given
+    settings = {f.name: getattr(args, f.name) for f in fields(DgpConfig)
+                if getattr(args, f.name, None) is not None}
+    if args.grid is not None:
+        settings["grid_rows"], settings["grid_cols"] = args.grid
+    if args.beta_true is not None:
+        settings["beta_true"] = tuple(args.beta_true)
+    config = DgpConfig(**settings)
     if args.target_lambda is not None:
         config = make_lambda_scenario(args.target_lambda, config)
     truth = simulate(config)
@@ -359,8 +350,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
         levels = levels if levels is not None else [0.90, 0.95, 0.99]
         rng = np.random.default_rng(args.seed)
         point, bounds = predictive_intervals(draws, y_level, levels)
-        reports = [coverage_report(lo, hi, truth["p"], level,
-                                   n_beta_draws=args.beta_draws, rng=rng)
+        reports = [coverage_report(lo, hi, truth["p"], level, rng=rng)
                    for level, (lo, hi) in zip(levels, bounds)]
         write_coverage_csv(reports, output("coverage.csv"))
         summaries = [mape_summary(point, truth["p"])]
@@ -374,7 +364,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
                                         truth["u_plus"].ravel())],
                      ["v", rho_hat(draws.v, truth["v"])]])
 
-    return ({"levels": levels, "group_by": group, "beta_draws": args.beta_draws,
+    return ({"levels": levels, "group_by": group,
              "per_draw_mape": bool(args.per_draw_mape), "seed": args.seed},
             {"draws": str(args.draws), "truth": str(args.truth) if args.truth else None})
 
@@ -396,19 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic panel plus truth sidecar")
-    p_sim.add_argument("--grid", type=_parse_grid, default=(7, 7), metavar="RxC")
-    p_sim.add_argument("--periods", type=int, default=5)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--beta", type=float, nargs=2, default=[0.5, -0.5],
+    p_sim.add_argument("--grid", type=_parse_grid, default=None, metavar="RxC")
+    p_sim.add_argument("--periods", dest="n_periods", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--beta", dest="beta_true", type=float, nargs=2, default=None,
                        metavar=("B1", "B2"))
-    p_sim.add_argument("--sigma-alpha", type=float, default=0.1)
-    p_sim.add_argument("--sigma-eta", type=float, default=0.5)
-    p_sim.add_argument("--sigma-u", type=float, default=0.2)
-    p_sim.add_argument("--sigma-eps", type=float, default=0.1)
-    p_sim.add_argument("--sigma-v", type=float, default=0.4)
+    for name in ("alpha", "eta", "u", "eps", "v"):
+        p_sim.add_argument(f"--sigma-{name}", type=float, default=None)
     p_sim.add_argument("--lambda", dest="target_lambda", type=float, default=None,
                        help="rescale sigma-eps to hit this signal ratio")
-    p_sim.add_argument("--student-t-df", type=float, default=None)
+    p_sim.add_argument("--student-t-df", dest="eps_t_df", type=float, default=None)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -424,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--chains", type=int, default=None)
     p_fit.add_argument("--no-stabilize", dest="stabilize", action="store_false",
                        default=None, help="disable the decomposition guards and level move")
-    p_fit.add_argument("--mh-step-alpha", dest="mh_step_scale_alpha", type=float,
-                       default=None)
-    p_fit.add_argument("--mh-step-eps", dest="mh_step_scale_eps", type=float, default=None)
     p_fit.add_argument("--config", default=None, help="key=value settings file")
     p_fit.add_argument("--export-csv", action="store_true")
     p_fit.add_argument("--out", default=None)
@@ -437,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--truth", default=None)
     p_an.add_argument("--levels", type=_parse_levels, default=None,
                       metavar="L1,L2,...")
-    p_an.add_argument("--beta-draws", type=_parse_beta_draws, default=20000)
     p_an.add_argument("--per-draw-mape", action="store_true")
     group = p_an.add_mutually_exclusive_group()
     group.add_argument("--by-region", action="store_true")
@@ -448,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sir = sub.add_parser("sir", help="standardized incidence ratio screening")
     p_sir.add_argument("--counts", required=True)
-    p_sir.add_argument("--thresholds", type=_parse_levels, default=[0.90, 0.95, 0.99])
-    p_sir.add_argument("--nu", type=float, default=0.01)
-    p_sir.add_argument("--alpha", type=float, default=0.01)
+    p_sir.add_argument("--thresholds", type=_parse_levels, default=sir.DEFAULT_TIERS)
+    p_sir.add_argument("--nu", type=float, default=sir.DEFAULT_PRIOR_NU)
+    p_sir.add_argument("--alpha", type=float, default=sir.DEFAULT_PRIOR_ALPHA)
     p_sir.add_argument("--out", default=None)
     p_sir.set_defaults(func=cmd_sir)
 

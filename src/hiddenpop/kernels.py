@@ -40,11 +40,6 @@ class NumericalError(RuntimeError):
         self.condition = condition
 
 
-def make_rng(seed) -> np.random.Generator:
-    """Seeded random stream; every sampling routine takes one explicitly."""
-    return np.random.default_rng(seed)
-
-
 def _robert_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal draws conditioned on exceeding a, for large a.
 
@@ -125,7 +120,7 @@ def _logdet(sigma2_eps: float, sigma2_alpha: float, t: int) -> float:
     return (t - 1) * math.log(sigma2_eps) + math.log(sigma2_eps + t * sigma2_alpha)
 
 
-def mh_scaled_chisq_step(log_target, current, rng: np.random.Generator, step_scale: float = 1.0):
+def mh_scaled_chisq_step(log_target, current, rng: np.random.Generator, step_scale: float):
     """One Metropolis-Hastings move with a median-centred chi-squared proposal.
 
     Proposes value' = value * (z / m)^s with z ~ chi2(1) and m the chi2(1)

@@ -39,7 +39,6 @@ from .kernels import (
     NumericalError,
     _inverse_factors,
     _logdet,
-    make_rng,
     mh_scaled_chisq_step,
     sample_inverse_gamma,
     truncated_normal,
@@ -63,6 +62,11 @@ R_STAR_U = 0.85
 R_STAR_ETA = 0.70
 IG_SCALE_U = V0 * math.log(R_STAR_U) ** 2
 IG_SCALE_ETA = V0 * math.log(R_STAR_ETA) ** 2
+
+# Step scales s of the s2_alpha and s2_eps proposals value * (z / median)^s,
+# z ~ chi2(1): s = 1 is the plain chi2(1) jump, and smaller s moves less.
+MH_STEP_ALPHA = 0.25
+MH_STEP_EPS = 0.4
 
 
 @dataclass
@@ -90,8 +94,6 @@ class ChainConfig:
     thin: int = 5
     seed: int = 0
     chains: int = 1   # chain i of run_chain runs at seed + i
-    mh_step_scale_alpha: float = 0.25
-    mh_step_scale_eps: float = 0.4
     stabilize: bool = True
 
     def __post_init__(self):
@@ -101,12 +103,6 @@ class ChainConfig:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
         if self.chains < 1:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
-        # a zero scale proposes the current value every time, so the chain
-        # freezes while the Hastings term still reports acceptances
-        for name in ("mh_step_scale_alpha", "mh_step_scale_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def n_stored(self) -> int:
@@ -363,7 +359,6 @@ def _scaled_chisq_log_prior(s2: float) -> float:
 
 def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
                                rng: np.random.Generator,
-                               step_scale_alpha: float, step_scale_eps: float,
                                alpha_cap: float, alpha_floor: float, eps_floor: float):
     """Two independent MH moves for the heterogeneity and noise variances.
 
@@ -389,7 +384,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
         return loglik(s2, s2_eps_cur) + _scaled_chisq_log_prior(s2)
 
     new_alpha, acc_alpha = mh_scaled_chisq_step(
-        target_alpha, state.sigma2_alpha, rng, step_scale_alpha
+        target_alpha, state.sigma2_alpha, rng, MH_STEP_ALPHA
     )
     new_alpha = float(new_alpha)
 
@@ -400,7 +395,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
         return loglik(new_alpha, s2) + _scaled_chisq_log_prior(s2)
 
     new_eps, acc_eps = mh_scaled_chisq_step(
-        target_eps, state.sigma2_eps, rng, step_scale_eps
+        target_eps, state.sigma2_eps, rng, MH_STEP_EPS
     )
     return new_alpha, float(new_eps), (bool(acc_alpha), bool(acc_eps))
 
@@ -553,7 +548,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         return value
 
     for idx in range(chain.chains):
-        rng = make_rng(chain.seed + idx)
+        rng = np.random.default_rng(chain.seed + idx)
         state = initial_state(work, split)
         if chain.stabilize:
             state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
@@ -576,7 +571,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
                 state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
                 s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
                     state, resid, rng,
-                    chain.mh_step_scale_alpha, chain.mh_step_scale_eps,
                     alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
                 )
                 state.sigma2_alpha = floor_var(s2a)

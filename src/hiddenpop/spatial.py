@@ -9,6 +9,7 @@ never inside the sampler.
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +45,19 @@ class SpatialGraph:
     @classmethod
     def from_edges(cls, n_regions: int, edges) -> "SpatialGraph":
         """Build from an iterable of (i, j) or (i, j, weight) tuples, each
-        undirected edge once.
+        undirected edge once, with integer endpoints.
 
         Region r lists the other endpoint of each edge that touches r, in
         the order the edges come.
         """
-        edges = [(int(e[0]), int(e[1]), float(e[2]) if len(e) > 2 else 1.0) for e in edges]
-        i, j, w = zip(*edges) if edges else ((), (), ())
+        parsed = []
+        for e in edges:
+            try:
+                i, j = operator.index(e[0]), operator.index(e[1])
+            except TypeError:
+                raise ValueError(f"edge {tuple(e)!r}: endpoints must be integers") from None
+            parsed.append((i, j, float(e[2]) if len(e) > 2 else 1.0))
+        i, j, w = zip(*parsed) if parsed else ((), (), ())
         return cls._from_pairs(n_regions, np.array(i, dtype=np.intp),
                                np.array(j, dtype=np.intp), np.array(w, dtype=float))
 

@@ -18,7 +18,7 @@ from hiddenpop.analysis import (
     predictive_intervals,
 )
 from hiddenpop.cli import main as cli_main
-from hiddenpop.kernels import make_rng, truncated_normal
+from hiddenpop.kernels import truncated_normal
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, make_lambda_scenario, simulate
 from hiddenpop.sir import exceedance_probability
@@ -124,7 +124,7 @@ def test_criterion_3_coverage_calibration(fit_n100t10):
     tolerances = {0.90: 0.07, 0.95: 0.05, 0.99: 0.02}
     results = {}
     ok = True
-    rng = make_rng(99)
+    rng = np.random.default_rng(99)
     _, bounds = predictive_intervals(draws, y_level, list(tolerances))
     for (level, tol), (lo, hi) in zip(tolerances.items(), bounds):
         rep = coverage_report(lo, hi, truth.true_p, level, rng=rng)
@@ -180,7 +180,7 @@ def test_criterion_6_heavy_tail_robustness():
 
 
 def test_criterion_7_oracle_suites():
-    rng = make_rng(7)
+    rng = np.random.default_rng(7)
     ok = True
 
     # rank-one inverse vs dense inversion
@@ -244,7 +244,7 @@ def test_criterion_7_oracle_suites():
 
     # Beta mean identity of the coverage posterior
     rep = coverage_report(np.zeros(100), np.full(100, 2.0), np.ones(100), 0.9,
-                          n_beta_draws=100_000, rng=make_rng(8))
+                          n_beta_draws=100_000, rng=np.random.default_rng(8))
     exact = rep.a / (rep.a + rep.b)
     sd = math.sqrt(exact * (1 - exact) / (rep.a + rep.b + 1))
     ok &= abs(rep.posterior_mean_coverage - exact) < 3 * sd / math.sqrt(100_000)

@@ -10,7 +10,6 @@ from hiddenpop import sampler
 from hiddenpop.kernels import (
     CHI2_DF1_MEDIAN,
     NumericalError,
-    make_rng,
     mh_scaled_chisq_step,
     sample_inverse_gamma,
     truncated_normal,
@@ -20,12 +19,12 @@ from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse
 
 class TestTruncatedNormal:
     def test_half_normal_mean(self):
-        rng = make_rng(1)
+        rng = np.random.default_rng(1)
         x = truncated_normal(np.zeros(10**6), 1.0, 0.0, rng=rng)
         assert abs(x.mean() - math.sqrt(2 / math.pi)) < 0.01
 
     def test_half_normal_variance(self):
-        rng = make_rng(2)
+        rng = np.random.default_rng(2)
         x = truncated_normal(np.zeros(10**6), 1.0, 0.0, rng=rng)
         assert abs(x.var() - (1 - 2 / math.pi)) < 0.01
 
@@ -37,25 +36,25 @@ class TestTruncatedNormal:
             lambda x: x * stats.norm.pdf(x, loc=-5, scale=1), 0, 20
         )
         expected = num / tail_mass
-        rng = make_rng(3)
+        rng = np.random.default_rng(3)
         x = truncated_normal(np.full(10**6, -5.0), 1.0, 0.0, rng=rng)
         assert np.all(x > 0)
         assert abs(x.mean() - expected) < 0.02
 
     def test_strictly_exceeds_bound_ten_million(self):
-        rng = make_rng(4)
+        rng = np.random.default_rng(4)
         means = rng.normal(0, 3, 10**7)
         x = truncated_normal(means, 0.5, 0.0, rng=rng)
         assert np.all(x > 0.0)
 
     def test_bit_reproducible(self):
-        a = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=make_rng(7))
-        b = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=make_rng(7))
+        a = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=np.random.default_rng(7))
+        b = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_distribution_ks(self):
         # moderate truncation, compare to scipy's truncnorm
-        rng = make_rng(8)
+        rng = np.random.default_rng(8)
         mu, sd = 0.4, 0.7
         x = truncated_normal(np.full(10**5, mu), sd, 0.0, rng=rng)
         ref = stats.truncnorm(a=(0 - mu) / sd, b=np.inf, loc=mu, scale=sd)
@@ -113,7 +112,7 @@ class TestTruncatedNormalOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_bits_and_stream(self, case, seed):
         mean, sd, lower = self.CASES[case]
-        rng, ref_rng = make_rng(seed), make_rng(seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = truncated_normal(mean, sd, lower, rng=rng)
         want = _reference_truncated_normal(mean, sd, lower, ref_rng)
         assert got.shape == want.shape
@@ -123,7 +122,7 @@ class TestTruncatedNormalOracle:
 
     def test_scalar_mean(self):
         for mean in (0.3, -6.0):
-            rng, ref_rng = make_rng(9), make_rng(9)
+            rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
             got = truncated_normal(np.array(mean), 1.0, 0.0, rng=rng)
             want = _reference_truncated_normal(np.array(mean), 1.0, 0.0, ref_rng)
             assert float(got) == float(want)
@@ -132,19 +131,19 @@ class TestTruncatedNormalOracle:
 
 class TestInverseGamma:
     def test_mean(self):
-        rng = make_rng(10)
+        rng = np.random.default_rng(10)
         x = np.array([sample_inverse_gamma(3.0, 4.0, rng) for _ in range(200_000)])
         assert abs(x.mean() - 2.0) < 0.01 * 2.0 + 0.01
 
     def test_support(self):
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         assert all(sample_inverse_gamma(5.0, 2.0, rng) > 0 for _ in range(1000))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            sample_inverse_gamma(0.0, 1.0, make_rng(0))
+            sample_inverse_gamma(0.0, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_inverse_gamma(1.0, -1.0, make_rng(0))
+            sample_inverse_gamma(1.0, -1.0, np.random.default_rng(0))
 
     def test_anchored_prior_recovers_median_report_rate(self):
         # the sampler's one-sided variance prior, shape V0/2 and scale
@@ -153,7 +152,7 @@ class TestInverseGamma:
         for r_star, scale in ((sampler.R_STAR_U, sampler.IG_SCALE_U),
                               (sampler.R_STAR_ETA, sampler.IG_SCALE_ETA)):
             assert scale == sampler.V0 * math.log(r_star) ** 2
-            rng = make_rng(12)
+            rng = np.random.default_rng(12)
             s2 = scale / rng.gamma(sampler.V0 / 2, size=10**6)
             u = np.abs(rng.normal(0.0, np.sqrt(s2)))
             assert abs(np.median(np.exp(-u)) - r_star) < 0.02
@@ -201,7 +200,7 @@ class TestCompoundSymmetricCov:
         assert np.max(np.abs(prod - np.eye(t))) < 1e-10
 
     def test_quad_form_matches_dense(self):
-        rng = make_rng(20)
+        rng = np.random.default_rng(20)
         cov = CompoundSymmetricCov(0.3, 0.7, 8)
         x, y = rng.normal(size=8), rng.normal(size=8)
         dense = x @ np.linalg.inv(cov.dense()) @ y
@@ -241,7 +240,7 @@ class TestConditionalMvn:
         assert v == pytest.approx(0.75)
 
     def test_random_spd_matches_schur_oracle(self):
-        rng = make_rng(30)
+        rng = np.random.default_rng(30)
         for _ in range(1000):
             t = rng.integers(2, 9)
             a = rng.normal(size=(t, t))
@@ -273,7 +272,7 @@ class TestMhScaledChisq:
         assert abs(CHI2_DF1_MEDIAN - stats.chi2.ppf(0.5, 1)) < 1e-12
 
     def _run_parallel(self, log_target, n_parallel, n_steps, burn, thin, seed, start):
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         cur = np.full(n_parallel, start)
         kept = []
         for step in range(n_steps):
@@ -330,7 +329,7 @@ class TestMhScaledChisq:
 
         start = np.geomspace(0.1, 10.0, 400)
         for step_scale in (0.25, 1.0):
-            rng, ref_rng = make_rng(43), make_rng(43)
+            rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
             with np.errstate(invalid="raise"):
                 got, got_acc = mh_scaled_chisq_step(log_target, start, rng, step_scale)
             want, want_acc = reference(log_target, start, ref_rng, step_scale)
@@ -340,7 +339,7 @@ class TestMhScaledChisq:
             # the comparison saw both accepted and rejected moves
             assert got_acc.any() and not got_acc.all()
         for cur in (0.3, 1.0):
-            rng, ref_rng = make_rng(44), make_rng(44)
+            rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
             got, got_acc = mh_scaled_chisq_step(log_target, cur, rng, 0.4)
             want, want_acc = reference(log_target, cur, ref_rng, 0.4)
             assert float(got) == float(want) and bool(got_acc) == bool(want_acc)
@@ -351,7 +350,7 @@ class TestMhScaledChisq:
             out = -1.5 * np.log(s2)
             return np.where(s2 > 2.0, -np.inf, out)
 
-        rng = make_rng(42)
+        rng = np.random.default_rng(42)
         cur = np.full(500, 1.0)
         for _ in range(200):
             cur, _ = mh_scaled_chisq_step(log_target, cur, rng, 1.0)

@@ -6,7 +6,9 @@ in `tests/oracles.py` as a reference or nowhere. The scan is by name, so
 it cannot tell two methods of one name apart; it errs toward passing.
 
 A chain setting that `hiddenpop fit` cannot set is a dead knob in the same
-way: every `ChainConfig` field must be reachable from a config key or a flag.
+way: every `ChainConfig` field must be reachable from a config key or a flag,
+and every `DgpConfig` field from a `simulate` flag. A flag that is not given
+leaves the library's default in place, so no default is restated in the CLI.
 
 The study scripts are not run by the suite, so each is imported by path:
 a script that names a deleted symbol fails here.
@@ -27,6 +29,7 @@ import pytest
 from hiddenpop.cli import _FIT_KEYS, build_parser, main
 from hiddenpop.sampler import ChainConfig
 from hiddenpop.simulate import DgpConfig, simulate
+from hiddenpop.sir import DEFAULT_PRIOR_ALPHA, DEFAULT_PRIOR_NU, DEFAULT_TIERS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hiddenpop"
@@ -112,7 +115,7 @@ def test_every_chain_setting_is_reachable_from_fit(tmp_path):
     # and a config file that sets every key away from its default reaches
     # the resolved chain the manifest records
     values = {"iters": 120, "burnin": 20, "thin": 1, "seed": 3, "chains": 2,
-              "stabilize": False, "mh_step_scale_alpha": 0.3, "mh_step_scale_eps": 0.5}
+              "stabilize": False}
     assert set(values) == set(_FIT_KEYS)
     defaults = {f.name: f.default for f in dataclasses.fields(ChainConfig)}
     simulate(DgpConfig(grid_rows=2, grid_cols=2, n_periods=2, seed=1)).dataset.to_csv(
@@ -124,3 +127,38 @@ def test_every_chain_setting_is_reachable_from_fit(tmp_path):
     resolved = json.loads((tmp_path / "fit" / "manifest.json").read_text())["config"]
     for key, (name, _) in _FIT_KEYS.items():
         assert resolved[name] == values[key] != defaults[name]
+
+
+def test_every_dgp_setting_is_reachable_from_simulate(tmp_path):
+    args = vars(build_parser().parse_args(["simulate"]))
+    flags = {name: value for name, value in args.items() if name not in ("subcommand", "func")}
+    assert all(value is None for value in flags.values())
+    fields = {f.name for f in dataclasses.fields(DgpConfig)}
+    assert fields <= set(flags) | {"grid_rows", "grid_cols"}   # --grid sets both sides
+
+    def manifest_config(*argv):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]
+
+    # every flag moved off its default reaches the resolved DgpConfig
+    values = {"grid_rows": 2, "grid_cols": 3, "n_periods": 2, "beta_true": [0.25, -0.75],
+              "sigma_alpha": 0.15, "sigma_eta": 0.45, "sigma_u": 0.25, "sigma_eps": 0.12,
+              "sigma_v": 0.35, "eps_t_df": 5.0, "seed": 4}
+    assert set(values) == fields
+    resolved = manifest_config(
+        "simulate", "--grid", "2x3", "--periods", "2", "--beta", "0.25", "-0.75",
+        "--sigma-alpha", "0.15", "--sigma-eta", "0.45", "--sigma-u", "0.25",
+        "--sigma-eps", "0.12", "--sigma-v", "0.35", "--student-t-df", "5", "--seed", "4")
+    defaults = {**DgpConfig().__dict__, "beta_true": list(DgpConfig().beta_true)}
+    for name in fields:
+        assert resolved[name] == values[name] != defaults[name]
+    # and no flag given is DgpConfig() field for field
+    resolved = manifest_config("simulate")
+    assert {name: resolved[name] for name in fields} == defaults
+
+    counts = tmp_path / "counts.csv"
+    counts.write_text("region,time,count,population\n0,0,3,100\n1,0,1,100\n")
+    resolved = manifest_config("sir", "--counts", str(counts))
+    assert resolved == {"nu": DEFAULT_PRIOR_NU, "alpha": DEFAULT_PRIOR_ALPHA,
+                        "thresholds": list(DEFAULT_TIERS)}

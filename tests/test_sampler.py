@@ -8,7 +8,7 @@ from scipy.special import chdtr, gammaincinv
 
 from hiddenpop import sampler
 from hiddenpop.data import PanelDataset
-from hiddenpop.kernels import _inverse_factors, _logdet, make_rng, truncated_normal
+from hiddenpop.kernels import _inverse_factors, _logdet, truncated_normal
 from hiddenpop.sampler import (
     ChainConfig,
     ParameterState,
@@ -91,7 +91,7 @@ class TestBetaUpdate:
         state = _state(n, t, k, sigma2_alpha=0.0, sigma2_eps=0.3)
         mean, chol = beta_posterior_moments(state, data)
         cov = np.linalg.inv(chol @ chol.T)
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         draws = np.array([update_beta(state, data, rng) for _ in range(20000)])
         mcse = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 2.5 * mcse)
@@ -104,7 +104,7 @@ class TestUPlusUpdate:
         n, t = 50, 4
         data = _panel(n, t, 1, seed=8)
         state = _state(n, t, 1, sigma2_u=1e-12)
-        rng = make_rng(9)
+        rng = np.random.default_rng(9)
         u = update_u_plus(state, _resid(data, state), rng)
         assert np.all(u > 0)
         assert u.mean() < 1e-4
@@ -118,7 +118,7 @@ class TestUPlusUpdate:
         data = PanelDataset(y=y, x=x)
         s2e, s2a, s2u = 0.2, 0.05, 0.3
         state = _state(n, t, 1, sigma2_eps=s2e, sigma2_alpha=s2a, sigma2_u=s2u)
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         draws = np.concatenate(
             [update_u_plus(state, _resid(data, state), rng).ravel() for _ in range(5)]
         )
@@ -154,7 +154,7 @@ class TestUPlusUpdate:
             return draw
 
         monkeypatch.setattr(sampler, "truncated_normal", spy)
-        u_new = update_u_plus(state, _resid(data, state), make_rng(14))
+        u_new = update_u_plus(state, _resid(data, state), np.random.default_rng(14))
         resid = data.y - state.v[:, None] - state.eta_plus[:, None]   # beta = 0
         mu = resid @ (omega @ sigma_inv).T
         u = state.u_plus.copy()
@@ -171,7 +171,7 @@ class TestUPlusUpdate:
         n, t = 40, 6
         data = PanelDataset(y=np.full((n, t), -3.0), x=np.zeros((n, t, 1)))
         state = _state(n, t, 1, sigma2_u=0.2)
-        u = update_u_plus(state, _resid(data, state), make_rng(12))
+        u = update_u_plus(state, _resid(data, state), np.random.default_rng(12))
         assert np.all(u > 0)
 
 
@@ -180,7 +180,7 @@ class TestEtaPlusUpdate:
         n, t = 50, 4
         data = _panel(n, t, 1, seed=13)
         state = _state(n, t, 1, sigma2_eta=1e-12)
-        eta = update_eta_plus(state, _resid(data, state), make_rng(14))
+        eta = update_eta_plus(state, _resid(data, state), np.random.default_rng(14))
         assert np.all(eta > 0)
         assert eta.mean() < 1e-4
 
@@ -190,7 +190,7 @@ class TestEtaPlusUpdate:
         data = PanelDataset(y=y, x=np.zeros((n, t, 1)))
         s2e, s2a, s2eta = 0.15, 0.1, 0.4
         state = _state(n, t, 1, sigma2_eps=s2e, sigma2_alpha=s2a, sigma2_eta=s2eta)
-        draws = update_eta_plus(state, _resid(data, state), make_rng(15))
+        draws = update_eta_plus(state, _resid(data, state), np.random.default_rng(15))
         one_inv_one = t / (s2e + t * s2a)
         psi2 = s2eta / (1 + s2eta * one_inv_one)
         m = psi2 * (t * 0.8) / (s2e + t * s2a)
@@ -207,20 +207,20 @@ class TestVarianceUpdates:
         g = build_queen_grid(16, 16)
         state = _state(256, 5, 1, v=np.random.default_rng(16).normal(size=256))
         expected = (255 + sampler.NBAR) / (sampler.QBAR + car_quadratic_form(g, state.v))
-        rng = make_rng(16)
+        rng = np.random.default_rng(16)
         draws = np.array([update_sigma2_v(state, g, rng) for _ in range(200_000)])
         assert abs(np.mean(1.0 / draws) - expected) < 0.005 * expected
 
     def test_sigma2_v_null_field_is_tiny(self):
         g = build_queen_grid(2, 2)
         state = _state(4, 3, 1, v=np.zeros(4))
-        draw = update_sigma2_v(state, g, make_rng(17))
+        draw = update_sigma2_v(state, g, np.random.default_rng(17))
         assert 0 < draw < 1e-2
 
     def test_sigma2_v_floor_respected(self):
         g = build_queen_grid(3, 3)
         state = _state(9, 3, 1, v=np.random.default_rng(0).normal(size=9))
-        rng = make_rng(18)
+        rng = np.random.default_rng(18)
         draws = [update_sigma2_v(state, g, rng, floor=0.5)
                  for _ in range(200)]
         assert min(draws) >= 0.5
@@ -245,7 +245,7 @@ class TestVarianceUpdates:
             state = _state(n, 3, 1, v=np.random.default_rng(3).normal(size=n))
             scale = sampler.QBAR + car_quadratic_form(g, state.v)
             dof = n - 1 + sampler.NBAR
-            rng, ref_rng = make_rng(31), make_rng(31)
+            rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
             for _ in range(50):
                 got = update_sigma2_v(state, g, rng, floor=floor)
                 mass = stats.chi2.cdf(scale / floor, dof)
@@ -259,21 +259,21 @@ class TestVarianceUpdates:
         state = _state(n, t, 1, u_plus=u)
         shape = 0.5 * (n * t + sampler.V0)
         scale = 0.5 * (np.sum(u**2) + 2 * sampler.V0 * math.log(sampler.R_STAR_U) ** 2)
-        rng = make_rng(20)
+        rng = np.random.default_rng(20)
         draws = np.array([update_sigma2_u(state, rng) for _ in range(100_000)])
         assert abs(draws.mean() - scale / (shape - 1)) < 0.005 * scale / (shape - 1)
 
     def test_sigma2_eta_null_field_moment(self):
         # 49 regions, permanent errors at zero: IG((49 + V0) / 2, V0 log^2(R_STAR_ETA))
         state = _state(49, 5, 1, eta_plus=np.full(49, 1e-9))
-        rng = make_rng(21)
+        rng = np.random.default_rng(21)
         draws = np.array([update_sigma2_eta(state, rng) for _ in range(100_000)])
         expected = sampler.V0 * math.log(sampler.R_STAR_ETA) ** 2 / (0.5 * (49 + sampler.V0) - 1)
         assert abs(draws.mean() - expected) < 0.01 * expected
 
     def test_sigma2_eta_single_region_proper(self):
         state = _state(1, 1, 1, eta_plus=np.array([1e-9]))
-        draw = update_sigma2_eta(state, make_rng(22))
+        draw = update_sigma2_eta(state, np.random.default_rng(22))
         assert np.isfinite(draw) and draw > 0
 
 
@@ -291,7 +291,7 @@ class TestLevelMove:
         sum_before = state.v + state.eta_plus
         qf_before = car_quadratic_form(g, state.v)
         moved = False
-        rng2 = make_rng(24)
+        rng2 = np.random.default_rng(24)
         for _ in range(50):
             moved |= update_level(state, rng2)
         assert moved
@@ -427,13 +427,6 @@ class TestInitialState:
         with pytest.raises(ValueError, match="^chains must be >= 1, got 0$"):
             ChainConfig(n_iter=100, burn_in=10, chains=0)
 
-    @pytest.mark.parametrize("name", ["mh_step_scale_alpha", "mh_step_scale_eps"])
-    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf, -math.inf])
-    def test_step_scale_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
-            ChainConfig(n_iter=100, burn_in=10, **{name: value})
-        ChainConfig(n_iter=100, burn_in=10, **{name: 1e-3})
-
 
 def test_update_v_sequential_sees_latest_values():
     # two-region graph: with a dominant CAR prior the second region's draw
@@ -443,7 +436,7 @@ def test_update_v_sequential_sees_latest_values():
     data = PanelDataset(y=np.zeros((n, t)), x=np.zeros((n, t, 1)))
     state = _state(n, t, 1, v=np.array([5.0, 5.0]),
                    sigma2_eps=1e6, sigma2_v=1e-6)
-    out = update_v(state, _resid(data, state), g, make_rng(30))
+    out = update_v(state, _resid(data, state), g, np.random.default_rng(30))
     # with no data signal and tight CAR coupling both values stay close
     assert abs(out[0] - out[1]) < 0.1
 
@@ -463,7 +456,7 @@ class TestUpdateVAgainstDotOracle:
         state = _state(n, t, 2, beta=draw.normal(size=2), u_plus=draw.gamma(2.0, size=(n, t)),
                        eta_plus=draw.gamma(2.0, size=n), v=draw.normal(size=n),
                        sigma2_alpha=0.05, sigma2_eps=0.3, sigma2_v=sigma2_v)
-        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         pairs = []
         for _ in range(n_sweeps):
             got = update_v(state, _resid(data, state), graph, rng)

@@ -156,6 +156,19 @@ class TestGraphValidation:
             with pytest.raises(ValueError, match="^edge endpoint out of range for 3 regions$"):
                 SpatialGraph.from_edges(3, [(0, 1), (1, 2), edge])
 
+    @pytest.mark.parametrize("edge", [(0.9, 1.7), ("2", 1), (1, np.float64(2.0), 0.5)],
+                             ids=["float", "str", "numpy-float"])
+    def test_non_integer_endpoint_rejected(self, edge):
+        # int() used to truncate 0.9 to 0 and parse "2" silently
+        message = f"^edge {re.escape(repr(edge))}: endpoints must be integers$"
+        with pytest.raises(ValueError, match=message):
+            SpatialGraph.from_edges(3, [(0, 1), edge])
+
+    def test_numpy_integer_endpoints_accepted(self):
+        edges = [(np.int64(0), np.int32(1)), (np.intp(1), 2)]
+        assert_same_graph(SpatialGraph.from_edges(3, edges),
+                          SpatialGraph.from_edges(3, [(0, 1), (1, 2)]))
+
     def test_precision_is_psd(self):
         g = build_queen_grid(4, 5)
         eig = np.linalg.eigvalsh(g.dense_precision())
