@@ -10,12 +10,12 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from hiddenpop.analysis import chain_summary, rho_hat
+from hiddenpop.data import _write_rows
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 
@@ -66,11 +66,8 @@ def main(argv=None) -> int:
                          r["hdi_lower"], r["hdi_upper"]])
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["size", "parameter", "mean", "median",
-                             "hdi_lower", "hdi_upper"])
-            writer.writerows(rows)
+        _write_rows(args.out, ["size", "parameter", "mean", "median",
+                               "hdi_lower", "hdi_upper"], rows)
         print(f"\nwrote {args.out}")
     return 0
 

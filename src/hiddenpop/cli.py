@@ -59,18 +59,15 @@ _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 
-# fit's config-file keys: key -> (ChainConfig field, type); the flags that
-# override them store into the same names
+# fit's config-file keys, each an integer: key -> ChainConfig field; the
+# flags that override them store into the same names
 _FIT_KEYS = {
-    "iters": ("n_iter", int),
-    "burnin": ("burn_in", int),
-    "thin": ("thin", int),
-    "seed": ("seed", int),
-    "chains": ("chains", int),
-    "stabilize": ("stabilize", bool),
+    "iters": "n_iter",
+    "burnin": "burn_in",
+    "thin": "thin",
+    "seed": "seed",
+    "chains": "chains",
 }
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -213,7 +210,7 @@ def _parse_levels(text: str) -> list[float]:
 
 def _read_config_file(path) -> dict:
     """fit settings from key=value lines, keyed by field name. An unknown or
-    repeated key and a value of the wrong type name the file and line."""
+    repeated key and a value that is not an integer name the file and line."""
     settings, first_line = {}, {}
     with Path(path).open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -230,13 +227,10 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: {key} repeated, "
                                  f"first set on line {first_line[key]}")
             first_line[key] = lineno
-            name, cast = _FIT_KEYS[key]
             try:
-                settings[name] = _BOOLEANS[value.lower()] if cast is bool else cast(value)
-            except (KeyError, ValueError):
-                kind = "one of " + "/".join(_BOOLEANS) if cast is bool else cast.__name__
-                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, "
-                                 f"got {value!r}") from None
+                settings[_FIT_KEYS[key]] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be int, got {value!r}") from None
     return settings
 
 
@@ -296,7 +290,7 @@ def cmd_simulate(args, output) -> tuple[dict, dict]:
 
 def cmd_fit(args, output) -> tuple[dict, dict]:
     settings = _read_config_file(args.config) if args.config else {}
-    for name, _ in _FIT_KEYS.values():
+    for name in _FIT_KEYS.values():
         if getattr(args, name) is not None:  # a flag wins over the file
             settings[name] = getattr(args, name)
     chain = ChainConfig(**settings)
@@ -409,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--thin", type=int, default=None)
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--chains", type=int, default=None)
-    p_fit.add_argument("--no-stabilize", dest="stabilize", action="store_false",
-                       default=None, help="disable the decomposition guards and level move")
     p_fit.add_argument("--config", default=None, help="key=value settings file")
     p_fit.add_argument("--export-csv", action="store_true")
     p_fit.add_argument("--out", default=None)

@@ -16,7 +16,7 @@ One sweep updates, in order:
     eta+            truncated normal per region
     v               sequential CAR sweep, each region seeing the latest
                     values of its neighbours
-    (level)         joint (v, eta+) translation move, stabilized runs only
+    (level)         joint (v, eta+) translation move
     s2_v            scaled chi-squared using the pairwise CAR quadratic form
     s2_u, s2_eta    inverse gamma
     s2_alpha, s2_eps  Metropolis-Hastings with median-centred chi2(1)
@@ -29,7 +29,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, gammaincinv
@@ -68,33 +68,35 @@ IG_SCALE_ETA = V0 * math.log(R_STAR_ETA) ** 2
 MH_STEP_ALPHA = 0.25
 MH_STEP_EPS = 0.4
 
+# The error decomposition of this model is only weakly identified: the
+# marginalised heterogeneity, the intrinsic spatial field and the permanent
+# one-sided error all compete for region-level variation, and the transient
+# one-sided error competes with the noise for cell-level variation. A finite
+# chain can wander into degenerate allocations (spatial variance collapsing
+# to zero while another channel absorbs everything). Four guards keep the
+# decomposition away from those corners: a truncated-prior band on s2_alpha,
+# ALPHA_FLOOR_SHARE to ALPHA_CAP_SHARE times the between-region residual
+# variance / T; truncated-prior floors on s2_eps (EPS_FLOOR_SHARE times the
+# within-region variance) and on s2_v (V_FLOOR_SHARE times the between-region
+# variance); and the level move along the direction the likelihood cannot see
+# (spatial level vs permanent one-sided level). run_chain reads the shares at
+# call time, so an ablation turns one bound off by patching its floor share
+# to 0 or ALPHA_CAP_SHARE to inf.
+ALPHA_FLOOR_SHARE = 0.35
+ALPHA_CAP_SHARE = 2.0
+EPS_FLOOR_SHARE = 0.05
+V_FLOOR_SHARE = 0.1
+
 
 @dataclass
 class ChainConfig:
-    """Chain settings.
-
-    The error decomposition of this model is only weakly identified: the
-    marginalised heterogeneity, the intrinsic spatial field and the
-    permanent one-sided error all compete for region-level variation, and
-    the transient one-sided error competes with the noise for cell-level
-    variation. A finite chain can wander into degenerate allocations
-    (spatial variance collapsing to zero while another channel absorbs
-    everything). `stabilize` keeps the decomposition away from those
-    corners with four guards, all on or all off together: a
-    truncated-prior band on the heterogeneity variance and a
-    truncated-prior floor on the spatial variance (both scaled to the
-    between-region residual variance), a truncated-prior floor on the noise
-    variance (within-region scale), and an extra Metropolis move along the
-    level direction the likelihood cannot see (spatial level vs permanent
-    one-sided level).
-    """
+    """Chain settings."""
 
     n_iter: int = 20000
     burn_in: int = 10000
     thin: int = 5
     seed: int = 0
     chains: int = 1   # chain i of run_chain runs at seed + i
-    stabilize: bool = True
 
     def __post_init__(self):
         if self.burn_in >= self.n_iter:
@@ -145,14 +147,10 @@ class PosteriorDraws:
     accept_rate_alpha: float
     accept_rate_eps: float
     floored_count: int
-    chain_id: np.ndarray = field(default=None)  # (S,) chain index per draw
-    # Share of sweeps whose level move was accepted; NaN when the move did
-    # not run (unstabilized chains, or draws read back from draws.npz).
+    chain_id: np.ndarray      # (S,) chain index per draw
+    # Share of sweeps whose level move was accepted; NaN for draws read
+    # back from draws.npz, which does not store it.
     accept_rate_level: float = math.nan
-
-    def __post_init__(self):
-        if self.chain_id is None:
-            self.chain_id = np.zeros(self.beta.shape[0], dtype=np.int64)
 
     @property
     def n_draws(self) -> int:
@@ -305,7 +303,7 @@ def update_v(state: ParameterState, resid: np.ndarray, graph: SpatialGraph,
 
 
 def update_sigma2_v(state: ParameterState, graph: SpatialGraph,
-                    rng: np.random.Generator, floor: float = 0.0) -> float:
+                    rng: np.random.Generator, floor: float) -> float:
     """Scaled chi-squared draw: (QBAR + v'(D_w - W)v) / chi2(df).
 
     df is (N - 1) + NBAR: the quadratic form has rank N - 1 on a
@@ -484,9 +482,9 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     small numpy calls that hold the interpreter lock, so threads only add
     contention. The acceptance rates are the means of the per-chain rates.
 
-    Sweep order: beta, u+, eta+, v, s2_v, s2_u, s2_eta, then the two MH
-    moves. Variances are floored at 1e-12 after each draw; floor events
-    are counted over all chains and reported on the result.
+    Sweep order: beta, u+, eta+, v, the level move, s2_v, s2_u, s2_eta,
+    then the two MH moves. Variances are floored at 1e-12 after each draw;
+    floor events are counted over all chains and reported on the result.
     """
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
@@ -505,16 +503,11 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     n_stored = chain.n_stored
     n_total = chain.chains * n_stored
 
-    alpha_cap = math.inf
-    alpha_floor = 0.0
-    eps_floor = 0.0
-    v_floor = 0.0
-    if chain.stabilize:
-        _, between_var, within_var, _ = split
-        alpha_floor = 0.35 * between_var / t
-        alpha_cap = 2.0 * between_var / t
-        eps_floor = 0.05 * within_var
-        v_floor = 0.1 * between_var
+    _, between_var, within_var, _ = split
+    alpha_floor = ALPHA_FLOOR_SHARE * between_var / t
+    alpha_cap = ALPHA_CAP_SHARE * between_var / t
+    eps_floor = EPS_FLOOR_SHARE * within_var
+    v_floor = V_FLOOR_SHARE * between_var
 
     out = PosteriorDraws(
         beta=np.empty((n_total, k)),
@@ -550,9 +543,8 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     for idx in range(chain.chains):
         rng = np.random.default_rng(chain.seed + idx)
         state = initial_state(work, split)
-        if chain.stabilize:
-            state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
-                if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
+        state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
+            if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
         counts = accepted[idx]
         stored = idx * n_stored
 
@@ -564,8 +556,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
                 state.u_plus = update_u_plus(state, resid, rng)
                 state.eta_plus = update_eta_plus(state, resid, rng)
                 state.v = update_v(state, resid, graph, rng)
-                if chain.stabilize:
-                    counts[2] += update_level(state, rng)
+                counts[2] += update_level(state, rng)
                 state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
                 state.sigma2_u = floor_var(update_sigma2_u(state, rng))
                 state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
@@ -595,7 +586,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     rates = np.array(accepted) / chain.n_iter
     out.accept_rate_alpha = float(np.mean(rates[:, 0]))
     out.accept_rate_eps = float(np.mean(rates[:, 1]))
-    if chain.stabilize:
-        out.accept_rate_level = float(np.mean(rates[:, 2]))
+    out.accept_rate_level = float(np.mean(rates[:, 2]))
     out.floored_count = floored
     return out

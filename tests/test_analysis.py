@@ -35,7 +35,7 @@ def _draws(s, n, t, *, eta=None, u=None, v=None, seed=0,
         sigma2_v=const(s2_v), sigma2_u=const(s2_u), sigma2_eta=const(s2_eta),
         seed=0, n_iter=100, burn_in=0, thin=1,
         avg_row_sum=avg_row_sum, accept_rate_alpha=0.3, accept_rate_eps=0.3,
-        floored_count=0,
+        floored_count=0, chain_id=np.zeros(s, dtype=np.int64),
     )
 
 

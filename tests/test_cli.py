@@ -38,7 +38,9 @@ def _rows(path):
      "argument --adjacency: not allowed with argument --grid"),
     (("analyze", "--draws", "draws.npz", "--by-region", "--by-period"),
      "argument --by-period: not allowed with argument --by-region"),
-], ids=["no-graph", "grid-and-adjacency", "region-and-period"])
+    (("fit", "--data", "panel.csv", "--grid", "3x3", "--no-stabilize"),
+     "unrecognized arguments: --no-stabilize"),
+], ids=["no-graph", "grid-and-adjacency", "region-and-period", "no-stabilize"])
 def test_missing_or_conflicting_flags_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         _run(*argv, "--out", str(tmp_path / "out"))
@@ -198,7 +200,7 @@ class TestFitCommand:
             ("car_df=246", "unknown key 'car_df'"),
             ("stabilise=false", "unknown key 'stabilise'"),
             ("seed=6", "seed repeated, first set on line 1"),
-            ("stabilize=flase", "stabilize must be one of 1/true/yes/on/0/false/no/off"),
+            ("stabilize=false", "unknown key 'stabilize'"),
             ("iters=abc", "iters must be int, got 'abc'"),
             ("mh_step_scale_eps=wide", "unknown key 'mh_step_scale_eps'"),
         ):
@@ -208,24 +210,6 @@ class TestFitCommand:
                         "--config", str(cfg), "--out", str(bad)) == 1
             assert f"{cfg}:3: {message}" in capsys.readouterr().err
             assert list(bad.iterdir()) == []
-
-    def test_no_stabilize_flag_and_key_agree(self, tmp_path):
-        sim = tmp_path / "sim"
-        _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "2", "--out", str(sim))
-        cfg = tmp_path / "chain.cfg"
-        cfg.write_text("stabilize=false\n")
-        common = ("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
-                  "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "3")
-        assert _run(*common, "--no-stabilize", "--out", str(tmp_path / "flag")) == 0
-        assert _run(*common, "--config", str(cfg), "--out", str(tmp_path / "key")) == 0
-        for name in ("flag", "key"):
-            fit = tmp_path / name
-            manifest = json.loads((fit / "manifest.json").read_text())
-            assert manifest["config"]["stabilize"] is False
-            rates = dict(_rows(fit / "acceptance.csv")[1:])
-            assert rates["accept_rate_level"] == "nan"
-        assert ((tmp_path / "flag" / "draws.npz").read_bytes()
-                == (tmp_path / "key" / "draws.npz").read_bytes())
 
     def test_draws_do_not_depend_on_blas_threads(self, tmp_path):
         # simulate's own outputs move with the thread count at N=900 (its
@@ -448,7 +432,8 @@ class TestDrawsRoundTrip:
             sigma2_alpha=rng.gamma(2.0, size=s), sigma2_eps=rng.gamma(2.0, size=s),
             sigma2_v=rng.gamma(2.0, size=s), sigma2_u=rng.gamma(2.0, size=s),
             sigma2_eta=rng.gamma(2.0, size=s), seed=9, n_iter=80, burn_in=40, thin=1,
-            avg_row_sum=6.5, accept_rate_alpha=0.4, accept_rate_eps=0.3, floored_count=2)
+            avg_row_sum=6.5, accept_rate_alpha=0.4, accept_rate_eps=0.3, floored_count=2,
+            chain_id=np.zeros(s, dtype=np.int64))
         return draws, rng
 
     @classmethod

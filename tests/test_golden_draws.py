@@ -22,13 +22,21 @@ the order in which the graph builder lays out each region's neighbours,
 which the CAR sweep and `car_quadratic_form` sum in. It was recorded
 while the graph still kept per-region neighbour lists, and did not move
 when the edge list became its only input.
+
+`unstabilized` is the guard ablation: the four guard shares patched to
+0, inf, 0 and 0 and the level move to one that draws nothing. It was
+recorded while `ChainConfig.stabilize=False` still switched the guards
+off, and did not move when the guarded chain became the only one, so the
+ablation reaches that kernel exactly, unfloored s2_v draw included.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from hiddenpop import sampler
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
 from hiddenpop.spatial import SpatialGraph, build_queen_grid
@@ -65,8 +73,14 @@ def _two_chains():
 def _unstabilized_chain():
     # unfloored chi-squared path for s2_v, no guards and no level move
     truth = _paper_panel()
-    cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=7, stabilize=False)
-    return run_chain(truth.dataset, truth.graph, cfg)
+    cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "ALPHA_FLOOR_SHARE", 0.0)
+        patch.setattr(sampler, "ALPHA_CAP_SHARE", math.inf)
+        patch.setattr(sampler, "EPS_FLOOR_SHARE", 0.0)
+        patch.setattr(sampler, "V_FLOOR_SHARE", 0.0)
+        patch.setattr(sampler, "update_level", lambda state, rng: False)
+        return run_chain(truth.dataset, truth.graph, cfg)
 
 
 def _weighted_shuffled_chain():

@@ -15,10 +15,9 @@ They were re-recorded once, when `fit --seed s` took the library's stream:
 they are now the outputs of `run_chain` at seed 6, saved and analyzed, as
 the sweep stood before that change.
 
-The rest were recorded later, from the same fit with `--export-csv`, from
-its `--no-stabilize` twin and from `analyze --by-region` and `--by-period`:
-`summary.csv`, both `acceptance.csv` (the unstabilised one carries a `nan`
-row), `draws.csv`, `uncaptured_summary.csv` and both grouped
+The rest were recorded later, from the same fit with `--export-csv` and
+from `analyze --by-region` and `--by-period`: `summary.csv`,
+`acceptance.csv`, `draws.csv`, `uncaptured_summary.csv` and both grouped
 `uncaptured.csv`. They pin the row writer of the small tables.
 
 The `two-chains/` files come from the same fit with `--chains 2`. They
@@ -45,7 +44,6 @@ GOLDEN = {
     "summary.csv": "e15f720dbad9e74147997aecedd6523f868c94fcc6f8c297dec28e0d7efe61e0",
     "acceptance.csv": "30f58b5c0300c8d36e906eae4613fe8df4cb9c9a9018b489746eceaf53b5049d",
     "draws.csv": "27ff6552bdd4e285c4990e1a0a8931d7bb9340beb073e1773d9ab3f08d585779",
-    "no-stabilize/acceptance.csv": "6b9e9ac107ad1e7b783a2fbb788d802ba637d9f7cce4711eb17c367ee171bcb5",
     "uncaptured_summary.csv": "ee7b1e850690df19b551e712ef3fdc52bc32fcde6988ff0539ee5e2cf2a0c893",
     "by-region/uncaptured.csv": "95c153e461e3b4a31681ad93d6510a35eb9ee6b451a9ac391780d778a4773623",
     "by-period/uncaptured.csv": "b0c12a1d05ba92b4c593dab2dd8190e4884130defe5bcb24fc2d26ee5d0519a5",
@@ -71,7 +69,6 @@ def outputs(tmp_path_factory):
     fit = ["fit", "--data", str(root / "sim" / "panel.csv"), "--grid", "5x5",
            "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "6"]
     assert main(fit + ["--export-csv", "--out", str(root / "fit")]) == 0
-    assert main(fit + ["--no-stabilize", "--out", str(root / "no-stabilize")]) == 0
     assert main(fit + ["--chains", "2", "--out", str(root / "two-chains")]) == 0
     draws = str(root / "fit" / "draws.npz")
     assert main(["analyze", "--draws", draws,

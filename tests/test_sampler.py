@@ -208,13 +208,13 @@ class TestVarianceUpdates:
         state = _state(256, 5, 1, v=np.random.default_rng(16).normal(size=256))
         expected = (255 + sampler.NBAR) / (sampler.QBAR + car_quadratic_form(g, state.v))
         rng = np.random.default_rng(16)
-        draws = np.array([update_sigma2_v(state, g, rng) for _ in range(200_000)])
+        draws = np.array([update_sigma2_v(state, g, rng, floor=0.0) for _ in range(200_000)])
         assert abs(np.mean(1.0 / draws) - expected) < 0.005 * expected
 
     def test_sigma2_v_null_field_is_tiny(self):
         g = build_queen_grid(2, 2)
         state = _state(4, 3, 1, v=np.zeros(4))
-        draw = update_sigma2_v(state, g, np.random.default_rng(17))
+        draw = update_sigma2_v(state, g, np.random.default_rng(17), floor=0.0)
         assert 0 < draw < 1e-2
 
     def test_sigma2_v_floor_respected(self):
@@ -382,8 +382,6 @@ class TestRunChain:
         assert 0.0 < a.accept_rate_level < 1.0
         pair = run_chain(truth.dataset, truth.graph, replace(cfg, chains=2))
         assert 0.0 < pair.accept_rate_level < 1.0
-        off = ChainConfig(n_iter=300, burn_in=100, thin=5, seed=18, stabilize=False)
-        assert math.isnan(run_chain(truth.dataset, truth.graph, off).accept_rate_level)
 
     def test_region_exchangeability(self):
         # permuting region labels (and the graph) permutes posterior means

@@ -317,7 +317,7 @@ def _spatial_share(sigma_v, avg_row_sum, other_sd):
         sigma2_v=const(sigma_v**2), sigma2_u=const(other_sd**2),
         sigma2_eta=const(other_sd**2), seed=0, n_iter=s, burn_in=0, thin=1,
         avg_row_sum=avg_row_sum, accept_rate_alpha=0.3, accept_rate_eps=0.3,
-        floored_count=0,
+        floored_count=0, chain_id=np.zeros(s, dtype=np.int64),
     )
     return uncaptured_summaries(draws).spatial_share
 
