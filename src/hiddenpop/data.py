@@ -11,6 +11,8 @@ but are stored in sorted order internally.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,14 +30,55 @@ def _read_panel(path, columns: list[str], regressors: bool = False):
     lines are skipped. Every row must have the header's width, integer
     labels and numeric values, and every (region, time) cell must appear
     exactly once; a violation is reported as `file:line`.
+
+    numpy's C parser reads the body. A file it refuses or might misread
+    (quoted cells, `1_000`, non-ASCII text, any error) or one with a
+    missing or repeated cell is read again by `_read_rows`, which either
+    accepts it or names the line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
+        header = [h.strip() for h in next(csv.reader(fh), [])]
         if (header[:len(columns)] if regressors else header) != columns:
             expected = ",".join(columns) + (",x1,..." if regressors else "")
             raise ValueError(f"{path.name}:1: expected header {expected}")
+        body = _load_body(fh, len(header))
+    if body is not None:
+        region, time, *values = (body[name] for name in body.dtype.names)
+        panel = _scatter(path, region, time, np.array(values))
+        if panel is not None:
+            return panel
+    return _read_rows(path, header)
+
+
+def _load_body(fh, width: int):
+    """The rows after the header as a structured array (int64 region and
+    time, float64 values), or None where numpy refuses them or finds none."""
+    text = fh.read()
+    # numpy's integer parser misreads non-ASCII characters as digits (and
+    # can crash on them), and it skips \x1c-\x1f as spaces where int() and
+    # float() refuse them
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    dtype = np.dtype(",".join(["i8", "i8"] + ["f8"] * (width - 2)))
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns about a file without rows
+            warnings.simplefilter("error")
+            # comments=None: the default would cut `4 # note` down to `4`
+            return np.loadtxt(io.StringIO(text, newline=""), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+def _read_rows(path: Path, header: list[str]):
+    """`_read_panel` by the csv module, one row at a time: slower than numpy,
+    but it reads every cell `int()` and `float()` read, and it knows the
+    line of each row."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows, lines = [], []
         for row in reader:
             if not row:
@@ -51,13 +94,24 @@ def _read_panel(path, columns: list[str], regressors: bool = False):
     region, time = (_parse_column(path, lines, header[c], fields[c], int) for c in (0, 1))
     values = np.array([_parse_column(path, lines, header[c], fields[c], float)
                        for c in range(2, len(header))])
+    return _scatter(path, region, time, values, lines)
 
+
+def _scatter(path: Path, region, time, values, lines=None):
+    """One label pair and value column per row -> `_read_panel`'s result.
+
+    Every (region, time) cell must appear exactly once. A missing or
+    repeated cell raises, naming the lines from `lines`; without them it
+    returns None instead.
+    """
     regions, region_pos = np.unique(region, return_inverse=True)
     times, time_pos = np.unique(time, return_inverse=True)
     n, t = regions.size, times.size
     cell = region_pos * t + time_pos
     count = np.bincount(cell, minlength=n * t)
-    if np.any(count > 1):
+    if np.any(count != 1):
+        if lines is None:
+            return None
         first = {}
         for k, c in enumerate(cell.tolist()):
             if c in first:
@@ -65,7 +119,6 @@ def _read_panel(path, columns: list[str], regressors: bool = False):
                     f"{path.name}:{lines[k]}: duplicate cell region={region[k]} "
                     f"time={time[k]}, first seen on line {lines[first[c]]}")
             first[c] = k
-    if cell.size != n * t:
         gap = int(np.argmin(count))
         raise ValueError(
             f"{path.name}: unbalanced panel ({cell.size} cells for {n}x{t}), no row for "
@@ -186,7 +239,9 @@ class CountPanel:
         self.n = np.asarray(self.n, dtype=float)
         if self.s.shape != self.n.shape or self.s.ndim != 2:
             raise ValueError("counts and populations must share an (N, T) shape")
-        if np.any(self.s < 0) or not np.all(self.s == np.floor(self.s)):
+        # inf equals its floor, and casting it to int64 gives -2**63
+        if (np.any(self.s < 0) or not np.all(self.s == np.floor(self.s))
+                or not np.all(np.isfinite(self.s))):
             raise ValueError("counts must be nonnegative integers")
         if np.any(self.n <= 0) or not np.all(np.isfinite(self.n)):
             raise ValueError("populations must be positive")

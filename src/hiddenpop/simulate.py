@@ -14,6 +14,7 @@ switched to a scaled Student-t for heavy-tail robustness runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -142,11 +143,19 @@ def write_truth_csv(truth: SimulatedTruth, path) -> None:
 def read_truth_csv(path):
     """Truth sidecar -> dict of arrays keyed like the writer's columns.
 
-    The per-region columns (eta_plus, v, alpha) are read from each
-    region's first period.
+    The per-region columns (eta_plus, v, alpha) must repeat one value in
+    every period of a region; a region where they differ is an error.
     """
     regions, times, (u_plus, eta, v, alpha, p) = _read_panel(path, _TRUTH_HEADER)
-    return {
-        "u_plus": u_plus, "eta_plus": eta[:, 0].copy(), "v": v[:, 0].copy(),
-        "alpha": alpha[:, 0].copy(), "p": p, "regions": regions, "times": times,
-    }
+    per_region = {}
+    for name, col in (("eta_plus", eta), ("v", v), ("alpha", alpha)):
+        first = col[:, :1]
+        differs = (col != first) & ~(np.isnan(col) & np.isnan(first))
+        if differs.any():
+            i, j = np.argwhere(differs)[0]
+            raise ValueError(
+                f"{Path(path).name}: {name} differs across the periods of region="
+                f"{regions[i]}: {first[i, 0].item()} at time={times[0]}, "
+                f"{col[i, j].item()} at time={times[j]}")
+        per_region[name] = first[:, 0].copy()
+    return {"u_plus": u_plus, **per_region, "p": p, "regions": regions, "times": times}

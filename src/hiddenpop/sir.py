@@ -78,12 +78,18 @@ def flag_hotspots(table: SirTable, thresholds=DEFAULT_TIERS) -> np.ndarray:
     """Tier label per cell: the highest threshold its exceedance reaches.
 
     Thresholds are inclusive (an exceedance of exactly 0.90 earns the 90
-    tier); cells under every threshold are labelled 'none'.
+    tier); cells under every threshold are labelled 'none'. A tier is
+    labelled with its threshold in percent to 6 significant digits
+    (0.905 -> '90.5'); two thresholds that share a label are rejected.
     """
-    thresholds = sorted(thresholds)
     tiers = np.full(table.exceedance.shape, "none", dtype=object)
-    for thr in thresholds:
-        label = f"{int(round(thr * 100))}"
+    labels = {}
+    for thr in sorted(thresholds):
+        label = f"{thr * 100:g}"
+        if label in labels:
+            raise ValueError(f"thresholds {labels[label]} and {thr} share the tier label "
+                             f"{label!r}")
+        labels[label] = thr
         tiers[table.exceedance >= thr] = label
     return tiers
 

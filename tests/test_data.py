@@ -61,3 +61,13 @@ def test_count_panel_validation():
         CountPanel(s=np.array([[1]]), n=np.array([[0.0]]))
     with pytest.raises(ValueError):
         CountPanel(s=np.array([[1.5]]), n=np.array([[10.0]]))
+
+
+def test_count_panel_rejects_infinite_counts(tmp_path):
+    # inf equals its floor, so only a finiteness check stops it becoming -2**63
+    with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+        CountPanel(s=np.array([[np.inf]]), n=np.array([[10.0]]))
+    path = tmp_path / "counts.csv"
+    path.write_text("region,time,count,population\n0,0,inf,100\n0,1,3,100\n")
+    with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+        CountPanel.from_csv(path)

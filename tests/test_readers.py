@@ -1,13 +1,17 @@
 """The one balanced-panel reader behind the three CSV formats.
 
 The oracles below are the original per-format readers, which mapped a
-label to its row with `sorted_list.index` (O(N^2 T)). The property tests
-check that the linear-time reader returns the same arrays and labels for
-every format; the error tests check that each bad input names `file:line`.
+label to its row with `sorted_list.index` (O(N^2 T)) and parsed each cell
+with `int()` or `float()`. The property tests check that the linear-time
+reader returns the same arrays and labels for every format, whether
+numpy's parser or the csv module reads the file; the error tests check
+that each bad input names `file:line`.
 """
 
 import csv
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,3 +254,71 @@ def test_labels_sorted_whatever_the_row_order(tmp_path):
     panel = CountPanel.from_csv(path)
     assert panel.regions.tolist() == [-2, 40] and panel.times.tolist() == [-7, 3]
     assert panel.s.tolist() == [[1, 2], [3, 4]]
+
+
+ORACLES = {"panel": oracle_panel, "counts": oracle_counts, "truth": oracle_truth}
+
+
+def _arrays(read):
+    if isinstance(read, dict):
+        return read
+    names = ("y", "x") if isinstance(read, PanelDataset) else ("s", "n")
+    return {name: getattr(read, name) for name in names + ("regions", "times")}
+
+
+# region labels that int() reads; numpy's parser refuses all but the
+# signed and the padded one, so those files are read by the csv module
+CSV_ONLY_LABELS = {"quoted": '"3"', "underscore": "1_000", "signed": "+3", "padded": " 3 ",
+                   "arabic-indic-digits": "\u0663", "mathematical-digits": "\U0001d7d7"}
+
+
+@pytest.mark.parametrize("label", sorted(CSV_ONLY_LABELS))
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_labels_int_reads_match_the_oracle(tmp_path, fmt, label):
+    _, header, values = FORMATS[fmt]
+    token = CSV_ONLY_LABELS[label]
+    path = tmp_path / f"{fmt}.csv"
+    path.write_text("\n".join([header, "", f"{token},1,{values}", f"-1,1,{values}", "",
+                               f"-1,0,{values}", f"{token},0,{values}", ""]) + "\n")
+    got, want = _arrays(FORMATS[fmt][0](path)), _arrays(ORACLES[fmt](path))
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert_same(got[name], want[name])
+
+
+COUNTS_HEADER = FORMATS["counts"][1]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([COUNTS_HEADER, "0,0,3,100", "0,3.0,3,100"], "counts.csv:3: time '3.0' is not an integer"),
+    ([COUNTS_HEADER, "0,0,3,100", "1e3,0,3,100"], "counts.csv:3: region '1e3' is not an integer"),
+    ([COUNTS_HEADER, "0,0,3,100 # note", "0,1,3,100"],
+     "counts.csv:2: population '100 # note' is not a number"),
+    ([COUNTS_HEADER, "0,0,3,100", " ", "0,1,3,100"], "counts.csv:3: 1 fields, the header has 4"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3,100,"], "counts.csv:3: 5 fields, the header has 4"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3"], "counts.csv:3: 3 fields, the header has 4"),
+    ([COUNTS_HEADER], "counts.csv: no data rows"),
+    ([COUNTS_HEADER, "", "\r"], "counts.csv: no data rows"),
+    # numpy's integer parser reads U+01FE as a digit (this label as 4621)
+    ([COUNTS_HEADER, "0,0,3,100", "\u01fe1,0,3,100"],
+     "counts.csv:3: region '\u01fe1' is not an integer"),
+    # ... and skips \x1c-\x1f, which int() and float() refuse, as spaces
+    ([COUNTS_HEADER, "0,0,3,100", "\x1c0,1,3,100"],
+     "counts.csv:3: region '\\x1c0' is not an integer"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3,100\x1f"],
+     "counts.csv:3: population '100\\x1f' is not a number"),
+], ids=["float-label", "exponent-label", "hash-in-value", "whitespace-line", "trailing-comma",
+        "short-row", "header-only", "header-and-blank-lines", "non-ascii-letter-label",
+        "file-separator-label", "unit-separator-value"])
+def test_what_the_csv_module_rejects_numpy_does_not_accept(tmp_path, lines, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _read(tmp_path, "counts", *lines)
+
+
+def test_header_only_has_no_data_rows_under_any_warning_filter(tmp_path):
+    # numpy only warns about a file without rows; the CLI runs with no filter
+    # that would turn that warning into an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"^counts\.csv: no data rows$"):
+            _read(tmp_path, "counts", COUNTS_HEADER, "")

@@ -120,6 +120,17 @@ class TestHotspots:
         tiers = flag_hotspots(table)
         assert tiers.tolist() == [["90", "95"], ["99", "none"]]
 
+    def test_tier_labels_keep_the_digits_that_tell_them_apart(self):
+        table = self._table([[0.901, 0.9055], [0.9991, 0.5]])
+        tiers = flag_hotspots(table, (0.90, 0.905, 0.999))
+        assert tiers.tolist() == [["90", "90.5"], ["99.9", "none"]]
+
+    def test_thresholds_sharing_a_label_are_rejected(self):
+        table = self._table([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"^thresholds 0\.9 and 0\.9000000001 share the "
+                                             r"tier label '90'$"):
+            flag_hotspots(table, (0.9000000001, 0.95, 0.9))
+
     def test_uniform_panel_mostly_quiet(self):
         rng = np.random.default_rng(0)
         n = np.full((30, 4), 1000.0)
