@@ -14,7 +14,12 @@ import sys
 
 import numpy as np
 
-from hiddenpop.analysis import coverage_report, mape_summary, predictive_intervals
+from hiddenpop.analysis import (
+    DEFAULT_COVERAGE_LEVELS,
+    coverage_report,
+    mape_summary,
+    predictive_intervals,
+)
 from hiddenpop.cli import _parse_levels
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
@@ -26,12 +31,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--seed", type=int, default=301)
-    parser.add_argument("--levels", type=_parse_levels, default="0.90,0.95,0.99")
+    parser.add_argument("--levels", type=_parse_levels,
+                        default=list(DEFAULT_COVERAGE_LEVELS))
     args = parser.parse_args(argv)
 
     sizes = SIZES[:2] if args.quick else SIZES
-    chain_kwargs = (dict(n_iter=4000, burn_in=2000, thin=5) if args.quick
-                    else dict(n_iter=20000, burn_in=10000, thin=5))
+    # the full run is ChainConfig's defaults
+    chain_kwargs = dict(n_iter=4000, burn_in=2000) if args.quick else {}
 
     print(f"{'size':>14} {'level':>6} {'coverage':>9} {'95% hdi':>18}")
     for rows_, cols, periods in sizes:

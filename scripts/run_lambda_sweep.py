@@ -27,8 +27,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     ratios = [float(x) for x in args.ratios.split(",")]
-    chain_kwargs = (dict(n_iter=4000, burn_in=2000, thin=5) if args.quick
-                    else dict(n_iter=20000, burn_in=10000, thin=5))
+    # the full run is ChainConfig's defaults
+    chain_kwargs = dict(n_iter=4000, burn_in=2000) if args.quick else {}
 
     print(f"{'true lambda':>12} {'sigma_eps':>10} {'beta1':>7} {'beta1 hdi':>18}"
           f" {'post lambda':>12} {'sigma_alpha hdi':>20}")

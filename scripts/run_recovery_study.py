@@ -31,8 +31,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sizes = SIZES[:2] if args.quick else SIZES
-    chain_kwargs = (dict(n_iter=4000, burn_in=2000, thin=5) if args.quick
-                    else dict(n_iter=20000, burn_in=10000, thin=5))
+    # the full run is ChainConfig's defaults
+    chain_kwargs = dict(n_iter=4000, burn_in=2000) if args.quick else {}
 
     rows = []
     for rows_, cols, periods in sizes:

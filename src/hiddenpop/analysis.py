@@ -16,6 +16,8 @@ from .data import _write_columns, _write_rows
 from .sampler import PosteriorDraws
 
 MIN_HDI_DRAWS = 100
+# the credibility levels `hiddenpop analyze --truth` scores when --levels is left out
+DEFAULT_COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 
 
 def hdi(draws, level: float) -> tuple[float, float]:
@@ -99,8 +101,8 @@ class CoverageReport:
 
 
 def coverage_report(lower: np.ndarray, upper: np.ndarray, true_p: np.ndarray,
-                    level: float, n_beta_draws: int = 20000,
-                    rng: np.random.Generator | None = None) -> CoverageReport:
+                    level: float, rng: np.random.Generator,
+                    n_beta_draws: int = 20000) -> CoverageReport:
     """Beta-Binomial summary of how often the intervals caught the truth.
 
     Indicator per cell, flat Beta(1, 1) prior, so the posterior is
@@ -112,7 +114,6 @@ def coverage_report(lower: np.ndarray, upper: np.ndarray, true_p: np.ndarray,
     true_p = np.asarray(true_p, dtype=float)
     if not lower.shape == upper.shape == true_p.shape:
         raise ValueError("interval bounds and truth must share one shape")
-    rng = rng if rng is not None else np.random.default_rng(0)
     hits = int(np.sum((true_p >= lower) & (true_p <= upper)))
     total = true_p.size
     a, b = 1 + hits, 1 + total - hits

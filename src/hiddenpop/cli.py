@@ -1,7 +1,7 @@
 """Command-line pipeline: simulate -> fit -> analyze, plus SIR screening.
 
-Every subcommand resolves its configuration (defaults, optional key=value
-config file, then flags), reads its inputs and writes its outputs. `main`
+Every subcommand resolves its configuration (the library defaults, then
+the flags given), reads its inputs and writes its outputs. `main`
 owns the rest: it first removes any old manifest.json and the files it
 lists, removes what the run wrote if it fails, and writes manifest.json,
 with the fully resolved settings, last, so a directory without one holds no
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__, sir
 from .analysis import (
+    DEFAULT_COVERAGE_LEVELS,
     MIN_HDI_DRAWS,
     chain_summary,
     coverage_report,
@@ -58,16 +59,6 @@ OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
 _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
-
-# fit's config-file keys, each an integer: key -> ChainConfig field; the
-# flags that override them store into the same names
-_FIT_KEYS = {
-    "iters": "n_iter",
-    "burnin": "burn_in",
-    "thin": "thin",
-    "seed": "seed",
-    "chains": "chains",
-}
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -208,32 +199,6 @@ def _parse_levels(text: str) -> list[float]:
     return levels
 
 
-def _read_config_file(path) -> dict:
-    """fit settings from key=value lines, keyed by field name. An unknown or
-    repeated key and a value that is not an integer name the file and line."""
-    settings, first_line = {}, {}
-    with Path(path).open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIT_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
-                                 f"(known: {', '.join(_FIT_KEYS)})")
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: {key} repeated, "
-                                 f"first set on line {first_line[key]}")
-            first_line[key] = lineno
-            try:
-                settings[_FIT_KEYS[key]] = int(value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be int, got {value!r}") from None
-    return settings
-
-
 def _manifest(out: Path, subcommand: str, config: dict, inputs: dict,
               outputs: list[str], started: float) -> None:
     payload = {
@@ -270,10 +235,15 @@ def _remove_previous_run(out: Path, keep: set[Path]) -> None:
     manifest.unlink(missing_ok=True)
 
 
+def _given(args, config_class) -> dict:
+    """The fields of `config_class` whose flag was given: a flag left out
+    keeps the library default."""
+    return {f.name: getattr(args, f.name) for f in fields(config_class)
+            if getattr(args, f.name, None) is not None}
+
+
 def cmd_simulate(args, output) -> tuple[dict, dict]:
-    # a flag overrides DgpConfig only when it is given
-    settings = {f.name: getattr(args, f.name) for f in fields(DgpConfig)
-                if getattr(args, f.name, None) is not None}
+    settings = _given(args, DgpConfig)
     if args.grid is not None:
         settings["grid_rows"], settings["grid_cols"] = args.grid
     if args.beta_true is not None:
@@ -289,11 +259,7 @@ def cmd_simulate(args, output) -> tuple[dict, dict]:
 
 
 def cmd_fit(args, output) -> tuple[dict, dict]:
-    settings = _read_config_file(args.config) if args.config else {}
-    for name in _FIT_KEYS.values():
-        if getattr(args, name) is not None:  # a flag wins over the file
-            settings[name] = getattr(args, name)
-    chain = ChainConfig(**settings)
+    chain = ChainConfig(**_given(args, ChainConfig))
     if chain.chains * chain.n_stored < MIN_HDI_DRAWS:
         raise ValueError(f"{chain.chains} chain(s) x {chain.n_stored} stored draws is fewer than "
                          f"the {MIN_HDI_DRAWS} draws an HDI needs")
@@ -341,7 +307,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
             raise ValueError(
                 f"truth grid {truth['p'].shape} does not match draws {y_level.shape}"
             )
-        levels = levels if levels is not None else [0.90, 0.95, 0.99]
+        levels = levels if levels is not None else list(DEFAULT_COVERAGE_LEVELS)
         rng = np.random.default_rng(args.seed)
         point, bounds = predictive_intervals(draws, y_level, levels)
         reports = [coverage_report(lo, hi, truth["p"], level, rng=rng)
@@ -403,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--thin", type=int, default=None)
     p_fit.add_argument("--seed", type=int, default=None)
     p_fit.add_argument("--chains", type=int, default=None)
-    p_fit.add_argument("--config", default=None, help="key=value settings file")
     p_fit.add_argument("--export-csv", action="store_true")
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)

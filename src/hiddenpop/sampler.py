@@ -491,6 +491,10 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         raise ValueError(
             f"graph has {graph.n_regions} regions but panel has {data.n_regions}"
         )
+    if data.n_periods < 2:
+        # with one period the region effect and the noise enter every cell
+        # alike, so the likelihood cannot tell sigma2_alpha from sigma2_eps
+        raise ValueError(f"panel has {data.n_periods} period(s); a fit needs at least 2")
 
     # The one-sided components depress the observed response, while every
     # update below is written for the mirrored model in which they enter

@@ -138,7 +138,7 @@ class TestCoverageReport:
         lo = np.zeros((n, t))
         hi = np.full((n, t), 10.0)
         truth = np.full((n, t), 5.0)
-        rep = coverage_report(lo, hi, truth, 0.9)
+        rep = coverage_report(lo, hi, truth, 0.9, rng=np.random.default_rng(0))
         assert rep.a == 246 and rep.b == 1
         assert rep.posterior_mean_coverage == pytest.approx(246 / 247, abs=0.002)
 
@@ -147,7 +147,7 @@ class TestCoverageReport:
         lo = np.zeros(n)
         hi = np.concatenate([np.full(100, 10.0), np.full(100, 0.1)])
         truth = np.full(n, 5.0)
-        rep = coverage_report(lo, hi, truth, 0.9)
+        rep = coverage_report(lo, hi, truth, 0.9, rng=np.random.default_rng(0))
         assert rep.posterior_mean_coverage == pytest.approx(0.5, abs=0.05)
 
     def test_beta_mean_identity_within_mc_error(self):
@@ -164,7 +164,8 @@ class TestCoverageReport:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            coverage_report(np.zeros(3), np.ones(3), np.ones(4), 0.9)
+            coverage_report(np.zeros(3), np.ones(3), np.ones(4), 0.9,
+                            rng=np.random.default_rng(0))
 
 
 class TestMape:

@@ -1,5 +1,4 @@
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -7,7 +6,6 @@ import os
 import struct
 import subprocess
 import sys
-import warnings
 import zipfile
 import zlib
 
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 from hiddenpop.analysis import uncaptured_summaries
-from hiddenpop.cli import _read_config_file, load_draws, main, save_draws
+from hiddenpop.cli import load_draws, main, save_draws
 from hiddenpop.data import FLOAT_FMT
 from hiddenpop.sampler import ChainConfig, PosteriorDraws, run_chain
 from hiddenpop.simulate import DgpConfig, read_truth_csv, simulate
@@ -40,7 +38,9 @@ def _rows(path):
      "argument --by-period: not allowed with argument --by-region"),
     (("fit", "--data", "panel.csv", "--grid", "3x3", "--no-stabilize"),
      "unrecognized arguments: --no-stabilize"),
-], ids=["no-graph", "grid-and-adjacency", "region-and-period", "no-stabilize"])
+    (("fit", "--data", "panel.csv", "--grid", "3x3", "--config", "chain.cfg"),
+     "unrecognized arguments: --config chain.cfg"),
+], ids=["no-graph", "grid-and-adjacency", "region-and-period", "no-stabilize", "config-file"])
 def test_missing_or_conflicting_flags_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         _run(*argv, "--out", str(tmp_path / "out"))
@@ -161,6 +161,16 @@ class TestFitCommand:
         assert "regions" in capsys.readouterr().err
         assert not (fit / "draws.npz").exists()
 
+    def test_one_period_panel_fails_cleanly(self, tmp_path, capsys):
+        for periods, code in (("1", 1), ("2", 0)):
+            sim = tmp_path / f"sim{periods}"
+            fit = tmp_path / f"fit{periods}"
+            _run("simulate", "--grid", "3x3", "--periods", periods, "--out", str(sim))
+            assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
+                        "--iters", "600", "--burnin", "100", "--out", str(fit)) == code
+        assert "error: panel has 1 period(s); a fit needs at least 2" in capsys.readouterr().err
+        assert list((tmp_path / "fit1").iterdir()) == []
+
     def test_too_few_draws_fail_before_the_panel_is_read(self, tmp_path, capsys):
         # the summary's HDI needs 100 draws; the panel file does not exist,
         # so an error about it shows the draw count was checked first
@@ -183,34 +193,6 @@ class TestFitCommand:
         assert _run(*common, "--iters", "60", "--burnin", "10", "--thin", "1") == 1
         assert not (fit / "manifest.json").exists()
 
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        sim = tmp_path / "sim"
-        fit = tmp_path / "fit"
-        _run("simulate", "--grid", "3x3", "--periods", "3", "--out", str(sim))
-        cfg = tmp_path / "chain.cfg"
-        cfg.write_text("iters=600\nburnin=100\nthin=2\nseed=5\n")
-        assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
-                    "--config", str(cfg), "--thin", "4", "--out", str(fit)) == 0
-        manifest = json.loads((fit / "manifest.json").read_text())
-        assert manifest["config"]["n_iter"] == 600
-        assert manifest["config"]["thin"] == 4  # flag wins over file
-        # every bad line is an error naming file:line, and nothing is written
-        for line, message in (
-            ("center_car=true", "unknown key 'center_car'"),
-            ("car_df=246", "unknown key 'car_df'"),
-            ("stabilise=false", "unknown key 'stabilise'"),
-            ("seed=6", "seed repeated, first set on line 1"),
-            ("stabilize=false", "unknown key 'stabilize'"),
-            ("iters=abc", "iters must be int, got 'abc'"),
-            ("mh_step_scale_eps=wide", "unknown key 'mh_step_scale_eps'"),
-        ):
-            cfg.write_text(f"seed=5\n# the next line is wrong\n{line}\n")
-            bad = tmp_path / "bad"
-            assert _run("fit", "--data", str(sim / "panel.csv"), "--grid", "3x3",
-                        "--config", str(cfg), "--out", str(bad)) == 1
-            assert f"{cfg}:3: {message}" in capsys.readouterr().err
-            assert list(bad.iterdir()) == []
-
     def test_draws_do_not_depend_on_blas_threads(self, tmp_path):
         # simulate's own outputs move with the thread count at N=900 (its
         # dense W @ z and eigh), so the panel is simulated once, here
@@ -228,19 +210,6 @@ class TestFitCommand:
                            env=env, check=True, timeout=300)
             digests.append(hashlib.sha256((out / "draws.npz").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
-
-    def test_config_file_is_closed(self, tmp_path, monkeypatch):
-        # an unclosed file warns while it is collected, where the error the
-        # filter makes of the warning can only reach the unraisable hook
-        cfg = tmp_path / "chain.cfg"
-        cfg.write_text("iters=600\n# comment\nseed = 5\n")
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResourceWarning)
-            assert _read_config_file(cfg) == {"n_iter": 600, "seed": 5}
-            gc.collect()
-        assert unraisable == []
 
     def test_adjacency_joins_regions_by_label(self, tmp_path):
         # the same panel and graph, once labelled 0..8 in row-major order and

@@ -6,10 +6,11 @@ in `tests/oracles.py` as a reference or nowhere. The scan is by name, so
 it cannot tell two methods of one name apart; it errs toward passing.
 
 A chain setting that `hiddenpop fit` cannot set is a dead knob in the same
-way: every `ChainConfig` field must be reachable from a config key or a flag,
-every `fit` flag must set a field or name an input or output (any other is
-ignored), and every `DgpConfig` field must be reachable from a `simulate` flag. A flag that is not given
-leaves the library's default in place, so no default is restated in the CLI.
+way: every `ChainConfig` field must be reachable from a `fit` flag, every
+`fit` flag must set a field or name an input or output (any other is
+ignored), and every `DgpConfig` field must be reachable from a `simulate`
+flag. A flag that is not given leaves the library's default in place, so no
+default is restated in the CLI.
 
 The study scripts are not run by the suite, so each is imported by path:
 a script that names a deleted symbol fails here.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from hiddenpop.cli import _FIT_KEYS, build_parser, main
+from hiddenpop.cli import build_parser, main
 from hiddenpop.sampler import ChainConfig
 from hiddenpop.simulate import DgpConfig, simulate
 from hiddenpop.sir import DEFAULT_PRIOR_ALPHA, DEFAULT_PRIOR_NU, DEFAULT_TIERS
@@ -109,29 +110,27 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 
 def test_every_chain_setting_is_reachable_from_fit(tmp_path):
-    keyed = set(_FIT_KEYS.values())
-    flagged = set(vars(build_parser().parse_args(["fit", "--data", "panel.csv", "--grid", "2x2"])))
+    args = vars(build_parser().parse_args(["fit", "--data", "panel.csv", "--grid", "2x2"]))
     fields = {f.name for f in dataclasses.fields(ChainConfig)}
-    assert fields <= keyed | flagged
+    assert fields <= set(args)
     # and every fit flag sets a chain field or names an input or an output:
-    # cmd_fit reads only the keyed flags, so any other would be ignored silently
-    assert keyed <= fields
-    assert flagged <= keyed | {"subcommand", "func", "data", "grid", "adjacency", "config",
-                               "export_csv", "out"}
-    # and a config file that sets every key away from its default reaches
-    # the resolved chain the manifest records
-    values = {"iters": 120, "burnin": 20, "thin": 1, "seed": 3, "chains": 2}
-    assert set(values) == set(_FIT_KEYS)
+    # cmd_fit reads only the field flags, so any other would be ignored silently
+    assert set(args) <= fields | {"subcommand", "func", "data", "grid", "adjacency",
+                                  "export_csv", "out"}
+    assert all(args[name] is None for name in fields)
+    # and every flag moved off its default reaches the resolved chain the
+    # manifest records
+    values = {"n_iter": 120, "burn_in": 20, "thin": 1, "seed": 3, "chains": 2}
+    assert set(values) == fields
     defaults = {f.name: f.default for f in dataclasses.fields(ChainConfig)}
     simulate(DgpConfig(grid_rows=2, grid_cols=2, n_periods=2, seed=1)).dataset.to_csv(
         tmp_path / "panel.csv")
-    cfg = tmp_path / "chain.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
     assert main(["fit", "--data", str(tmp_path / "panel.csv"), "--grid", "2x2",
-                 "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+                 "--iters", "120", "--burnin", "20", "--thin", "1", "--seed", "3",
+                 "--chains", "2", "--out", str(tmp_path / "fit")]) == 0
     resolved = json.loads((tmp_path / "fit" / "manifest.json").read_text())["config"]
-    for key, name in _FIT_KEYS.items():
-        assert resolved[name] == values[key] != defaults[name]
+    for name in fields:
+        assert resolved[name] == values[name] != defaults[name]
 
 
 def test_every_dgp_setting_is_reachable_from_simulate(tmp_path):

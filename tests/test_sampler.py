@@ -331,6 +331,12 @@ class TestRunChain:
         with pytest.raises(ValueError, match="regions"):
             run_chain(truth.dataset, wrong, ChainConfig(n_iter=20, burn_in=10, thin=1))
 
+    def test_one_period_panel_is_rejected(self):
+        # with T = 1 the likelihood cannot separate sigma2_alpha from sigma2_eps
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=1, seed=6))
+        with pytest.raises(ValueError, match=r"panel has 1 period\(s\); a fit needs at least 2"):
+            run_chain(truth.dataset, truth.graph, ChainConfig(n_iter=20, burn_in=10, thin=1))
+
     def test_rank_one_identity_along_chain(self):
         # spot check the rank-one inverse and log-determinant the sampler
         # uses against dense algebra at the stored variance pairs
