@@ -162,13 +162,9 @@ def export_draws_csv(draws: PosteriorDraws, path) -> None:
     k = draws.beta.shape[1]
     header = (["draw", "chain"] + [f"beta_{j + 1}" for j in range(k)]
               + [name.replace("sigma2_", "sigma_") for name in _DRAWS_SCALARS])
-    rows = []
-    for s in range(draws.n_draws):
-        row = [s, int(draws.chain_id[s])]
-        row += [float(draws.beta[s, j]) for j in range(k)]
-        row += [float(np.sqrt(getattr(draws, name)[s])) for name in _DRAWS_SCALARS]
-        rows.append(row)
-    _write_rows(path, header, rows)
+    columns = ([range(draws.n_draws), draws.chain_id.tolist()] + draws.beta.T.tolist()
+               + [np.sqrt(getattr(draws, name)).tolist() for name in _DRAWS_SCALARS])
+    _write_rows(path, header, zip(*columns))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -74,9 +74,11 @@ def truncated_normal(mean, sd, lower=0.0, *, rng: np.random.Generator) -> np.nda
     proposals. sd and lower broadcast against mean.
     """
     mean = np.asarray(mean, dtype=float)
+    scalar_bound = isinstance(lower, (int, float))
     # b is minus the standardized bound and w minus the standardized draw,
-    # so the central path needs no negations: x = mean - sd * w.
-    b = (mean - lower) / sd
+    # so the central path needs no negations: x = mean - sd * w. mean - 0.0
+    # is mean, so a zero bound skips the subtraction.
+    b = (mean if scalar_bound and lower == 0.0 else mean - lower) / sd
     deep = b < -_TAIL_SWITCH
     if np.count_nonzero(deep):
         w = np.empty(b.shape)
@@ -87,8 +89,7 @@ def truncated_normal(mean, sd, lower=0.0, *, rng: np.random.Generator) -> np.nda
         w = _inverse_survival(b, rng)
     x = mean - sd * w
     # Guard against rounding onto the bound itself; draws are strictly above.
-    above = (math.nextafter(lower, math.inf) if isinstance(lower, (int, float))
-             else np.nextafter(lower, np.inf))
+    above = math.nextafter(lower, math.inf) if scalar_bound else np.nextafter(lower, np.inf)
     return np.maximum(x, above)
 
 
@@ -96,7 +97,7 @@ def _inverse_survival(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Minus a standard-normal draw conditioned on exceeding -b, for moderate b."""
     # q uniform on (0, S(-b)] = (0, Phi(b)]; inverting the survival keeps
     # precision in the tail where the CDF saturates.
-    q = (1.0 - rng.random(np.shape(b))) * ndtr(b)
+    q = (1.0 - rng.random(b.shape)) * ndtr(b)
     return ndtri(q)
 
 
@@ -120,8 +121,10 @@ def _logdet(sigma2_eps: float, sigma2_alpha: float, t: int) -> float:
     return (t - 1) * math.log(sigma2_eps) + math.log(sigma2_eps + t * sigma2_alpha)
 
 
-def mh_scaled_chisq_step(log_target, current, rng: np.random.Generator, step_scale: float):
-    """One Metropolis-Hastings move with a median-centred chi-squared proposal.
+def mh_scaled_chisq_step(log_target, current: float, rng: np.random.Generator,
+                         step_scale: float) -> tuple[float, bool]:
+    """One Metropolis-Hastings move of a scalar with a median-centred
+    chi-squared proposal.
 
     Proposes value' = value * (z / m)^s with z ~ chi2(1) and m the chi2(1)
     median, so the proposal's median is the current value and moves are
@@ -129,23 +132,24 @@ def mh_scaled_chisq_step(log_target, current, rng: np.random.Generator, step_sca
 
         (s - 1) * log(z / m) + (z - m^2 / z) / 2.
 
-    Works elementwise on arrays; returns (new_value, accepted_mask).
+    A -inf target marks a truncated support: a proposal outside it is
+    rejected, and any proposal inside it from a state outside is taken.
+    Returns (new_value, accepted). The move runs on Python floats with the
+    bits and the stream of the elementwise oracle in the tests, which three
+    rules keep: the logs are numpy's, whose vector code can differ from
+    libm's in the last bit; (z / m)^s is Python's `**`, libm's pow as on a
+    numpy scalar; and one uniform is drawn on every step, also when the
+    outcome is already decided.
     """
-    current = np.asarray(current, dtype=float)
-    z = rng.chisquare(1.0, size=current.shape)
-    ratio = (z / CHI2_DF1_MEDIAN) ** step_scale
-    proposal = current * ratio
-    correction = (step_scale - 1.0) * np.log(z / CHI2_DF1_MEDIAN) + 0.5 * (
-        z - CHI2_DF1_MEDIAN**2 / z
-    )
-    lt_prop = np.asarray(log_target(proposal), dtype=float)
-    lt_cur = np.asarray(log_target(current), dtype=float)
-    # -inf target values (truncated support) must not produce NaN accepts:
-    # a proposal outside the support is always rejected, and any in-support
-    # proposal from an out-of-support state is always taken. Zeroing the
-    # -inf current values keeps inf - inf out of the difference.
-    inside = lt_prop != -np.inf
-    escape = lt_cur == -np.inf
-    log_accept = lt_prop - np.where(escape, 0.0, lt_cur) + correction
-    accept = inside & (escape | (np.log(rng.random(current.shape)) < log_accept))
-    return np.where(accept, proposal, current), accept
+    z = rng.chisquare(1.0)
+    zm = z / CHI2_DF1_MEDIAN
+    proposal = current * zm**step_scale
+    correction = (step_scale - 1.0) * np.log(zm) + 0.5 * (z - CHI2_DF1_MEDIAN**2 / z)
+    lt_prop = log_target(proposal)
+    lt_cur = log_target(current)
+    log_u = np.log(rng.random())
+    if lt_prop == -math.inf:
+        return current, False
+    if lt_cur == -math.inf or log_u < lt_prop - lt_cur + correction:
+        return proposal, True
+    return current, False

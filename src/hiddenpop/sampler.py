@@ -190,10 +190,10 @@ def beta_posterior_moments(state: ParameterState, data: PanelDataset):
     ytil = data.y - state.u_plus - state.v[:, None] - state.eta_plus[:, None]
     xtx, xs = data.regressor_gram                 # (K, K) and (N, K), X_i' 1
     cxs = c * xs.T
-    gram = a * xtx - cxs @ xs
+    prec = a * xtx - cxs @ xs
+    prec.flat[:: k + 1] += 1.0 / BETA_PRIOR_SCALE   # the prior I / BETA_PRIOR_SCALE
     rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - cxs @ ytil.sum(axis=1)
 
-    prec = gram + np.eye(k) / BETA_PRIOR_SCALE
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as exc:
@@ -321,7 +321,7 @@ def update_sigma2_v(state: ParameterState, graph: SpatialGraph,
     upper_mass = chdtr(dof, scale / floor)
     if upper_mass <= 0.0:
         return floor
-    draw = 2 * gammaincinv(dof / 2, rng.uniform() * upper_mass)
+    draw = 2 * gammaincinv(dof / 2, rng.random() * upper_mass)
     # gammaincinv returns a numpy scalar; a Python float keeps the next
     # sweep's scalar arithmetic off numpy
     return float(max(scale / draw, floor))
@@ -330,14 +330,14 @@ def update_sigma2_v(state: ParameterState, graph: SpatialGraph,
 def update_sigma2_u(state: ParameterState, rng: np.random.Generator) -> float:
     n_total = state.u_plus.size
     shape = 0.5 * (n_total + V0)
-    scale = 0.5 * (float(np.sum(state.u_plus**2)) + 2.0 * IG_SCALE_U)
+    scale = 0.5 * (float((state.u_plus * state.u_plus).sum()) + 2.0 * IG_SCALE_U)
     return sample_inverse_gamma(shape, scale, rng)
 
 
 def update_sigma2_eta(state: ParameterState, rng: np.random.Generator) -> float:
     n = state.eta_plus.size
     shape = 0.5 * (n + V0)
-    scale = 0.5 * (float(np.sum(state.eta_plus**2)) + 2.0 * IG_SCALE_ETA)
+    scale = 0.5 * (float((state.eta_plus * state.eta_plus).sum()) + 2.0 * IG_SCALE_ETA)
     return sample_inverse_gamma(shape, scale, rng)
 
 
@@ -352,7 +352,8 @@ def _marginal_loglik_terms(resid: np.ndarray, state: ParameterState):
 
 def _scaled_chisq_log_prior(s2: float) -> float:
     """Log density of s2 when QBAR / s2 ~ chi2(NBAR)."""
-    return float(-(0.5 * NBAR + 1.0) * np.log(s2) - 0.5 * QBAR / s2)
+    # numpy's log, not math.log: the two can differ in the last bit
+    return -(0.5 * NBAR + 1.0) * float(np.log(s2)) - 0.5 * QBAR / s2
 
 
 def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
@@ -375,8 +376,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
 
     s2_eps_cur = state.sigma2_eps
 
-    def target_alpha(s2):
-        s2 = float(s2)
+    def target_alpha(s2: float) -> float:
         if s2 > alpha_cap or s2 < alpha_floor:
             return -math.inf
         return loglik(s2, s2_eps_cur) + _scaled_chisq_log_prior(s2)
@@ -384,10 +384,8 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
     new_alpha, acc_alpha = mh_scaled_chisq_step(
         target_alpha, state.sigma2_alpha, rng, MH_STEP_ALPHA
     )
-    new_alpha = float(new_alpha)
 
-    def target_eps(s2):
-        s2 = float(s2)
+    def target_eps(s2: float) -> float:
         if s2 < eps_floor:
             return -math.inf
         return loglik(new_alpha, s2) + _scaled_chisq_log_prior(s2)
@@ -395,7 +393,7 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
     new_eps, acc_eps = mh_scaled_chisq_step(
         target_eps, state.sigma2_eps, rng, MH_STEP_EPS
     )
-    return new_alpha, float(new_eps), (bool(acc_alpha), bool(acc_eps))
+    return new_alpha, new_eps, (acc_alpha, acc_eps)
 
 
 def update_level(state: ParameterState, rng: np.random.Generator) -> bool:
@@ -411,11 +409,12 @@ def update_level(state: ParameterState, rng: np.random.Generator) -> bool:
     n = state.eta_plus.size
     scale = 0.5 * math.sqrt(state.sigma2_eta / n)
     delta = rng.normal(0.0, scale)
-    eta_new = state.eta_plus - delta
-    if eta_new.min() <= 0.0:
+    eta = state.eta_plus
+    eta_new = eta - delta
+    if np.minimum.reduce(eta_new) <= 0.0:
         return False
     log_ratio = 0.5 * (
-        float(np.sum(state.eta_plus**2)) - float(np.sum(eta_new**2))
+        float((eta * eta).sum()) - float((eta_new * eta_new).sum())
     ) / state.sigma2_eta
     if -rng.exponential() < log_ratio:
         state.eta_plus = eta_new

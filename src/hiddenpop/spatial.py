@@ -200,4 +200,4 @@ def car_quadratic_form(graph: SpatialGraph, v: np.ndarray) -> float:
     if v.shape != (graph.n_regions,):
         raise ValueError(f"expected vector of length {graph.n_regions}, got {v.shape}")
     diff = v[graph.edge_i] - v[graph.edge_j]
-    return float(np.sum(graph.edge_w * diff * diff))
+    return float((graph.edge_w * diff * diff).sum())

@@ -5,10 +5,10 @@ rank-one factors `kernels._inverse_factors` and `kernels._logdet`. These
 oracles build the dense matrices around those same factors, so a dense
 check of an oracle is a check of the formulas the sampler runs.
 
-The loop oracles at the end are the graph builder and the CAR sweep as
-they ran before they were vectorised or moved onto Python floats; the
-tests hold the package to them bit for bit where the arithmetic is the
-same.
+The oracles at the end are the graph builder, the CAR sweep and the
+Metropolis-Hastings move as they ran before they were vectorised or moved
+onto Python floats; the tests hold the package to them bit for bit where
+the arithmetic is the same.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from hiddenpop.kernels import NumericalError, _inverse_factors, _logdet
+from hiddenpop.kernels import CHI2_DF1_MEDIAN, NumericalError, _inverse_factors, _logdet
 from hiddenpop.sampler import _residual
 
 
@@ -175,3 +175,26 @@ def update_v_dot(state, resid, reference, rng) -> np.ndarray:
     for i, (nbr, wts) in enumerate(zip(reference.neighbors, reference.weights)):
         v[i] = var[i] * (data_pull[i] + inv_s2v * wts.dot(v[nbr])) + noise[i]
     return v
+
+
+def mh_scaled_chisq_step(log_target, current, rng, step_scale: float):
+    """The median-centred chi2(1) Metropolis-Hastings move elementwise on
+    arrays, as the sampler ran it before it moved onto one Python float.
+    Returns (new_value, accepted_mask)."""
+    current = np.asarray(current, dtype=float)
+    z = rng.chisquare(1.0, size=current.shape)
+    ratio = (z / CHI2_DF1_MEDIAN) ** step_scale
+    proposal = current * ratio
+    correction = (step_scale - 1.0) * np.log(z / CHI2_DF1_MEDIAN) + 0.5 * (
+        z - CHI2_DF1_MEDIAN**2 / z
+    )
+    lt_prop = np.asarray(log_target(proposal), dtype=float)
+    lt_cur = np.asarray(log_target(current), dtype=float)
+    # a proposal outside the support is always rejected, and any in-support
+    # proposal from an out-of-support state is always taken; zeroing the
+    # -inf current values keeps inf - inf out of the difference
+    inside = lt_prop != -np.inf
+    escape = lt_cur == -np.inf
+    log_accept = lt_prop - np.where(escape, 0.0, lt_cur) + correction
+    accept = inside & (escape | (np.log(rng.random(current.shape)) < log_accept))
+    return np.where(accept, proposal, current), accept

@@ -15,6 +15,7 @@ from hiddenpop.kernels import (
     truncated_normal,
 )
 from oracles import CompoundSymmetricCov, conditional_mvn, sigma_inverse
+from oracles import mh_scaled_chisq_step as array_mh_step
 
 
 class TestTruncatedNormal:
@@ -268,6 +269,10 @@ class TestConditionalMvn:
 
 
 class TestMhScaledChisq:
+    """The sampler's move is scalar; the distribution checks run on the
+    elementwise oracle, which runs many chains in one call, and the scalar
+    move is held to the oracle bit for bit."""
+
     def test_chi2_median_constant(self):
         assert abs(CHI2_DF1_MEDIAN - stats.chi2.ppf(0.5, 1)) < 1e-12
 
@@ -276,7 +281,7 @@ class TestMhScaledChisq:
         cur = np.full(n_parallel, start)
         kept = []
         for step in range(n_steps):
-            cur, _ = mh_scaled_chisq_step(log_target, cur, rng, 1.0)
+            cur, _ = array_mh_step(log_target, cur, rng, 1.0)
             if step >= burn and (step - burn) % thin == 0:
                 kept.append(cur.copy())
         return np.concatenate(kept)
@@ -305,8 +310,9 @@ class TestMhScaledChisq:
         assert stats.kstest(draws, ref.cdf).pvalue > 0.01
 
     def test_matches_reference_on_truncated_support(self):
-        # the kernel as first written, with np.errstate and np.isneginf; the
-        # current chains mix in-support and out-of-support states
+        # the oracle against the kernel as first written, with np.errstate
+        # and np.isneginf; the current chains mix in-support and
+        # out-of-support states
         def reference(log_target, current, rng, step_scale):
             current = np.asarray(current, dtype=float)
             z = rng.chisquare(1.0, size=current.shape)
@@ -331,7 +337,7 @@ class TestMhScaledChisq:
         for step_scale in (0.25, 1.0):
             rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
             with np.errstate(invalid="raise"):
-                got, got_acc = mh_scaled_chisq_step(log_target, start, rng, step_scale)
+                got, got_acc = array_mh_step(log_target, start, rng, step_scale)
             want, want_acc = reference(log_target, start, ref_rng, step_scale)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(got_acc, want_acc)
@@ -340,7 +346,7 @@ class TestMhScaledChisq:
             assert got_acc.any() and not got_acc.all()
         for cur in (0.3, 1.0):
             rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
-            got, got_acc = mh_scaled_chisq_step(log_target, cur, rng, 0.4)
+            got, got_acc = array_mh_step(log_target, cur, rng, 0.4)
             want, want_acc = reference(log_target, cur, ref_rng, 0.4)
             assert float(got) == float(want) and bool(got_acc) == bool(want_acc)
 
@@ -353,6 +359,36 @@ class TestMhScaledChisq:
         rng = np.random.default_rng(42)
         cur = np.full(500, 1.0)
         for _ in range(200):
-            cur, _ = mh_scaled_chisq_step(log_target, cur, rng, 1.0)
+            cur, _ = array_mh_step(log_target, cur, rng, 1.0)
         assert np.all(cur <= 2.0)
         assert np.all(np.isfinite(cur))
+
+    @pytest.mark.parametrize("step_scale", [0.25, 0.4, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scalar_move_matches_oracle_bits_and_stream(self, seed, step_scale):
+        # a truncated target on the band [0.5, 2]: chains start inside it,
+        # below it and above it, and proposals leave it
+        lo, hi = 0.5, 2.0
+        calls = {"outside": 0, "escapes": 0}
+
+        def log_target(s2):
+            if s2 < lo or s2 > hi:
+                calls["outside"] += 1
+                return -math.inf
+            return float(-1.5 * np.log(s2) - 0.1 / s2)
+
+        for start in (1.0, 0.45, 2.2):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            cur = ref = start
+            for _ in range(200):
+                was_outside = not lo <= cur <= hi
+                cur, acc = mh_scaled_chisq_step(log_target, cur, rng, step_scale)
+                ref_arr, ref_acc = array_mh_step(log_target, np.array(ref), ref_rng, step_scale)
+                ref = float(ref_arr)
+                assert type(cur) is float and type(acc) is bool
+                assert np.float64(cur).tobytes() == np.float64(ref).tobytes()
+                assert acc == bool(ref_acc)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                calls["escapes"] += was_outside and acc
+        # both support rules were exercised
+        assert calls["outside"] > 0 and calls["escapes"] > 0

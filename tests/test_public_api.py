@@ -13,7 +13,9 @@ flag. A flag that is not given leaves the library's default in place, so no
 default is restated in the CLI.
 
 The study scripts are not run by the suite, so each is imported by path:
-a script that names a deleted symbol fails here.
+a script that names a deleted symbol fails here. So is the benchmark's
+`perfbench/run.py`, whose traced per-layer metrics name package functions:
+a renamed function would turn its metric into a silent zero.
 """
 
 import ast
@@ -24,10 +26,13 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
+from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from hiddenpop import kernels, sampler
 from hiddenpop.cli import build_parser, main
 from hiddenpop.sampler import ChainConfig
 from hiddenpop.simulate import DgpConfig, simulate
@@ -97,6 +102,26 @@ def test_every_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_benchmark_traces_public_callables():
+    # run.py puts perfbench/ on sys.path and imports its workloads module;
+    # both are undone after the import
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(run)
+    names = list(run.PER_CALL_US) + [f"sampler.{update}" for update in run.SWEEP_UPDATES]
+    assert "kernels.truncated_normal" in names
+    for name in names:
+        module, *attrs = name.split(".")
+        assert not any(attr.startswith("_") for attr in attrs), name
+        found = reduce(getattr, attrs, importlib.import_module(f"hiddenpop.{module}"))
+        assert callable(found), name
+    # the sampler calls the kernels through its own globals, which the
+    # tracer wraps as well: each must be the one function
+    assert sampler.truncated_normal is kernels.truncated_normal
+    assert sampler.mh_scaled_chisq_step is kernels.mh_scaled_chisq_step
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
