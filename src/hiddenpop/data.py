@@ -204,13 +204,21 @@ class PanelDataset:
         return self.x.shape[2]
 
     @cached_property
-    def regressor_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_it x_it x_it', X_i'1 per region): the slope update's constants.
+    def regressor_planes(self) -> np.ndarray:
+        """x as K contiguous (N, T) planes, shape (K, N, T): plane k is x[:, :, k]."""
+        return np.ascontiguousarray(np.moveaxis(self.x, -1, 0))
+
+    @cached_property
+    def regressor_gram(self) -> tuple[list, list]:
+        """(X'X, G = sum_i (X_i'1)(X_i'1)'): the slope update's constants, as
+        K x K nested lists of Python floats.
 
         Computed on first use and kept, like the finiteness check, on the
         understanding that the panel does not change after construction.
         """
-        return np.einsum("ntk,ntl->kl", self.x, self.x), self.x.sum(axis=1)
+        xs = self.x.sum(axis=1)
+        return (np.einsum("ntk,ntl->kl", self.x, self.x).tolist(),
+                np.einsum("nk,nl->kl", xs, xs).tolist())
 
     def to_csv(self, path) -> None:
         k = self.k_regressors

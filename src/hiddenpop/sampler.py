@@ -165,52 +165,70 @@ class PosteriorDraws:
         return self.u_plus.shape[2]
 
 
-def _residual(resid: np.ndarray, state: ParameterState, *, u=True, eta=True, v=True):
-    """`resid` (y - X beta) minus the requested latent components, shape (N, T)."""
-    r = resid
-    if u:
-        r = r - state.u_plus
-    if v:
-        r = r - state.v[:, None]
-    if eta:
-        r = r - state.eta_plus[:, None]
-    return r
+def _back_substitute(chol: list, b: list) -> list:
+    """x with L' x = b, for a lower triangular L as nested lists."""
+    k = len(b)
+    x = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        acc = b[i]
+        for m in range(i + 1, k):
+            acc -= chol[m][i] * x[m]
+        x[i] = acc / chol[i][i]
+    return x
 
 
 def beta_posterior_moments(state: ParameterState, data: PanelDataset):
-    """Mean and lower Cholesky factor of the precision of the slope full conditional.
+    """Mean and lower Cholesky factor of the precision of the slope full
+    conditional, as (K,) and (K, K) arrays.
 
-    Precision = sum_i X_i' Sigma^{-1} X_i + I / BETA_PRIOR_SCALE (the prior
-    mean is zero); the Sigma^{-1} products use the rank-one form, and the
-    panel's Gram pieces X'X and X_i'1 are computed once per panel, so a
-    call costs O(N T K + N K^2).
+    Precision = a X'X - c G + I / BETA_PRIOR_SCALE (the prior mean is zero),
+    with Sigma^{-1} = a I - c 11' in the rank-one form and the panel's
+    constants X'X and G = sum_i (X_i'1)(X_i'1)', computed once per panel;
+    rhs_k = sum_it x_itk (Sigma^{-1} ytil_i)_t is one pairwise sum per
+    regressor plane. The K x K factor and its two triangular solves run on
+    Python floats, where numpy's linear algebra would cost more in call
+    overhead than in arithmetic, so a call costs O(N T K + K^3). A
+    precision that is not positive definite, NaN included, raises
+    NumericalError.
     """
-    n, t, k = data.x.shape
-    a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
-    ytil = data.y - state.u_plus - state.v[:, None] - state.eta_plus[:, None]
-    xtx, xs = data.regressor_gram                 # (K, K) and (N, K), X_i' 1
-    cxs = c * xs.T
-    prec = a * xtx - cxs @ xs
-    prec.flat[:: k + 1] += 1.0 / BETA_PRIOR_SCALE   # the prior I / BETA_PRIOR_SCALE
-    rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - cxs @ ytil.sum(axis=1)
-
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "slope posterior precision is not positive definite", np.linalg.cond(prec)
-        ) from exc
-    mean = np.linalg.solve(prec, rhs)
-    return mean, chol
+    a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, data.n_periods)
+    ytil = data.y - state.u_plus - (state.v + state.eta_plus)[:, None]
+    pull = a * ytil - (c * ytil.sum(axis=1))[:, None]    # Sigma^{-1} ytil_i, per region
+    rhs = np.add.reduce(data.regressor_planes * pull, axis=(1, 2)).tolist()
+    xtx, gram = data.regressor_gram
+    prior = 1.0 / BETA_PRIOR_SCALE
+    k = len(rhs)
+    chol = [[0.0] * k for _ in range(k)]
+    half = []    # L^{-1} rhs
+    for i, (row, xtx_i, gram_i) in enumerate(zip(chol, xtx, gram)):
+        for j in range(i + 1):
+            s = a * xtx_i[j] - c * gram_i[j] + (prior if j == i else 0.0)
+            for m in range(j):
+                s -= row[m] * chol[j][m]
+            if j < i:
+                row[j] = s / chol[j][j]
+                continue
+            # `not s > 0` also stops a NaN precision
+            if not s > 0.0:
+                prec = a * np.array(xtx) - c * np.array(gram) + prior * np.eye(k)
+                condition = np.linalg.cond(prec) if np.isfinite(prec).all() else math.nan
+                raise NumericalError(
+                    "slope posterior precision is not positive definite", condition)
+            row[i] = math.sqrt(s)
+        acc = rhs[i]
+        for m in range(i):
+            acc -= row[m] * half[m]
+        half.append(acc / row[i])
+    return np.array(_back_substitute(chol, half)), np.array(chol, dtype=float).reshape(k, k)
 
 
 def update_beta(state: ParameterState, data: PanelDataset,
                 rng: np.random.Generator) -> np.ndarray:
     mean, chol = beta_posterior_moments(state, data)
-    z = rng.standard_normal(mean.size)
-    # chol is the lower factor of the precision; solve L' x = z gives a
-    # draw with covariance prec^{-1}.
-    return mean + np.linalg.solve(chol.T, z)
+    z = rng.standard_normal(mean.size).tolist()
+    # chol is the lower factor of the precision; solving L' x = z gives a
+    # draw with covariance prec^{-1}
+    return mean + _back_substitute(chol.tolist(), z)
 
 
 def _omega_factors(a: float, c: float, sigma2_u: float, t: int) -> tuple[float, float]:
@@ -231,13 +249,13 @@ def update_u_plus(state: ParameterState, resid: np.ndarray,
     the others has closed-form mean mu_t + k (sum_{s != t} (u_s - mu_s))
     and a variance shared by all coordinates; regions are conditionally
     independent, so each step draws all N coordinates at once. `resid` is
-    y - X beta, as for every update after beta's.
+    y - X beta.
     """
     n, t = resid.shape
     a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
     e, f = _omega_factors(a, c, state.sigma2_u, t)
 
-    r = _residual(resid, state, u=False)
+    r = resid - (state.v + state.eta_plus)[:, None]
     row = r.sum(axis=1)
     # mu = Omega Sigma^{-1} r reduces to e*a*r + kappa * (1'r) per cell.
     kappa = f * (a - c * t) - e * c
@@ -257,49 +275,59 @@ def update_u_plus(state: ParameterState, resid: np.ndarray,
     return u
 
 
-def update_eta_plus(state: ParameterState, resid: np.ndarray,
+def update_eta_plus(state: ParameterState, rows: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """Truncated normal N+(m_i, psi2) with psi2 = s2_eta / (1 + s2_eta 1'Sigma^{-1}1)."""
-    n, t = resid.shape
+    """Truncated normal N+(m_i, psi2) with psi2 = s2_eta / (1 + s2_eta 1'Sigma^{-1}1).
+
+    `rows` holds the row sums of y - X beta - u+, the residual base that
+    every update after u+'s reads; 1'(y_i - X_i beta - u_i+ - v_i 1) is
+    then rows_i - T v_i.
+    """
+    t = state.u_plus.shape[1]
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
     psi2 = state.sigma2_eta / (1.0 + state.sigma2_eta * one_inv_one)
-    r = _residual(resid, state, eta=False)
-    m = psi2 * r.sum(axis=1) / denom
+    m = psi2 * (rows - t * state.v) / denom
     return truncated_normal(m, math.sqrt(psi2), 0.0, rng=rng)
 
 
-def update_v(state: ParameterState, resid: np.ndarray, graph: SpatialGraph,
+def update_v(state: ParameterState, rows: np.ndarray, graph: SpatialGraph,
              rng: np.random.Generator) -> np.ndarray:
     """Sequential CAR sweep.
 
     Region i's full conditional is normal with precision
     1'Sigma^{-1}1 + row_sum_i / s2_v and mean proportional to the data
     pull plus the weighted sum of the *current* neighbour values, so the
-    sweep must be sequential. Everything that does not depend on the
-    neighbours' latest values is computed for all regions before the loop,
-    which then runs on Python floats: per region, a numpy call costs more
-    than its handful of multiply-adds. The neighbour sum runs left to
-    right from 0.0, so on unit weights it has the bits of a numpy dot.
-    """
-    n, t = resid.shape
-    denom = state.sigma2_eps + t * state.sigma2_alpha
-    one_inv_one = t / denom
-    r = _residual(resid, state, v=False)
-    data_pull = (r.sum(axis=1) / denom).tolist()   # 1' Sigma^{-1} r_i
+    sweep must be sequential. `rows` holds the row sums of
+    y - X beta - u+, so the data pull of region i is
+    (rows_i - T eta_i+) / (s2_eps + T s2_alpha).
 
-    v = state.v.tolist()
-    z = rng.standard_normal(n)
+    The neighbours j > i have not been updated when region i is drawn, so
+    one np.bincount over the graph's i < j edge arrays gives every region's
+    weighted sum over them, and with it everything except the sum over the
+    already updated neighbours j < i, before the loop. The loop then walks
+    only each region's lower neighbours, on Python floats: per region, a
+    numpy call costs more than its handful of multiply-adds.
+    """
+    n = graph.n_regions
+    t = state.u_plus.shape[1]
+    denom = state.sigma2_eps + t * state.sigma2_alpha
     inv_s2v = 1.0 / float(state.sigma2_v)
-    var = 1.0 / (one_inv_one + graph.row_sums * inv_s2v)
-    noise = (np.sqrt(var) * z).tolist()
-    var = var.tolist()
-    for i, pairs in enumerate(graph._pairs):
+    var = 1.0 / (t / denom + graph.row_sums * inv_s2v)
+    upper = np.bincount(graph.edge_i, weights=graph.edge_w * state.v[graph.edge_j],
+                        minlength=n)
+    z = rng.standard_normal(n)
+    # v_i = var_i (pull_i + (upper_i + lower_i) / s2_v) + sd_i z_i
+    known = (var * ((rows - t * state.eta_plus) / denom + inv_s2v * upper)
+             + np.sqrt(var) * z).tolist()
+    gain = (var * inv_s2v).tolist()
+    v = []
+    for k, g, lower in zip(known, gain, graph._lower):
         acc = 0.0
-        for j, w in pairs:
+        for j, w in lower:
             acc += w * v[j]
-        v[i] = var[i] * (data_pull[i] + inv_s2v * acc) + noise[i]
-    return np.fromiter(v, dtype=float, count=n)
+        v.append(k + g * acc)
+    return np.array(v)
 
 
 def update_sigma2_v(state: ParameterState, graph: SpatialGraph,
@@ -341,11 +369,14 @@ def update_sigma2_eta(state: ParameterState, rng: np.random.Generator) -> float:
     return sample_inverse_gamma(shape, scale, rng)
 
 
-def _marginal_loglik_terms(resid: np.ndarray, state: ParameterState):
-    """Sufficient statistics of the Sigma-marginalised Gaussian likelihood."""
-    r = _residual(resid, state)
+def _marginal_loglik_terms(base: np.ndarray, rows: np.ndarray, state: ParameterState):
+    """Sufficient statistics of the Sigma-marginalised Gaussian likelihood:
+    the sums of squares of the residual y - X beta - u+ - v - eta+ and of
+    its row sums, from the base y - X beta - u+ and the base's row sums."""
+    level = state.v + state.eta_plus
+    r = base - level[:, None]
     ss = float((r * r).sum())
-    rows = r.sum(axis=1)
+    rows = rows - base.shape[1] * level
     ss_rows = float((rows * rows).sum())
     return ss, ss_rows
 
@@ -356,7 +387,7 @@ def _scaled_chisq_log_prior(s2: float) -> float:
     return -(0.5 * NBAR + 1.0) * float(np.log(s2)) - 0.5 * QBAR / s2
 
 
-def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
+def update_sigma2_alpha_eps_mh(state: ParameterState, base: np.ndarray, rows: np.ndarray,
                                rng: np.random.Generator,
                                alpha_cap: float, alpha_floor: float, eps_floor: float):
     """Two independent MH moves for the heterogeneity and noise variances.
@@ -366,9 +397,10 @@ def update_sigma2_alpha_eps_mh(state: ParameterState, resid: np.ndarray,
     because the parameter enters through both |Sigma| and Sigma^{-1}.
     alpha_cap / eps_floor truncate the respective prior supports; proposals
     outside are rejected, which is exact MH for the truncated-prior model.
+    `base` is y - X beta - u+ and `rows` its row sums.
     """
-    n, t = resid.shape
-    ss, ss_rows = _marginal_loglik_terms(resid, state)
+    n, t = base.shape
+    ss, ss_rows = _marginal_loglik_terms(base, rows, state)
 
     def loglik(s2_alpha: float, s2_eps: float) -> float:
         a, c = _inverse_factors(s2_eps, s2_alpha, t)
@@ -502,6 +534,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     work = PanelDataset(y=-data.y, x=data.x, regions=data.regions, times=data.times)
 
     n, t, k = work.x.shape
+    planes = work.regressor_planes
     split = residual_variance_split(work)
     n_stored = chain.n_stored
     n_total = chain.chains * n_stored
@@ -555,21 +588,25 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
             try:
                 state.beta = update_beta(state, work, rng)
                 # beta is fixed for the rest of the sweep, and so is y - X beta
-                resid = work.y - np.einsum("ntk,k->nt", work.x, state.beta)
+                resid = work.y - np.einsum("knt,k->nt", planes, state.beta)
                 state.u_plus = update_u_plus(state, resid, rng)
-                state.eta_plus = update_eta_plus(state, resid, rng)
-                state.v = update_v(state, resid, graph, rng)
+                # and after u+, so is the base y - X beta - u+ of every
+                # later residual, and its row sums
+                base = resid - state.u_plus
+                rows = base.sum(axis=1)
+                state.eta_plus = update_eta_plus(state, rows, rng)
+                state.v = update_v(state, rows, graph, rng)
                 counts[2] += update_level(state, rng)
                 state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
                 state.sigma2_u = floor_var(update_sigma2_u(state, rng))
                 state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
                 s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
-                    state, resid, rng,
+                    state, base, rows, rng,
                     alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
                 )
                 state.sigma2_alpha = floor_var(s2a)
                 state.sigma2_eps = floor_var(s2e)
-            except (NumericalError, np.linalg.LinAlgError) as exc:
+            except NumericalError as exc:
                 raise SamplerError(f"iteration {it}: {exc}") from exc
             counts[0] += acc_a
             counts[1] += acc_e

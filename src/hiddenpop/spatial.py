@@ -2,9 +2,9 @@
 
 A graph is built only from its undirected edge list and keeps what the
 sampler reads: the row sums, the i < j edge arrays and each region's
-(neighbour, weight) pairs. The dense precision matrix is only ever
-materialised for test oracles and for drawing ground-truth spatial fields,
-never inside the sampler.
+(neighbour, weight) pairs of its lower neighbours j < i. The dense
+precision matrix is only ever materialised for test oracles and for
+drawing ground-truth spatial fields, never inside the sampler.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ class SpatialGraph:
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_w: np.ndarray
-    # per region, its (neighbour, weight) pairs as Python ints and floats in
-    # neighbour-list order: the table the sequential CAR sweep walks
-    _pairs: tuple
+    # per region i, the (neighbour, weight) pairs of its neighbours j < i as
+    # Python ints and floats in neighbour-list order: the table the
+    # sequential CAR sweep walks
+    _lower: tuple
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a SpatialGraph with SpatialGraph.from_edges or build_queen_grid")
@@ -107,8 +108,10 @@ class SpatialGraph:
         graph.row_sums = np.array([np.add.reduce(wts[a:b]) for a, b in rows])
         upper = nbr > owner
         graph.edge_i, graph.edge_j, graph.edge_w = owner[upper], nbr[upper], wts[upper]
-        pairs = list(zip(nbr.tolist(), wts.tolist()))
-        graph._pairs = tuple(tuple(pairs[a:b]) for a, b in rows)
+        lower = nbr < owner
+        pairs = list(zip(nbr[lower].tolist(), wts[lower].tolist()))
+        bounds = np.cumsum(np.bincount(owner[lower], minlength=n_regions)).tolist()
+        graph._lower = tuple(tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds))
         return graph
 
     def dense_weight_matrix(self) -> np.ndarray:

@@ -5,10 +5,11 @@ rank-one factors `kernels._inverse_factors` and `kernels._logdet`. These
 oracles build the dense matrices around those same factors, so a dense
 check of an oracle is a check of the formulas the sampler runs.
 
-The oracles at the end are the graph builder, the CAR sweep and the
-Metropolis-Hastings move as they ran before they were vectorised or moved
-onto Python floats; the tests hold the package to them bit for bit where
-the arithmetic is the same.
+The oracles at the end are the graph builder, the slope moments, the CAR
+sweep and the Metropolis-Hastings move as they ran before they were
+vectorised or moved onto Python floats; the tests hold the package to them
+bit for bit where the arithmetic is the same, and within 1e-12 where only
+the order of the sums differs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from hiddenpop import sampler
 from hiddenpop.kernels import CHI2_DF1_MEDIAN, NumericalError, _inverse_factors, _logdet
-from hiddenpop.sampler import _residual
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,8 @@ def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
     per-region loops of the original constructor produced them: each edge
     appended to both endpoints' neighbour and weight lists in input order,
     row sums as one numpy sum per row, the i < j edge arrays region by
-    region, and each region's (neighbour, weight) pairs as Python numbers."""
+    region, and each region's lower (neighbour, weight) pairs, j < i, as
+    Python numbers."""
     nbr = [[] for _ in range(n_regions)]
     wts = [[] for _ in range(n_regions)]
     for edge in edges:
@@ -151,19 +153,43 @@ def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
         row_sums=np.array([w.sum() for w in weights]),
         edge_i=np.asarray(ei, dtype=np.intp), edge_j=np.asarray(ej, dtype=np.intp),
         edge_w=np.asarray(ew, dtype=float),
-        _pairs=tuple(tuple(zip(n, w)) for n, w in zip(nbr, wts)),
+        _lower=tuple(tuple((j, w) for j, w in zip(n, ws) if j < i)
+                     for i, (n, ws) in enumerate(zip(nbr, wts))),
     )
+
+
+def beta_posterior_moments(state, data):
+    """Mean and lower Cholesky factor of the slope precision through
+    numpy's linear algebra, as the sampler formed them before its K x K
+    factor moved onto Python floats."""
+    n, t, k = data.x.shape
+    a, c = _inverse_factors(state.sigma2_eps, state.sigma2_alpha, t)
+    ytil = data.y - state.u_plus - state.v[:, None] - state.eta_plus[:, None]
+    xtx = np.einsum("ntk,ntl->kl", data.x, data.x)
+    xs = data.x.sum(axis=1)
+    cxs = c * xs.T
+    prec = a * xtx - cxs @ xs
+    prec.flat[:: k + 1] += 1.0 / sampler.BETA_PRIOR_SCALE
+    rhs = a * np.einsum("ntk,nt->k", data.x, ytil) - cxs @ ytil.sum(axis=1)
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "slope posterior precision is not positive definite", np.linalg.cond(prec)
+        ) from exc
+    return np.linalg.solve(prec, rhs), chol
 
 
 def update_v_dot(state, resid, reference, rng) -> np.ndarray:
     """The sequential CAR sweep with one numpy dot product per region, as
-    the sampler ran it before it walked a table of Python floats. `resid`
-    is y - X beta; `reference` is the `per_edge_graph` of the graph's edges,
-    whose per-region lists the sweep walks."""
+    the sampler ran it before it walked a table of Python floats and split
+    each region's neighbours at i. `resid` is y - X beta; `reference` is
+    the `per_edge_graph` of the graph's edges, whose per-region lists the
+    sweep walks."""
     n, t = resid.shape
     denom = state.sigma2_eps + t * state.sigma2_alpha
     one_inv_one = t / denom
-    r = _residual(resid, state, v=False)
+    r = resid - state.u_plus - state.eta_plus[:, None]
     data_pull = (r.sum(axis=1) / denom).tolist()
 
     v = state.v.copy()

@@ -14,13 +14,13 @@ GRAPH_ARRAYS = ("row_sums", "edge_i", "edge_j", "edge_w")
 
 def assert_same_graph(graph, reference):
     """Every array equal bit for bit, with the same dtype, and the same
-    (neighbour, weight) pairs per region in the same order."""
+    lower (neighbour, weight) pairs per region in the same order."""
     assert graph.n_regions == reference.n_regions
     for name in GRAPH_ARRAYS:
         a, b = getattr(graph, name), getattr(reference, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert graph._pairs == reference._pairs
+    assert graph._lower == reference._lower
 
 
 def degrees(graph):
