@@ -120,8 +120,11 @@ def _write_npy_member(zf: zipfile.ZipFile, name: str, arr) -> None:
     header = np.lib.format.header_data_from_array_1_0(arr)
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(head, header)
-    # write_array keeps a Fortran-ordered array's order and writes any other in C order
-    data = memoryview(arr.T if header["fortran_order"] else np.ascontiguousarray(arr)).cast("B")
+    # write_array keeps a Fortran-ordered array's order and writes any other
+    # in C order; a flat byte view copies nothing and also takes an empty
+    # array such as the (S, 0) slopes of a panel without regressors
+    data = arr.T if header["fortran_order"] else np.ascontiguousarray(arr)
+    data = data.reshape(-1).view(np.uint8)
     info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
     info.compress_type = zipfile.ZIP_DEFLATED
     with zf.open(info, "w") as member:

@@ -64,21 +64,22 @@ def _robert_tail(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def truncated_normal(mean, sd, lower=0.0, *, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized exact sampler for Normal(mean, sd^2) given X > lower.
+    """Vectorized exact sampler for Normal(mean, sd^2) given X > 0.
 
     Central regime: inverse survival-function sampling, which stays exact
     for untruncated draws as the bound recedes. Deep tail (standardized
     bound above 4): exponential rejection, which never stalls no matter
     how far the mean sits below the bound. The generator is consumed in a
     fixed order: one uniform per central cell first, then the tail
-    proposals. sd and lower broadcast against mean.
+    proposals. sd broadcasts against mean. The bound is 0 for every
+    caller; `lower` only lets a caller name it and must be 0.
     """
+    if lower != 0.0:
+        raise ValueError(f"truncated_normal draws above 0 only, got lower={lower!r}")
     mean = np.asarray(mean, dtype=float)
-    scalar_bound = isinstance(lower, (int, float))
     # b is minus the standardized bound and w minus the standardized draw,
-    # so the central path needs no negations: x = mean - sd * w. mean - 0.0
-    # is mean, so a zero bound skips the subtraction.
-    b = (mean if scalar_bound and lower == 0.0 else mean - lower) / sd
+    # so the central path needs no negations: x = mean - sd * w
+    b = mean / sd
     deep = b < -_TAIL_SWITCH
     if np.count_nonzero(deep):
         w = np.empty(b.shape)
@@ -89,8 +90,7 @@ def truncated_normal(mean, sd, lower=0.0, *, rng: np.random.Generator) -> np.nda
         w = _inverse_survival(b, rng)
     x = mean - sd * w
     # Guard against rounding onto the bound itself; draws are strictly above.
-    above = math.nextafter(lower, math.inf) if scalar_bound else np.nextafter(lower, np.inf)
-    return np.maximum(x, above)
+    return np.maximum(x, math.nextafter(0.0, math.inf))
 
 
 def _inverse_survival(b: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -156,14 +156,6 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.beta.shape[0]
 
-    @property
-    def n_regions(self) -> int:
-        return self.u_plus.shape[1]
-
-    @property
-    def n_periods(self) -> int:
-        return self.u_plus.shape[2]
-
 
 def _back_substitute(chol: list, b: list) -> list:
     """x with L' x = b, for a lower triangular L as nested lists."""
@@ -269,7 +261,7 @@ def update_u_plus(state: ParameterState, resid: np.ndarray,
     resid_sum = dev.sum(axis=1)
     for s in range(t):
         cond_mean = mu[:, s] + coupling * (resid_sum - dev[:, s])
-        new = truncated_normal(cond_mean, cond_sd, 0.0, rng=rng)
+        new = truncated_normal(cond_mean, cond_sd, rng=rng)
         resid_sum += new - u[:, s]
         u[:, s] = new
     return u
@@ -288,7 +280,7 @@ def update_eta_plus(state: ParameterState, rows: np.ndarray,
     one_inv_one = t / denom
     psi2 = state.sigma2_eta / (1.0 + state.sigma2_eta * one_inv_one)
     m = psi2 * (rows - t * state.v) / denom
-    return truncated_normal(m, math.sqrt(psi2), 0.0, rng=rng)
+    return truncated_normal(m, math.sqrt(psi2), rng=rng)
 
 
 def update_v(state: ParameterState, rows: np.ndarray, graph: SpatialGraph,
@@ -470,8 +462,8 @@ def residual_variance_split(data: PanelDataset) -> tuple[np.ndarray, float, floa
     return beta, between_var, within_var, region_means
 
 
-def initial_state(data: PanelDataset,
-                  split: tuple[np.ndarray, float, float, np.ndarray]) -> ParameterState:
+def initial_state(data: PanelDataset, split: tuple[np.ndarray, float, float, np.ndarray],
+                  alpha_floor: float, alpha_cap: float) -> ParameterState:
     """Deterministic starting point.
 
     Pooled least squares for the slopes; the centred region means of the
@@ -481,18 +473,27 @@ def initial_state(data: PanelDataset,
     the run. Region-level variation is deliberately assigned to v rather
     than to the (marginalised) heterogeneity at the start, since the data
     alone cannot separate the two. `split` is residual_variance_split(data).
+
+    s2_alpha starts inside its band [alpha_floor, alpha_cap]: at the band's
+    geometric mean when both bounds are positive and finite, otherwise at
+    a small share of the between-region variance moved into the band, so
+    that every guard ablation starts from a state its target supports.
     """
     n, t, _ = data.x.shape
     beta, between_var, within_var, region_means = split
 
     s2_u = IG_SCALE_U / (0.5 * V0 - 1.0)       # the prior means
     s2_eta = IG_SCALE_ETA / (0.5 * V0 - 1.0)
+    if alpha_floor > 0 and alpha_cap < math.inf:
+        s2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap)
+    else:
+        s2_alpha = min(max(1e-3 * between_var, 1e-6, alpha_floor), 0.5 * alpha_cap)
     return ParameterState(
         beta=beta,
         u_plus=np.full((n, t), math.sqrt(s2_u)),
         eta_plus=np.full(n, math.sqrt(s2_eta)),
         v=region_means - region_means.mean(),
-        sigma2_alpha=max(1e-3 * between_var, 1e-6),
+        sigma2_alpha=s2_alpha,
         sigma2_eps=max(within_var, 1e-4),
         sigma2_v=max(between_var, 1e-4),
         sigma2_u=s2_u,
@@ -578,9 +579,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
     for idx in range(chain.chains):
         rng = np.random.default_rng(chain.seed + idx)
-        state = initial_state(work, split)
-        state.sigma2_alpha = math.sqrt(max(alpha_floor, 1e-12) * alpha_cap) \
-            if alpha_floor > 0 else min(state.sigma2_alpha, 0.5 * alpha_cap)
+        state = initial_state(work, split, alpha_floor, alpha_cap)
         counts = accepted[idx]
         stored = idx * n_stored
 

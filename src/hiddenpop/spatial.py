@@ -1,7 +1,8 @@
 """Contiguity graphs and the intrinsic CAR precision structure D_w - W.
 
-A graph is built only from its undirected edge list and keeps what the
-sampler reads: the row sums, the i < j edge arrays and each region's
+A graph is built only from its undirected edge list, by `build_queen_grid`
+or by `load_adjacency`, which checks every edge of a file, and keeps what
+the sampler reads: the row sums, the i < j edge arrays and each region's
 (neighbour, weight) pairs of its lower neighbours j < i. The dense
 precision matrix is only ever materialised for test oracles and for
 drawing ground-truth spatial fields, never inside the sampler.
@@ -9,7 +10,6 @@ drawing ground-truth spatial fields, never inside the sampler.
 
 from __future__ import annotations
 
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 class SpatialGraph:
     """Undirected contiguity graph with finite, positive edge weights.
 
-    Built by `from_edges` or `build_queen_grid`, never from its fields.
+    Built by `build_queen_grid` or `load_adjacency`, never from its fields.
     Every region must have at least one neighbour (the CAR conditional
     variance sigma2_v / row_sum is undefined otherwise) and the diagonal
     is zero. An undirected edge list is symmetric by construction, so with
@@ -37,72 +37,27 @@ class SpatialGraph:
     _lower: tuple
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("build a SpatialGraph with SpatialGraph.from_edges or build_queen_grid")
+        raise TypeError("build a SpatialGraph with build_queen_grid or load_adjacency")
 
     @property
     def average_degree(self) -> float:
         return float(self.row_sums.mean())
 
     @classmethod
-    def from_edges(cls, n_regions: int, edges) -> "SpatialGraph":
-        """Build from an iterable of (i, j) or (i, j, weight) tuples, each
-        undirected edge once, with integer endpoints.
-
-        Region r lists the other endpoint of each edge that touches r, in
-        the order the edges come.
-        """
-        parsed = []
-        for e in edges:
-            try:
-                i, j = operator.index(e[0]), operator.index(e[1])
-            except TypeError:
-                raise ValueError(f"edge {tuple(e)!r}: endpoints must be integers") from None
-            parsed.append((i, j, float(e[2]) if len(e) > 2 else 1.0))
-        i, j, w = zip(*parsed) if parsed else ((), (), ())
-        return cls._from_pairs(n_regions, np.array(i, dtype=np.intp),
-                               np.array(j, dtype=np.intp), np.array(w, dtype=float))
-
-    @classmethod
     def _from_pairs(cls, n_regions: int, i: np.ndarray, j: np.ndarray,
                     w: np.ndarray) -> "SpatialGraph":
-        """The one builder, on undirected edge arrays: each edge as i -> j
-        then j -> i, sorted stably by source, so each region keeps the
-        edges' order."""
+        """The one builder, on undirected edge arrays that its callers have
+        made valid: each edge as i -> j then j -> i, sorted stably by
+        source, so each region keeps the edges' order."""
         src = np.column_stack([i, j]).ravel()
-        if src.size and not 0 <= src.min() <= src.max() < n_regions:
-            raise ValueError(f"edge endpoint out of range for {n_regions} regions")
-        if n_regions < 1:
-            raise ValueError("graph needs at least one region")
         order = np.argsort(src, kind="stable")
         owner = src[order]
         nbr = np.column_stack([j, i]).ravel()[order]
         wts = np.repeat(w, 2)[order]
 
-        # Each check is one boolean per region; a graph fails at its lowest
-        # failing region, with the first check there that fails.
-        def regions_with(bad):
-            hit = np.zeros(n_regions, dtype=bool)
-            hit[owner[bad]] = True
-            return hit
-
-        sizes = np.bincount(owner, minlength=n_regions)
-        by_pair = np.lexsort((nbr, owner))
-        repeated = (np.diff(owner[by_pair]) == 0) & (np.diff(nbr[by_pair]) == 0)
-        checks = (
-            (sizes == 0, "region {} is isolated; every region needs a neighbor"),
-            (regions_with(nbr == owner), "region {} lists itself as a neighbor"),
-            (regions_with(by_pair[1:][repeated]), "region {} lists a duplicate neighbor"),
-            (regions_with(~(np.isfinite(wts) & (wts > 0))),
-             "region {} has an edge weight that is not finite and > 0"),
-        )
-        failing = np.stack([hit for hit, _ in checks])
-        if failing.any():
-            region = int(np.flatnonzero(failing.any(axis=0))[0])
-            raise ValueError(checks[int(np.argmax(failing[:, region]))][1].format(region))
-
         graph = object.__new__(cls)
         graph.n_regions = n_regions
-        bounds = np.cumsum(sizes).tolist()
+        bounds = np.cumsum(np.bincount(owner, minlength=n_regions)).tolist()
         rows = list(zip([0] + bounds, bounds))
         # one numpy sum per row: np.add.reduceat adds long rows in another order
         graph.row_sums = np.array([np.add.reduce(wts[a:b]) for a, b in rows])
@@ -148,10 +103,13 @@ def load_adjacency(path, regions) -> SpatialGraph:
     exactly once, with a weight (default 1) that is finite and > 0.
     Self-loops, duplicate edges (in either orientation), bad weights,
     labels outside `regions` and isolated regions are rejected with the
-    offending line or region named.
+    offending line (the lowest, if several are bad) or region named. This
+    is the one check of a graph from outside the package.
     """
     path = Path(path)
-    edges, lines = [], []
+    regions = np.asarray(regions)
+    position = {label: k for k, label in enumerate(regions.tolist())}
+    ends_i, ends_j, weights = [], [], []
     seen: dict[tuple[int, int], int] = {}
     with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -176,25 +134,22 @@ def load_adjacency(path, regions) -> SpatialGraph:
                 raise ValueError(
                     f"{path.name}:{lineno}: duplicate edge {key}, first seen on line {seen[key]}"
                 )
+            for label in (i, j):
+                if label not in position:
+                    raise ValueError(f"{path.name}:{lineno}: region {label} is not in the panel")
             seen[key] = lineno
-            edges.append((i, j, w))
-            lines.append(lineno)
-    if not edges:
+            ends_i.append(position[i])
+            ends_j.append(position[j])
+            weights.append(w)
+    if not weights:
         raise ValueError(f"{path.name}: no edges found")
-    regions = np.asarray(regions)
-    position = {label: k for k, label in enumerate(regions.tolist())}
-    for (i, j, _), lineno in zip(edges, lines):
-        for label in (i, j):
-            if label not in position:
-                raise ValueError(f"{path.name}:{lineno}: region {label} is not in the panel")
-    edges = [(position[i], position[j], w) for i, j, w in edges]
-    degree = np.bincount([k for edge in edges for k in edge[:2]], minlength=regions.size)
-    isolated = regions[degree == 0]
+    i, j = np.array(ends_i, dtype=np.intp), np.array(ends_j, dtype=np.intp)
+    isolated = regions[np.bincount(np.concatenate([i, j]), minlength=regions.size) == 0]
     if isolated.size:
         raise ValueError(
             f"{path.name}: isolated region(s) with no edges: {isolated.tolist()}"
         )
-    return SpatialGraph.from_edges(regions.size, edges)
+    return SpatialGraph._from_pairs(regions.size, i, j, np.array(weights, dtype=float))
 
 
 def car_quadratic_form(graph: SpatialGraph, v: np.ndarray) -> float:

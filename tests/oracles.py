@@ -5,11 +5,12 @@ rank-one factors `kernels._inverse_factors` and `kernels._logdet`. These
 oracles build the dense matrices around those same factors, so a dense
 check of an oracle is a check of the formulas the sampler runs.
 
-The oracles at the end are the graph builder, the slope moments, the CAR
-sweep and the Metropolis-Hastings move as they ran before they were
-vectorised or moved onto Python floats; the tests hold the package to them
-bit for bit where the arithmetic is the same, and within 1e-12 where only
-the order of the sums differs.
+`graph_from_edges` builds a graph from an edge list the way the package
+builds one from a checked adjacency file. The oracles at the end are the
+graph builder, the slope moments, the CAR sweep and the Metropolis-Hastings
+move as they ran before they were vectorised or moved onto Python floats;
+the tests hold the package to them bit for bit where the arithmetic is the
+same, and within 1e-12 where only the order of the sums differs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hiddenpop import sampler
 from hiddenpop.kernels import CHI2_DF1_MEDIAN, NumericalError, _inverse_factors, _logdet
+from hiddenpop.spatial import SpatialGraph
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,17 @@ def per_edge_graph(n_regions: int, edges) -> SimpleNamespace:
         _lower=tuple(tuple((j, w) for j, w in zip(n, ws) if j < i)
                      for i, (n, ws) in enumerate(zip(nbr, wts))),
     )
+
+
+def graph_from_edges(n_regions: int, edges) -> SpatialGraph:
+    """A graph from (i, j) or (i, j, weight) tuples of region positions,
+    each undirected edge once, through the package's one builder. The
+    builder checks nothing, so the edges must make a valid graph: every
+    region on an edge, no self-loop or repeated edge, weights finite and
+    > 0."""
+    i, j, w = zip(*((e[0], e[1], e[2] if len(e) > 2 else 1.0) for e in edges))
+    return SpatialGraph._from_pairs(n_regions, np.array(i, dtype=np.intp),
+                                    np.array(j, dtype=np.intp), np.array(w, dtype=float))
 
 
 def beta_posterior_moments(state, data):

@@ -208,7 +208,7 @@ def test_criterion_7_oracle_suites():
         ok &= abs(m - m0) < 1e-9 and abs(v - v0) < 1e-9
 
     # truncated normal moments vs analytic half-normal values
-    x = truncated_normal(np.zeros(10**6), 1.0, 0.0, rng=rng)
+    x = truncated_normal(np.zeros(10**6), 1.0, rng=rng)
     ok &= abs(x.mean() - math.sqrt(2 / math.pi)) < 0.01
     ok &= abs(x.var() - (1 - 2 / math.pi)) < 0.01
 

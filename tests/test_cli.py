@@ -254,6 +254,23 @@ class TestFitCommand:
         assert rows[0][:4] == ["draw", "chain", "beta_1", "beta_2"]
         assert len(rows) - 1 == 100
 
+    def test_panel_without_regressors_fits_and_analyzes(self, tmp_path):
+        # a region,time,y panel: draws.npz holds (S, 0) slopes, and every
+        # stage that follows reads them
+        sim, fit, an = tmp_path / "sim", tmp_path / "fit", tmp_path / "an"
+        _run("simulate", "--grid", "3x3", "--periods", "3", "--seed", "4", "--out", str(sim))
+        panel = tmp_path / "panel.csv"
+        panel.write_text("".join(",".join(row[:3]) + "\n" for row in _rows(sim / "panel.csv")))
+        assert _run("fit", "--data", str(panel), "--grid", "3x3", "--iters", "300",
+                    "--burnin", "100", "--thin", "2", "--export-csv", "--out", str(fit)) == 0
+        draws, _ = load_draws(fit / "draws.npz")
+        assert draws.beta.shape == (100, 0)
+        rows = _rows(fit / "draws.csv")
+        assert rows[0][:3] == ["draw", "chain", "sigma_alpha"] and len(rows) - 1 == 100
+        assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                    "--truth", str(sim / "truth.csv"), "--out", str(an)) == 0
+        assert len(_rows(an / "uncaptured.csv")) - 1 == 9 * 3
+
 
 class TestAnalyzeCommand:
     def _pipeline(self, tmp_path, with_truth=True):

@@ -31,7 +31,8 @@ with gamma weights. Its neighbour lists come in no grid order, so it pins
 the order in which the graph builder lays out each region's neighbours,
 which the CAR sweep and `car_quadratic_form` sum in. It was recorded
 while the graph still kept per-region neighbour lists, and did not move
-when the edge list became its only input.
+when the edge list became its only input, nor when the graph builder
+stopped checking its edges (`load_adjacency` checks a file's).
 
 `unstabilized` is the guard ablation: the four guard shares patched to
 0, inf, 0 and 0 and the level move to one that draws nothing. It was
@@ -49,7 +50,8 @@ import pytest
 from hiddenpop import sampler
 from hiddenpop.sampler import ChainConfig, run_chain
 from hiddenpop.simulate import DgpConfig, simulate
-from hiddenpop.spatial import SpatialGraph, build_queen_grid
+from hiddenpop.spatial import build_queen_grid
+from oracles import graph_from_edges
 
 ARRAYS = ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps",
           "sigma2_v", "sigma2_u", "sigma2_eta", "chain_id")
@@ -101,7 +103,7 @@ def _weighted_shuffled_chain():
     odd = np.arange(i.size) % 2 == 1
     i, j = np.where(odd, j, i), np.where(odd, i, j)
     w = rng.gamma(2.0, size=i.size)
-    graph = SpatialGraph.from_edges(49, zip(i.tolist(), j.tolist(), w.tolist()))
+    graph = graph_from_edges(49, zip(i.tolist(), j.tolist(), w.tolist()))
     cfg = ChainConfig(n_iter=300, burn_in=100, thin=2, seed=9)
     return run_chain(_paper_panel().dataset, graph, cfg)
 

@@ -21,12 +21,12 @@ from oracles import mh_scaled_chisq_step as array_mh_step
 class TestTruncatedNormal:
     def test_half_normal_mean(self):
         rng = np.random.default_rng(1)
-        x = truncated_normal(np.zeros(10**6), 1.0, 0.0, rng=rng)
+        x = truncated_normal(np.zeros(10**6), 1.0, rng=rng)
         assert abs(x.mean() - math.sqrt(2 / math.pi)) < 0.01
 
     def test_half_normal_variance(self):
         rng = np.random.default_rng(2)
-        x = truncated_normal(np.zeros(10**6), 1.0, 0.0, rng=rng)
+        x = truncated_normal(np.zeros(10**6), 1.0, rng=rng)
         assert abs(x.var() - (1 - 2 / math.pi)) < 0.01
 
     def test_deep_tail_mean_matches_quadrature(self):
@@ -38,26 +38,26 @@ class TestTruncatedNormal:
         )
         expected = num / tail_mass
         rng = np.random.default_rng(3)
-        x = truncated_normal(np.full(10**6, -5.0), 1.0, 0.0, rng=rng)
+        x = truncated_normal(np.full(10**6, -5.0), 1.0, rng=rng)
         assert np.all(x > 0)
         assert abs(x.mean() - expected) < 0.02
 
     def test_strictly_exceeds_bound_ten_million(self):
         rng = np.random.default_rng(4)
         means = rng.normal(0, 3, 10**7)
-        x = truncated_normal(means, 0.5, 0.0, rng=rng)
+        x = truncated_normal(means, 0.5, rng=rng)
         assert np.all(x > 0.0)
 
     def test_bit_reproducible(self):
-        a = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=np.random.default_rng(7))
-        b = truncated_normal(np.linspace(-6, 2, 1000), 1.3, 0.0, rng=np.random.default_rng(7))
+        a = truncated_normal(np.linspace(-6, 2, 1000), 1.3, rng=np.random.default_rng(7))
+        b = truncated_normal(np.linspace(-6, 2, 1000), 1.3, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_distribution_ks(self):
         # moderate truncation, compare to scipy's truncnorm
         rng = np.random.default_rng(8)
         mu, sd = 0.4, 0.7
-        x = truncated_normal(np.full(10**5, mu), sd, 0.0, rng=rng)
+        x = truncated_normal(np.full(10**5, mu), sd, rng=rng)
         ref = stats.truncnorm(a=(0 - mu) / sd, b=np.inf, loc=mu, scale=sd)
         assert stats.kstest(x, ref.cdf).pvalue > 0.01
 
@@ -100,22 +100,21 @@ def _reference_truncated_normal(mean, sd, lower, rng):
 class TestTruncatedNormalOracle:
     CASES = {
         # mixed central and deep-tail cells (standardized bound a > 4)
-        "mixed": (np.linspace(-9.0, 3.0, 257), 1.0, 0.0),
-        "mixed_2d": (np.linspace(-6.0, 1.0, 60).reshape(12, 5), 0.8, 0.0),
-        "all_deep": (np.full(40, -7.0), 1.0, 0.0),
-        "all_central": (np.linspace(-2.0, 4.0, 50), 1.3, 0.0),
-        "array_sd": (np.linspace(-5.0, 1.0, 30), np.linspace(0.5, 2.0, 30), 0.0),
-        "shifted_bound": (np.linspace(-3.0, 3.0, 30), 0.7, 1.5),
-        "single_deep": (np.array([-5.0]), 1.0, 0.0),
+        "mixed": (np.linspace(-9.0, 3.0, 257), 1.0),
+        "mixed_2d": (np.linspace(-6.0, 1.0, 60).reshape(12, 5), 0.8),
+        "all_deep": (np.full(40, -7.0), 1.0),
+        "all_central": (np.linspace(-2.0, 4.0, 50), 1.3),
+        "array_sd": (np.linspace(-5.0, 1.0, 30), np.linspace(0.5, 2.0, 30)),
+        "single_deep": (np.array([-5.0]), 1.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_bits_and_stream(self, case, seed):
-        mean, sd, lower = self.CASES[case]
+        mean, sd = self.CASES[case]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = truncated_normal(mean, sd, lower, rng=rng)
-        want = _reference_truncated_normal(mean, sd, lower, ref_rng)
+        got = truncated_normal(mean, sd, rng=rng)
+        want = _reference_truncated_normal(mean, sd, 0.0, ref_rng)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         # the same amount of the stream was consumed
@@ -124,10 +123,21 @@ class TestTruncatedNormalOracle:
     def test_scalar_mean(self):
         for mean in (0.3, -6.0):
             rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-            got = truncated_normal(np.array(mean), 1.0, 0.0, rng=rng)
+            got = truncated_normal(np.array(mean), 1.0, rng=rng)
             want = _reference_truncated_normal(np.array(mean), 1.0, 0.0, ref_rng)
             assert float(got) == float(want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("lower", [1.5, -0.5])
+    def test_bound_other_than_zero_rejected(self, lower):
+        # the bound is fixed at 0; a caller may name it but not move it
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=f"^truncated_normal draws above 0 only, "
+                                             f"got lower={lower}$"):
+            truncated_normal(np.zeros(3), 1.0, lower, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+        assert truncated_normal(np.zeros(3), 1.0, 0.0, rng=rng).tobytes() == \
+            truncated_normal(np.zeros(3), 1.0, rng=np.random.default_rng(9)).tobytes()
 
 
 class TestInverseGamma:

@@ -28,9 +28,9 @@ from hiddenpop.sampler import (
     _omega_factors,
 )
 from hiddenpop.simulate import DgpConfig, simulate
-from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
-from oracles import (CompoundSymmetricCov, conditional_mvn, per_edge_graph, queen_edges,
-                     sigma_inverse, update_v_dot)
+from hiddenpop.spatial import build_queen_grid, car_quadratic_form, load_adjacency
+from oracles import (CompoundSymmetricCov, conditional_mvn, graph_from_edges, per_edge_graph,
+                     queen_edges, sigma_inverse, update_v_dot)
 from oracles import beta_posterior_moments as linalg_beta_moments
 
 
@@ -200,8 +200,8 @@ class TestUPlusUpdate:
 
         calls = []
 
-        def spy(mean, sd, lower, *, rng):
-            draw = truncated_normal(mean, sd, lower, rng=rng)
+        def spy(mean, sd, *, rng):
+            draw = truncated_normal(mean, sd, rng=rng)
             calls.append((mean.copy(), sd, draw))
             return draw
 
@@ -385,6 +385,29 @@ class TestRunChain:
         for name in ("u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps", "sigma2_v"):
             assert np.all(np.isfinite(getattr(draws, name)))
 
+    # the one-guard ablations README lists: one guard off, the other three on
+    ABLATIONS = {
+        "alpha_floor": ("ALPHA_FLOOR_SHARE", 0.0),
+        "alpha_cap": ("ALPHA_CAP_SHARE", math.inf),
+        "eps_floor": ("EPS_FLOOR_SHARE", 0.0),
+        "v_floor": ("V_FLOOR_SHARE", 0.0),
+        "level_move": ("update_level", lambda state, rng: False),
+    }
+
+    @pytest.mark.parametrize("guard", sorted(ABLATIONS))
+    def test_each_one_guard_ablation_runs(self, monkeypatch, guard):
+        # with the cap at inf alone, the band's geometric mean is inf, so the
+        # start must come from inside the band another way
+        monkeypatch.setattr(sampler, *self.ABLATIONS[guard])
+        truth = simulate(DgpConfig(grid_rows=7, grid_cols=7, n_periods=5, seed=101))
+        draws = run_chain(truth.dataset, truth.graph,
+                          ChainConfig(n_iter=300, burn_in=100, thin=2, seed=1))
+        assert draws.n_draws == 100
+        for name in ("beta", "u_plus", "eta_plus", "v"):
+            assert np.all(np.isfinite(getattr(draws, name)))
+        for name in SCALARS:
+            assert np.all((getattr(draws, name) > 0) & np.isfinite(getattr(draws, name)))
+
     def test_graph_dimension_mismatch(self):
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=6))
         wrong = build_queen_grid(2, 2)
@@ -460,7 +483,7 @@ class TestRunChain:
         inv = np.argsort(perm)
         data_p = PanelDataset(y=truth.dataset.y[perm], x=truth.dataset.x[perm])
         g = truth.graph
-        graph_p = SpatialGraph.from_edges(
+        graph_p = graph_from_edges(
             9, zip(inv[g.edge_i].tolist(), inv[g.edge_j].tolist(), g.edge_w.tolist()))
         permuted = run_chain(data_p, graph_p, cfg)
 
@@ -473,13 +496,24 @@ class TestRunChain:
 class TestInitialState:
     def test_valid_and_deterministic(self):
         truth = simulate(DgpConfig(grid_rows=4, grid_cols=4, n_periods=5, seed=11))
-        a, b = (initial_state(truth.dataset, residual_variance_split(truth.dataset))
-                for _ in range(2))
+        split = residual_variance_split(truth.dataset)
+        a, b = (initial_state(truth.dataset, split, 0.01, 0.05) for _ in range(2))
         assert np.all(a.u_plus > 0) and np.all(a.eta_plus > 0)
         for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
             assert getattr(a, name) > 0
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.v, b.v)
+
+    @pytest.mark.parametrize("alpha_floor, alpha_cap", [
+        (0.01, 0.05), (0.0, 0.05), (0.0, 1e-5), (0.01, math.inf), (0.5, math.inf),
+        (0.0, math.inf)])
+    def test_sigma2_alpha_starts_inside_its_band(self, alpha_floor, alpha_cap):
+        truth = simulate(DgpConfig(grid_rows=4, grid_cols=4, n_periods=5, seed=11))
+        split = residual_variance_split(truth.dataset)
+        s2_alpha = initial_state(truth.dataset, split, alpha_floor, alpha_cap).sigma2_alpha
+        assert alpha_floor <= s2_alpha <= alpha_cap and 0.0 < s2_alpha < math.inf
+        if alpha_floor > 0 and alpha_cap < math.inf:
+            assert s2_alpha == math.sqrt(alpha_floor * alpha_cap)
 
     def test_chain_config_validation(self):
         with pytest.raises(ValueError):
@@ -495,7 +529,7 @@ class TestInitialState:
 def test_update_v_sequential_sees_latest_values():
     # two-region graph: with a dominant CAR prior the second region's draw
     # must track the first region's freshly drawn value, not the stale one
-    g = SpatialGraph.from_edges(2, [(0, 1)])
+    g = graph_from_edges(2, [(0, 1)])
     n, t = 2, 2
     data = PanelDataset(y=np.zeros((n, t)), x=np.zeros((n, t, 1)))
     state = _state(n, t, 1, v=np.array([5.0, 5.0]),
@@ -557,7 +591,7 @@ class TestUpdateVAgainstDotOracle:
         pairs = {(min(i, j), max(i, j)) for i, j in draw.integers(0, n, size=(160, 2)) if i != j}
         pairs |= {(i, i + 1) for i in range(n - 1)}
         edges = [(i, j, draw.gamma(2.0)) for i, j in sorted(pairs)]
-        for got, want in self._sweeps(SpatialGraph.from_edges(n, edges), edges, seed=44):
+        for got, want in self._sweeps(graph_from_edges(n, edges), edges, seed=44):
             assert np.max(np.abs(got - want)) <= 1e-13
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.sampler import PosteriorDraws
 from hiddenpop.spatial import SpatialGraph, build_queen_grid, car_quadratic_form, load_adjacency
-from oracles import per_edge_graph, queen_edges
+from oracles import graph_from_edges, per_edge_graph, queen_edges
 
 GRAPH_ARRAYS = ("row_sums", "edge_i", "edge_j", "edge_w")
 
@@ -70,55 +70,8 @@ class TestQueenGrid:
 
 
 class TestGraphValidation:
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="itself"):
-            SpatialGraph.from_edges(2, [(0, 1), (0, 0)])
-
-    def test_isolated_region_rejected(self):
-        with pytest.raises(ValueError, match="isolated"):
-            SpatialGraph.from_edges(2, [])
-
-    def test_asymmetric_rejected(self):
-        # an edge list holds each edge once, so the only way to give i -> j
-        # and j -> i different weights is to list the edge twice
-        with pytest.raises(ValueError, match="^region 0 lists a duplicate neighbor$"):
-            SpatialGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 2.0)])
-
-    # (n_regions, edges, message): one case per check of the builder, then
-    # cases that pin which check speaks first: an endpoint out of range
-    # before anything else, then the lowest failing region, and at that
-    # region the checks in the order listed
-    CASES = [
-        (0, [], "graph needs at least one region"),
-        (3, [(0, 1), (1, 3)], "edge endpoint out of range for 3 regions"),
-        (3, [(0, 1), (-1, 2)], "edge endpoint out of range for 3 regions"),
-        (3, [(0, 1)], "region 2 is isolated; every region needs a neighbor"),
-        (2, [(0, 1), (1, 1)], "region 1 lists itself as a neighbor"),
-        (3, [(0, 1), (1, 2), (2, 1)], "region 1 lists a duplicate neighbor"),
-        (2, [(0, 1, -1.0)], "region 0 has an edge weight that is not finite and > 0"),
-        (2, [(0, 1, 0.0)], "region 0 has an edge weight that is not finite and > 0"),
-        (3, [(0, 1), (1, 2, np.nan)], "region 1 has an edge weight that is not finite and > 0"),
-        (2, [(0, 1, np.inf)], "region 0 has an edge weight that is not finite and > 0"),
-        # out of range before a region check, even with no region at all
-        (3, [(1, 1), (0, 5)], "edge endpoint out of range for 3 regions"),
-        (0, [(0, 1)], "edge endpoint out of range for 0 regions"),
-        # the lowest region first: isolated 0 before a self-loop at 2, a bad
-        # weight at 0 before a self-loop at 1
-        (3, [(1, 2), (2, 2)], "region 0 is isolated; every region needs a neighbor"),
-        (2, [(0, 1, -1.0), (1, 1)], "region 0 has an edge weight that is not finite and > 0"),
-        # at one region: self-loop before a duplicate and a bad weight, and
-        # a duplicate before a bad weight
-        (3, [(0, 1), (1, 1, -1.0), (1, 2), (2, 1)], "region 1 lists itself as a neighbor"),
-        (3, [(0, 1), (1, 2, -1.0), (2, 1)], "region 1 lists a duplicate neighbor"),
-    ]
-
-    @pytest.mark.parametrize("n, edges, message", CASES)
-    def test_each_check_names_its_fault(self, n, edges, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SpatialGraph.from_edges(n, edges)
-
     def test_no_constructor_takes_region_lists(self):
-        with pytest.raises(TypeError, match="from_edges"):
+        with pytest.raises(TypeError, match="build_queen_grid or load_adjacency"):
             SpatialGraph(2, [np.array([1]), np.array([0])], [np.array([1.0]), np.array([1.0])])
 
     @settings(deadline=None, max_examples=150)
@@ -141,33 +94,7 @@ class TestGraphValidation:
         for i, j in pairs:
             i, j = (j, i) if data.draw(st.booleans()) else (i, j)
             edges.append((i, j, data.draw(weight)) if data.draw(st.booleans()) else (i, j))
-        assert_same_graph(SpatialGraph.from_edges(n, edges), per_edge_graph(n, edges))
-
-    def test_from_edges_keeps_the_constructor_messages(self):
-        with pytest.raises(ValueError, match="^region 0 lists a duplicate neighbor$"):
-            SpatialGraph.from_edges(3, [(0, 1), (1, 2), (1, 0)])
-        with pytest.raises(ValueError, match="^region 2 is isolated"):
-            SpatialGraph.from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError, match="^region 1 lists itself as a neighbor$"):
-            SpatialGraph.from_edges(3, [(0, 1), (1, 1), (2, 0)])
-        with pytest.raises(ValueError, match="^region 1 has an edge weight that is not finite"):
-            SpatialGraph.from_edges(3, [(0, 2), (1, 2, -0.5)])
-        for edge in ((0, 3), (-1, 2), (3, 4)):
-            with pytest.raises(ValueError, match="^edge endpoint out of range for 3 regions$"):
-                SpatialGraph.from_edges(3, [(0, 1), (1, 2), edge])
-
-    @pytest.mark.parametrize("edge", [(0.9, 1.7), ("2", 1), (1, np.float64(2.0), 0.5)],
-                             ids=["float", "str", "numpy-float"])
-    def test_non_integer_endpoint_rejected(self, edge):
-        # int() used to truncate 0.9 to 0 and parse "2" silently
-        message = f"^edge {re.escape(repr(edge))}: endpoints must be integers$"
-        with pytest.raises(ValueError, match=message):
-            SpatialGraph.from_edges(3, [(0, 1), edge])
-
-    def test_numpy_integer_endpoints_accepted(self):
-        edges = [(np.int64(0), np.int32(1)), (np.intp(1), 2)]
-        assert_same_graph(SpatialGraph.from_edges(3, edges),
-                          SpatialGraph.from_edges(3, [(0, 1), (1, 2)]))
+        assert_same_graph(graph_from_edges(n, edges), per_edge_graph(n, edges))
 
     def test_precision_is_psd(self):
         g = build_queen_grid(4, 5)
@@ -216,6 +143,56 @@ class TestLoadAdjacency:
         with pytest.raises(ValueError, match=r"\[2\]"):
             load_adjacency(path, np.arange(4))
 
+    @pytest.mark.parametrize("line", ["0.9 1", "1 2.0", "0 x", "0 1 heavy"])
+    def test_unparsable_entry_names_line(self, tmp_path, line):
+        # int() takes neither 0.9 nor "2.0", so no endpoint is truncated
+        raw = line + "\n"
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n" + raw)
+        message = f"^edges.txt:2: unparsable entry {re.escape(repr(raw))}$"
+        with pytest.raises(ValueError, match=message):
+            load_adjacency(path, np.arange(3))
+
+    @pytest.mark.parametrize("line", ["1", "0 1 2.0 3"])
+    def test_field_count_names_line(self, tmp_path, line):
+        raw = line + "  # trailing comment\n"
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n# comment\n" + raw)
+        message = f"^edges.txt:3: expected `i j \\[weight\\]`, got {re.escape(repr(raw))}$"
+        with pytest.raises(ValueError, match=message):
+            load_adjacency(path, np.arange(3))
+
+    # (file, message): the lowest bad line is named, whichever check it fails
+    # and whatever check a later line fails
+    LOWEST_LINE_CASES = [
+        ("0 1\n1 7\n2 2\n", "edges.txt:2: region 7 is not in the panel"),
+        ("0 1\n2 2\n1 7\n", "edges.txt:2: self-loop on region 2"),
+        ("0 1\n1 2 -1\n1 0\n0 x\n",
+         "edges.txt:2: edge weight must be finite and > 0, got -1"),
+        ("0 1\n1 0\n1 2 0\n", "edges.txt:2: duplicate edge (0, 1), first seen on line 1"),
+        ("0 1\n0 1 2 3\n1 1\n", "edges.txt:2: expected `i j [weight]`, got '0 1 2 3\\n'"),
+    ]
+
+    @pytest.mark.parametrize("text, message", LOWEST_LINE_CASES)
+    def test_lowest_bad_line_wins(self, tmp_path, text, message):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_adjacency(path, np.arange(3))
+
+    def test_weighted_file_equals_the_per_edge_builder(self, tmp_path):
+        # labels 301.., each edge once in a shuffled order and orientation,
+        # weights written so that they read back exactly
+        draw = np.random.default_rng(8)
+        n = 30
+        labels = np.arange(301, 301 + n)
+        pairs = {(min(i, j), max(i, j)) for i, j in draw.integers(0, n, size=(90, 2)) if i != j}
+        pairs |= {(i, i + 1) for i in range(n - 1)}
+        edges = [(j, i, draw.gamma(2.0)) if draw.random() < 0.5 else (i, j, draw.gamma(2.0))
+                 for i, j in draw.permutation(sorted(pairs)).tolist()]
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{labels[i]} {labels[j]} {w!r}\n" for i, j, w in edges))
+        assert_same_graph(load_adjacency(path, labels), per_edge_graph(n, edges))
 
     def test_shuffled_labelled_edges_give_the_queen_grid(self, tmp_path):
         grid = build_queen_grid(5, 5)
@@ -250,7 +227,7 @@ class TestCarQuadraticForm:
         assert car_quadratic_form(g, np.full(9, 3.7)) == pytest.approx(0.0)
 
     def test_path_graph_hand_value(self):
-        g = SpatialGraph.from_edges(3, [(0, 1), (1, 2)])
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
         v = np.array([0.0, 1.0, 3.0])
         assert car_quadratic_form(g, v) == pytest.approx(5.0)
         dense = v @ g.dense_precision() @ v
@@ -328,7 +305,7 @@ class TestMarginalSpatialSd:
 
     def test_unit_case(self):
         # marginal sd 1 against four components of sd 1/2: share 1 / sqrt(2)
-        g = SpatialGraph.from_edges(2, [(0, 1)])
+        g = graph_from_edges(2, [(0, 1)])
         assert _spatial_share(0.7, g.average_degree, 0.5) == pytest.approx(2 ** -0.5)
 
     def test_average_degree_case(self):
