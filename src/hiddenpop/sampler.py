@@ -505,6 +505,38 @@ class SamplerError(RuntimeError):
     """Numerical failure inside the chain, annotated with the iteration."""
 
 
+def _sweep(state: ParameterState, work: PanelDataset, graph: SpatialGraph,
+           bounds: tuple[float, float, float, float], rng: np.random.Generator):
+    """One sweep of the mirrored panel `work`, in place on `state`, in the
+    order of the module docstring. `bounds` is (alpha_floor, alpha_cap,
+    eps_floor, v_floor). A variance drawn below VARIANCE_FLOOR is raised to
+    it. Returns the alpha, eps and level acceptances and the count of raised
+    variances, as ints."""
+    alpha_floor, alpha_cap, eps_floor, v_floor = bounds
+    state.beta = update_beta(state, work, rng)
+    # beta is fixed for the rest of the sweep, and so is y - X beta
+    resid = work.y - np.einsum("knt,k->nt", work.regressor_planes, state.beta)
+    state.u_plus = update_u_plus(state, resid, rng)
+    # and after u+, so is the base y - X beta - u+ of every later residual
+    base = resid - state.u_plus
+    rows = base.sum(axis=1)
+    state.eta_plus = update_eta_plus(state, rows, rng)
+    state.v = update_v(state, rows, graph, rng)
+    acc_level = update_level(state, rng)
+    state.sigma2_v = update_sigma2_v(state, graph, rng, floor=v_floor)
+    state.sigma2_u = update_sigma2_u(state, rng)
+    state.sigma2_eta = update_sigma2_eta(state, rng)
+    state.sigma2_alpha, state.sigma2_eps, (acc_alpha, acc_eps) = update_sigma2_alpha_eps_mh(
+        state, base, rows, rng, alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor)
+    # no update after a variance's draw reads it: flooring here is flooring at the draw
+    floored = 0
+    for name in ("sigma2_v", "sigma2_u", "sigma2_eta", "sigma2_alpha", "sigma2_eps"):
+        if getattr(state, name) < VARIANCE_FLOOR:
+            setattr(state, name, VARIANCE_FLOOR)
+            floored += 1
+    return int(acc_alpha), int(acc_eps), int(acc_level), floored
+
+
 def run_chain(data: PanelDataset, graph: SpatialGraph,
               chain: ChainConfig | None = None) -> PosteriorDraws:
     """Run `chain.chains` chains and return their thinned post-burn-in draws.
@@ -513,16 +545,10 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     rows (`chain_id` i). The chains run one after another: a sweep is mostly
     small numpy calls that hold the interpreter lock, so threads only add
     contention. The acceptance rates are the means of the per-chain rates.
-
-    Sweep order: beta, u+, eta+, v, the level move, s2_v, s2_u, s2_eta,
-    then the two MH moves. Variances are floored at 1e-12 after each draw;
-    floor events are counted over all chains and reported on the result.
     """
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
-        raise ValueError(
-            f"graph has {graph.n_regions} regions but panel has {data.n_regions}"
-        )
+        raise ValueError(f"graph has {graph.n_regions} regions but panel has {data.n_regions}")
     if data.n_periods < 2:
         # with one period the region effect and the noise enter every cell
         # alike, so the likelihood cannot tell sigma2_alpha from sigma2_eps
@@ -535,7 +561,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     work = PanelDataset(y=-data.y, x=data.x, regions=data.regions, times=data.times)
 
     n, t, k = work.x.shape
-    planes = work.regressor_planes
     split = residual_variance_split(work)
     n_stored = chain.n_stored
     n_total = chain.chains * n_stored
@@ -543,8 +568,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     _, between_var, within_var, _ = split
     alpha_floor = ALPHA_FLOOR_SHARE * between_var / t
     alpha_cap = ALPHA_CAP_SHARE * between_var / t
-    eps_floor = EPS_FLOOR_SHARE * within_var
-    v_floor = V_FLOOR_SHARE * between_var
+    bounds = (alpha_floor, alpha_cap, EPS_FLOOR_SHARE * within_var, V_FLOOR_SHARE * between_var)
 
     out = PosteriorDraws(
         beta=np.empty((n_total, k)),
@@ -570,13 +594,6 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     floored = 0
     accepted = [[0, 0, 0] for _ in range(chain.chains)]   # alpha, eps, level moves
 
-    def floor_var(value: float) -> float:
-        nonlocal floored
-        if value < VARIANCE_FLOOR:
-            floored += 1
-            return VARIANCE_FLOOR
-        return value
-
     for idx in range(chain.chains):
         rng = np.random.default_rng(chain.seed + idx)
         state = initial_state(work, split, alpha_floor, alpha_cap)
@@ -585,41 +602,17 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
 
         for it in range(1, chain.n_iter + 1):
             try:
-                state.beta = update_beta(state, work, rng)
-                # beta is fixed for the rest of the sweep, and so is y - X beta
-                resid = work.y - np.einsum("knt,k->nt", planes, state.beta)
-                state.u_plus = update_u_plus(state, resid, rng)
-                # and after u+, so is the base y - X beta - u+ of every
-                # later residual, and its row sums
-                base = resid - state.u_plus
-                rows = base.sum(axis=1)
-                state.eta_plus = update_eta_plus(state, rows, rng)
-                state.v = update_v(state, rows, graph, rng)
-                counts[2] += update_level(state, rng)
-                state.sigma2_v = floor_var(update_sigma2_v(state, graph, rng, floor=v_floor))
-                state.sigma2_u = floor_var(update_sigma2_u(state, rng))
-                state.sigma2_eta = floor_var(update_sigma2_eta(state, rng))
-                s2a, s2e, (acc_a, acc_e) = update_sigma2_alpha_eps_mh(
-                    state, base, rows, rng,
-                    alpha_cap=alpha_cap, alpha_floor=alpha_floor, eps_floor=eps_floor,
-                )
-                state.sigma2_alpha = floor_var(s2a)
-                state.sigma2_eps = floor_var(s2e)
+                acc_a, acc_e, acc_l, n_floored = _sweep(state, work, graph, bounds, rng)
             except NumericalError as exc:
                 raise SamplerError(f"iteration {it}: {exc}") from exc
             counts[0] += acc_a
             counts[1] += acc_e
+            counts[2] += acc_l
+            floored += n_floored
 
             if it > chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
-                out.beta[stored] = -state.beta
-                out.u_plus[stored] = state.u_plus
-                out.eta_plus[stored] = state.eta_plus
-                out.v[stored] = -state.v
-                out.sigma2_alpha[stored] = state.sigma2_alpha
-                out.sigma2_eps[stored] = state.sigma2_eps
-                out.sigma2_v[stored] = state.sigma2_v
-                out.sigma2_u[stored] = state.sigma2_u
-                out.sigma2_eta[stored] = state.sigma2_eta
+                for name, value in vars(state).items():
+                    getattr(out, name)[stored] = -value if name in ("beta", "v") else value
                 stored += 1
 
     rates = np.array(accepted) / chain.n_iter

@@ -44,7 +44,7 @@ def compute_sir(panel: CountPanel, nu: float = DEFAULT_PRIOR_NU,
     n = panel.n
     s_tot = s.sum(axis=0)
     if np.any(s_tot <= 0):
-        bad = np.flatnonzero(s_tot <= 0).tolist()
+        bad = ", ".join(f"time={label}" for label in panel.times[s_tot <= 0].tolist())
         raise ValueError(f"periods with zero total count: {bad}")
     expected = n * (s_tot / n.sum(axis=0))[None, :]
     return SirTable(

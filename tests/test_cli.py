@@ -361,6 +361,18 @@ class TestAnalyzeCommand:
         assert _run("analyze", "--draws", str(tmp_path / "nope.npz"),
                     "--out", str(an)) == 1
 
+    def test_file_that_is_not_a_draws_file_fails(self, tmp_path, capsys):
+        # an npz without the draws members, and a single .npy array
+        other = tmp_path / "other.npz"
+        np.savez(other, a=np.arange(3))
+        single = tmp_path / "single.npy"
+        np.save(single, np.arange(3))
+        for path, reason in ((other, "meta is not a file in the archive"),
+                             (single, "a single .npy array")):
+            assert _run("analyze", "--draws", str(path), "--out", str(tmp_path / "an")) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: not a hiddenpop draws file: {reason}\n")
+
     def test_grouped_uncaptured(self, tmp_path):
         sim, fit = self._pipeline(tmp_path)
         an = tmp_path / "an"
@@ -393,6 +405,13 @@ class TestSirCommand:
         out = tmp_path / "sir"
         assert _run("sir", "--counts", str(counts), "--out", str(out)) == 1
         assert not (out / "sir.csv").exists()
+
+    def test_zero_total_periods_are_named_by_label(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("region,time,count,population\n1,2015,3,100\n2,2015,1,100\n"
+                          "1,2016,0,100\n2,2016,0,100\n")
+        assert _run("sir", "--counts", str(counts), "--out", str(tmp_path / "sir")) == 1
+        assert capsys.readouterr().err == "error: periods with zero total count: time=2016\n"
 
 
 class TestDrawsRoundTrip:

@@ -15,7 +15,9 @@ default is restated in the CLI.
 The study scripts are not run by the suite, so each is imported by path:
 a script that names a deleted symbol fails here. So is the benchmark's
 `perfbench/run.py`, whose traced per-layer metrics name package functions:
-a renamed function would turn its metric into a silent zero.
+a renamed function would turn its metric into a silent zero. Its tracer
+is installed on a short chain: every traced update must be a child of
+`run_chain`, which the benchmark's accounting checks.
 """
 
 import ast
@@ -122,6 +124,28 @@ def test_benchmark_traces_public_callables():
     # tracer wraps as well: each must be the one function
     assert sampler.truncated_normal is kernels.truncated_normal
     assert sampler.mh_scaled_chisq_step is kernels.mh_scaled_chisq_step
+
+
+def test_benchmark_traces_each_update_as_a_child_of_run_chain():
+    # the benchmark's run_chain accounting counts the update_* spans whose
+    # parent is run_chain; a public sweep function between the two would be
+    # traced too and take every update as its own child
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=2, seed=1))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        sampler.run_chain(truth.dataset, truth.graph, ChainConfig(n_iter=20, burn_in=10, thin=1))
+    finally:
+        tracer.uninstall()
+    names = {span[0]: span[1] for span in tracer.spans}
+    parents = [names.get(span[4]) for span in tracer.spans
+               if span[1].startswith("sampler.update_")]
+    assert len(parents) == 20 * 9
+    assert set(parents) == {"sampler.run_chain"}
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

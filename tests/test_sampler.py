@@ -27,7 +27,7 @@ from hiddenpop.sampler import (
     update_v,
     _omega_factors,
 )
-from hiddenpop.simulate import DgpConfig, simulate
+from hiddenpop.simulate import DgpConfig, draw_centered_car, simulate
 from hiddenpop.spatial import build_queen_grid, car_quadratic_form, load_adjacency
 from oracles import (CompoundSymmetricCov, conditional_mvn, graph_from_edges, per_edge_graph,
                      queen_edges, sigma_inverse, update_v_dot)
@@ -623,3 +623,120 @@ def test_chain_scalars_stay_python_floats(monkeypatch):
     assert len(floors) == 150 and min(floors) > 0
     assert len(types) == 300
     assert all(set(seen.values()) == {float} for seen in types)
+
+
+class TestJointDistribution:
+    """Geweke's (2004, JASA) joint-distribution test of the whole sweep.
+
+    The marginal-conditional simulator draws the parameters from the prior.
+    The successive-conditional simulator alternates one `_sweep`, the very
+    sweep run_chain runs, with a fresh panel drawn given the parameters. Both
+    simulate the joint law of parameters and panel, so every functional has
+    the same mean under both; a sweep that targets the wrong posterior moves
+    at least one of them.
+
+    The test needs a proper prior, so the slope and two-sided variance
+    priors are patched to proper ones (every update reads them at call time;
+    the inverse-gamma priors of s2_u and s2_eta are proper already), and the
+    bounds are fixed, since the chain's guards depend on the data. The ICAR
+    field has no prior along the constant vector: the field's level is a
+    random walk along the successive chain, so only functionals that do not
+    depend on it are compared. The panel is drawn in the chain's mirrored
+    coordinates, y = X beta + u+ + (v + eta+ + alpha) 1' + eps.
+    """
+
+    PRIOR = {"QBAR": 2.0, "NBAR": 8.0, "BETA_PRIOR_SCALE": 1.0}
+    BOUNDS = (0.0, math.inf, 0.0, 0.0)   # alpha_floor, alpha_cap, eps_floor, v_floor
+    N, T, K = 4, 2, 1
+    SEED = 11
+    N_SWEEPS = 20000
+    N_BATCHES = 50
+    N_PRIOR = 20000
+    NAMES = ("beta", "log s2_alpha", "log s2_eps", "log s2_v", "log s2_u", "log s2_eta",
+             "mean eta+", "mean u+", "v'Qv", "v_0 - v_1")
+
+    @classmethod
+    def _prior_draw(cls, graph, rng):
+        qbar, nbar = cls.PRIOR["QBAR"], cls.PRIOR["NBAR"]
+        s2_alpha, s2_eps, s2_v = qbar / rng.chisquare(nbar, 3)
+        s2_u = sampler.IG_SCALE_U / rng.gamma(0.5 * sampler.V0)
+        s2_eta = sampler.IG_SCALE_ETA / rng.gamma(0.5 * sampler.V0)
+        return ParameterState(
+            beta=rng.normal(0.0, math.sqrt(cls.PRIOR["BETA_PRIOR_SCALE"]), cls.K),
+            u_plus=np.abs(rng.normal(0.0, math.sqrt(s2_u), (cls.N, cls.T))),
+            eta_plus=np.abs(rng.normal(0.0, math.sqrt(s2_eta), cls.N)),
+            v=draw_centered_car(graph, math.sqrt(s2_v), rng),
+            sigma2_alpha=float(s2_alpha), sigma2_eps=float(s2_eps), sigma2_v=float(s2_v),
+            sigma2_u=float(s2_u), sigma2_eta=float(s2_eta))
+
+    @classmethod
+    def _panel_given(cls, state, x, rng):
+        alpha = rng.normal(0.0, math.sqrt(state.sigma2_alpha), cls.N)
+        eps = rng.normal(0.0, math.sqrt(state.sigma2_eps), (cls.N, cls.T))
+        return x @ state.beta + state.u_plus + (state.v + state.eta_plus + alpha)[:, None] + eps
+
+    @staticmethod
+    def _functionals(state, precision):
+        # sums over sizes, not .mean(): the functionals run once per sweep
+        v = state.v
+        return (state.beta[0], math.log(state.sigma2_alpha), math.log(state.sigma2_eps),
+                math.log(state.sigma2_v), math.log(state.sigma2_u), math.log(state.sigma2_eta),
+                state.eta_plus.sum() / state.eta_plus.size, state.u_plus.sum() / state.u_plus.size,
+                v @ precision @ v, v[0] - v[1])
+
+    @pytest.fixture(scope="class")
+    def prior_moments(self):
+        """Marginal-conditional means and standard errors of the functionals."""
+        graph = build_queen_grid(2, 2)
+        precision = graph.dense_precision()
+        rng = np.random.default_rng(self.SEED + 1000)
+        f = np.array([self._functionals(self._prior_draw(graph, rng), precision)
+                      for _ in range(self.N_PRIOR)])
+        return f.mean(axis=0), f.std(axis=0, ddof=1) / math.sqrt(self.N_PRIOR)
+
+    def _z_scores(self, monkeypatch, prior_moments):
+        for name, value in self.PRIOR.items():
+            monkeypatch.setattr(sampler, name, value)
+        graph = build_queen_grid(2, 2)
+        precision = graph.dense_precision()
+        rng = np.random.default_rng(self.SEED)
+        x = rng.standard_normal((self.N, self.T, self.K))
+        state = self._prior_draw(graph, rng)
+        work = PanelDataset(y=self._panel_given(state, x, rng), x=x)
+        f = np.empty((self.N_SWEEPS, len(self.NAMES)))
+        for i in range(self.N_SWEEPS):
+            sampler._sweep(state, work, graph, self.BOUNDS, rng)
+            # in place of a new panel: the regressor planes cached on it depend on x alone
+            work.y = self._panel_given(state, x, rng)
+            f[i] = self._functionals(state, precision)
+        batches = f.reshape(self.N_BATCHES, -1, len(self.NAMES)).mean(axis=1)
+        se = batches.std(axis=0, ddof=1) / math.sqrt(self.N_BATCHES)
+        prior_mean, prior_se = prior_moments
+        return dict(zip(self.NAMES, (f.mean(axis=0) - prior_mean) / np.hypot(se, prior_se)))
+
+    def test_sweep_targets_its_posterior(self, monkeypatch, prior_moments):
+        z = self._z_scores(monkeypatch, prior_moments)
+        assert max(abs(value) for value in z.values()) < 4.0, z
+
+    @staticmethod
+    def _sigma2_u_shape_plus_one(state, rng):
+        shape = 0.5 * (state.u_plus.size + sampler.V0) + 1.0
+        scale = 0.5 * float((state.u_plus * state.u_plus).sum()) + sampler.IG_SCALE_U
+        return sampler.sample_inverse_gamma(shape, scale, rng)
+
+    @staticmethod
+    def _level_without_mh_test(state, rng):
+        delta = rng.normal(0.0, 0.5 * math.sqrt(state.sigma2_eta / state.eta_plus.size))
+        if np.min(state.eta_plus - delta) <= 0.0:
+            return False
+        state.eta_plus = state.eta_plus - delta
+        state.v = state.v + delta
+        return True
+
+    @pytest.mark.parametrize("update, bug", [("update_sigma2_u", "_sigma2_u_shape_plus_one"),
+                                             ("update_level", "_level_without_mh_test")],
+                             ids=["sigma2_u_shape_plus_one", "level_without_mh_test"])
+    def test_planted_bug_is_caught(self, monkeypatch, prior_moments, update, bug):
+        monkeypatch.setattr(sampler, update, getattr(self, bug))
+        z = self._z_scores(monkeypatch, prior_moments)
+        assert max(abs(value) for value in z.values()) >= 4.0, z

@@ -52,6 +52,13 @@ class TestComputeSir:
         with pytest.raises(ValueError, match="zero total"):
             compute_sir(panel)
 
+    def test_zero_total_periods_are_named_by_their_labels(self):
+        s = np.array([[4, 0, 2, 0], [1, 0, 5, 0]])
+        panel = CountPanel(s=s, n=np.full(s.shape, 50.0), times=np.array([2015, 2016, 2017, 2018]))
+        with pytest.raises(ValueError,
+                           match="^periods with zero total count: time=2016, time=2018$"):
+            compute_sir(panel)
+
 
 class TestExceedance:
     def test_large_expected_no_signal(self):
