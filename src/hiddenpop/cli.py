@@ -141,26 +141,32 @@ def _write_npy_member(zf: zipfile.ZipFile, name: str, arr) -> None:
 
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
     """Inverse of save_draws; returns (draws, observed log-scale panel)."""
-    z = np.load(path)
-    if isinstance(z, np.ndarray):
-        raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
-    with z:
+    # np.load leaves a file it opened itself open when the zip is bad
+    with open(path, "rb") as fh:
         try:
-            meta = z["meta"]
-            draws = PosteriorDraws(
-                beta=z["beta"], u_plus=z["u_plus"], eta_plus=z["eta_plus"], v=z["v"],
-                sigma2_alpha=z["sigma2_alpha"], sigma2_eps=z["sigma2_eps"],
-                sigma2_v=z["sigma2_v"], sigma2_u=z["sigma2_u"], sigma2_eta=z["sigma2_eta"],
-                seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]),
-                thin=int(meta[3]), avg_row_sum=float(z["avg_row_sum"][0]),
-                accept_rate_alpha=float(z["accept_rates"][0]),
-                accept_rate_eps=float(z["accept_rates"][1]),
-                floored_count=int(z["floored"][0]),
-                chain_id=z["chain_id"],
-            )
-            y = z["y"]
-        except KeyError as exc:
-            raise ValueError(f"{path}: not a hiddenpop draws file: {exc.args[0]}") from None
+            z = np.load(fh)
+        except (EOFError, zipfile.BadZipFile) as exc:
+            # an empty file, or a zip cut short
+            raise ValueError(f"{path}: not a hiddenpop draws file: {exc}") from None
+        if isinstance(z, np.ndarray):
+            raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
+        with z:
+            try:
+                meta = z["meta"]
+                draws = PosteriorDraws(
+                    beta=z["beta"], u_plus=z["u_plus"], eta_plus=z["eta_plus"], v=z["v"],
+                    sigma2_alpha=z["sigma2_alpha"], sigma2_eps=z["sigma2_eps"],
+                    sigma2_v=z["sigma2_v"], sigma2_u=z["sigma2_u"], sigma2_eta=z["sigma2_eta"],
+                    seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]),
+                    thin=int(meta[3]), avg_row_sum=float(z["avg_row_sum"][0]),
+                    accept_rate_alpha=float(z["accept_rates"][0]),
+                    accept_rate_eps=float(z["accept_rates"][1]),
+                    floored_count=int(z["floored"][0]),
+                    chain_id=z["chain_id"],
+                )
+                y = z["y"]
+            except KeyError as exc:
+                raise ValueError(f"{path}: not a hiddenpop draws file: {exc.args[0]}") from None
     if draws.n_draws == 0:
         raise ValueError(f"{path}: draws file contains no stored draws")
     return draws, y

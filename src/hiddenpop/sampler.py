@@ -29,6 +29,10 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -537,14 +541,89 @@ def _sweep(state: ParameterState, work: PanelDataset, graph: SpatialGraph,
     return int(acc_alpha), int(acc_eps), int(acc_level), floored
 
 
+def _run_one(idx: int, work: PanelDataset, graph: SpatialGraph, split: tuple,
+             bounds: tuple[float, float, float, float], chain: ChainConfig,
+             out: PosteriorDraws) -> tuple[int, int, int, int]:
+    """Run chain `idx` of the mirrored panel `work` at seed chain.seed + idx
+    and store its thinned draws in the idx-th block of n_stored rows of
+    `out`. Returns the chain's accepted alpha, eps and level moves and its
+    count of raised variances."""
+    alpha_floor, alpha_cap, _, _ = bounds
+    rng = np.random.default_rng(chain.seed + idx)
+    state = initial_state(work, split, alpha_floor, alpha_cap)
+    accepted_alpha = accepted_eps = accepted_level = floored = 0
+    stored = idx * chain.n_stored
+    for it in range(1, chain.n_iter + 1):
+        try:
+            acc_a, acc_e, acc_l, n_floored = _sweep(state, work, graph, bounds, rng)
+        except NumericalError as exc:
+            raise SamplerError(f"iteration {it}: {exc}") from exc
+        accepted_alpha += acc_a
+        accepted_eps += acc_e
+        accepted_level += acc_l
+        floored += n_floored
+
+        if it > chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
+            for name, value in vars(state).items():
+                getattr(out, name)[stored] = -value if name in ("beta", "v") else value
+            stored += 1
+    return accepted_alpha, accepted_eps, accepted_level, floored
+
+
+def _worker_count(chains: int) -> int:
+    """Processes that run `chains` chains: one per core this process may
+    use, at most one per chain, and one where fork is not available or
+    this process is daemonic (a pool worker), which may not start any."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(chains, cores or 1)
+
+
+def _shared_empty(shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Uninitialised float arrays of the given shapes, all views of one
+    anonymous shared mapping: a forked worker's writes land in the parent's
+    arrays, so no draw is copied or pickled."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    buf = mmap.mmap(-1, max(8 * sum(sizes), 1))
+    arrays, offset = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        arrays[name] = np.frombuffer(buf, count=size, offset=offset).reshape(shape)
+        offset += 8 * size
+    return arrays
+
+
+def _serve(conn, idxs: range, *args) -> None:
+    """Worker body: run chains `idxs` with `_run_one(idx, *args)` and send
+    back their counts, or the exception that stopped them."""
+    # an interrupt reaches the parent, which stops every worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        reply = [_run_one(idx, *args) for idx in idxs]
+    except Exception as exc:
+        reply = exc
+    conn.send(reply)
+    conn.close()
+
+
 def run_chain(data: PanelDataset, graph: SpatialGraph,
               chain: ChainConfig | None = None) -> PosteriorDraws:
     """Run `chain.chains` chains and return their thinned post-burn-in draws.
 
     Chain i runs at seed chain.seed + i and fills the i-th block of n_stored
-    rows (`chain_id` i). The chains run one after another: a sweep is mostly
-    small numpy calls that hold the interpreter lock, so threads only add
-    contention. The acceptance rates are the means of the per-chain rates.
+    rows (`chain_id` i). The acceptance rates are the means of the per-chain
+    rates.
+
+    The chains run on w = min(chains, usable cores) processes; there is no
+    setting for w, and the draws do not depend on it. This process runs
+    chains 0, w, 2w, ...; w - 1 workers started with the `fork` start method
+    run the rest, round-robin, writing their rows in place into draw arrays
+    on anonymous shared memory and sending back only their counts or an
+    error. Every worker is joined before this function returns or raises.
+    Where fork is not available, or in a daemonic process such as a pool
+    worker, w is 1 and no process starts. Python 3.12 and later warn on a
+    fork from a process that has threads, such as a multi-threaded BLAS's.
     """
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
@@ -570,16 +649,15 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     alpha_cap = ALPHA_CAP_SHARE * between_var / t
     bounds = (alpha_floor, alpha_cap, EPS_FLOOR_SHARE * within_var, V_FLOOR_SHARE * between_var)
 
+    workers = _worker_count(chain.chains)
+    shapes = {"beta": (n_total, k), "u_plus": (n_total, n, t), "eta_plus": (n_total, n),
+              "v": (n_total, n)}
+    shapes.update(dict.fromkeys(
+        ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"), (n_total,)))
+    arrays = (_shared_empty(shapes) if workers > 1
+              else {name: np.empty(shape) for name, shape in shapes.items()})
     out = PosteriorDraws(
-        beta=np.empty((n_total, k)),
-        u_plus=np.empty((n_total, n, t)),
-        eta_plus=np.empty((n_total, n)),
-        v=np.empty((n_total, n)),
-        sigma2_alpha=np.empty(n_total),
-        sigma2_eps=np.empty(n_total),
-        sigma2_v=np.empty(n_total),
-        sigma2_u=np.empty(n_total),
-        sigma2_eta=np.empty(n_total),
+        **arrays,
         seed=chain.seed,
         n_iter=chain.n_iter,
         burn_in=chain.burn_in,
@@ -590,34 +668,45 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
         floored_count=0,
         chain_id=np.repeat(np.arange(chain.chains, dtype=np.int64), n_stored),
     )
+    args = (work, graph, split, bounds, chain, out)
 
-    floored = 0
-    accepted = [[0, 0, 0] for _ in range(chain.chains)]   # alpha, eps, level moves
-
-    for idx in range(chain.chains):
-        rng = np.random.default_rng(chain.seed + idx)
-        state = initial_state(work, split, alpha_floor, alpha_cap)
-        counts = accepted[idx]
-        stored = idx * n_stored
-
-        for it in range(1, chain.n_iter + 1):
+    counts = [None] * chain.chains   # alpha, eps, level moves and raised variances
+    started = []
+    try:
+        for first in range(1, workers):
+            ctx = multiprocessing.get_context("fork")
+            idxs = range(first, chain.chains, workers)
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_serve, args=(send, idxs, *args), daemon=True)
+            proc.start()
+            started.append((proc, recv, idxs))
+            # the worker now holds the only write end, so its death reads as EOF
+            send.close()
+        for idx in range(0, chain.chains, workers):
+            counts[idx] = _run_one(idx, *args)
+        for proc, recv, idxs in started:
             try:
-                acc_a, acc_e, acc_l, n_floored = _sweep(state, work, graph, bounds, rng)
-            except NumericalError as exc:
-                raise SamplerError(f"iteration {it}: {exc}") from exc
-            counts[0] += acc_a
-            counts[1] += acc_e
-            counts[2] += acc_l
-            floored += n_floored
+                reply = recv.recv()
+            except EOFError:
+                proc.join()
+                raise SamplerError(f"the worker running chain(s) {list(idxs)} ended without "
+                                   f"a reply (exit code {proc.exitcode})") from None
+            if isinstance(reply, Exception):
+                raise reply
+            for idx, value in zip(idxs, reply):
+                counts[idx] = value
+    except BaseException:
+        for proc, _, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv, _ in started:
+            proc.join()
+            recv.close()
 
-            if it > chain.burn_in and (it - chain.burn_in) % chain.thin == 0:
-                for name, value in vars(state).items():
-                    getattr(out, name)[stored] = -value if name in ("beta", "v") else value
-                stored += 1
-
-    rates = np.array(accepted) / chain.n_iter
+    rates = np.array([c[:3] for c in counts]) / chain.n_iter
     out.accept_rate_alpha = float(np.mean(rates[:, 0]))
     out.accept_rate_eps = float(np.mean(rates[:, 1]))
     out.accept_rate_level = float(np.mean(rates[:, 2]))
-    out.floored_count = floored
+    out.floored_count = sum(c[3] for c in counts)
     return out

@@ -362,13 +362,21 @@ class TestAnalyzeCommand:
                     "--out", str(an)) == 1
 
     def test_file_that_is_not_a_draws_file_fails(self, tmp_path, capsys):
-        # an npz without the draws members, and a single .npy array
+        # an npz without the draws members, a single .npy array, an empty
+        # file and a zip cut to half its length
         other = tmp_path / "other.npz"
         np.savez(other, a=np.arange(3))
         single = tmp_path / "single.npy"
         np.save(single, np.arange(3))
+        empty = tmp_path / "empty.npz"
+        empty.write_bytes(b"")
+        cut = tmp_path / "cut.npz"
+        whole = other.read_bytes()
+        cut.write_bytes(whole[:len(whole) // 2])
         for path, reason in ((other, "meta is not a file in the archive"),
-                             (single, "a single .npy array")):
+                             (single, "a single .npy array"),
+                             (empty, "No data left in file"),
+                             (cut, "File is not a zip file")):
             assert _run("analyze", "--draws", str(path), "--out", str(tmp_path / "an")) == 1
             assert capsys.readouterr().err == (
                 f"error: {path}: not a hiddenpop draws file: {reason}\n")

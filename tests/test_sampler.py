@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -491,6 +494,122 @@ class TestRunChain:
         perm_eta = permuted.eta_plus.mean(axis=0)
         assert np.corrcoef(perm_eta, base_eta[perm])[0, 1] > 0.9
         assert np.max(np.abs(perm_eta - base_eta[perm])) < 0.15
+
+
+DRAW_ARRAYS = ("beta", "u_plus", "eta_plus", "v", "sigma2_alpha", "sigma2_eps", "sigma2_v",
+               "sigma2_u", "sigma2_eta")
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes run_chain starts, in order."""
+    procs = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def recorded_start(proc):
+        procs.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded_start)
+    return procs
+
+
+def _assert_no_child_left():
+    # waitpid first: active_children() reaps the zombies it knows of
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+class TestChainWorkers:
+    """run_chain's chains on forked workers, one per usable core."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, if a wait for a worker never ends."""
+        def expire(signum, frame):
+            raise TimeoutError("run_chain outlived the test's 60 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_worker_count_does_not_change_the_draws(self, monkeypatch, started):
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        cfg = ChainConfig(n_iter=200, burn_in=100, thin=5, seed=21, chains=3)
+        fits = {}
+        for cores in (1, 2, 4):
+            _cores(monkeypatch, cores)
+            del started[:]
+            fits[cores] = run_chain(truth.dataset, truth.graph, cfg)
+            # this process runs chains too, so w cores start w - 1 workers,
+            # and four cores start no more than the three chains need
+            assert len(started) == min(cores, cfg.chains) - 1
+            assert all(proc.exitcode == 0 for proc in started)
+            _assert_no_child_left()
+        one = fits[1]
+        for fit in (fits[2], fits[4]):
+            for name in DRAW_ARRAYS:
+                assert np.array_equal(getattr(fit, name), getattr(one, name))
+            for name in ("accept_rate_alpha", "accept_rate_eps", "accept_rate_level",
+                         "floored_count"):
+                assert getattr(fit, name) == getattr(one, name)
+            assert np.array_equal(fit.chain_id, one.chain_id)
+
+    def test_pool_worker_runs_its_chains_itself(self, monkeypatch, started):
+        # a pool worker is daemonic, and a daemonic process may not start one
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        cfg = ChainConfig(n_iter=120, burn_in=20, thin=1, seed=5, chains=2)
+        _cores(monkeypatch, 2)
+        want = run_chain(truth.dataset, truth.graph, cfg)
+        assert len(started) == 1
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(run_chain, (truth.dataset, truth.graph, cfg))
+        for name in DRAW_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("where, fault, raised, message, exitcode", [
+        ("worker", "numerical", SamplerError, r"^iteration 5: planted failure$", 0),
+        ("parent", "numerical", SamplerError, r"^iteration 5: planted failure$",
+         -signal.SIGTERM),
+        ("parent", "interrupt", KeyboardInterrupt, "^$", -signal.SIGTERM),
+        ("worker", "killed", SamplerError,
+         r"^the worker running chain\(s\) \[1\] ended without a reply \(exit code -9\)$",
+         -signal.SIGKILL),
+    ])
+    def test_failing_chain_joins_every_worker(self, monkeypatch, started, where, fault, raised,
+                                              message, exitcode):
+        # the failing side stops at its fifth sweep, long before the other
+        # side's chain ends: a failing worker is outwaited, and a failing
+        # parent stops its live worker rather than wait for it
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        parent = os.getpid()
+        sweep = sampler._sweep
+        calls = [0]
+
+        def failing_sweep(*args):
+            calls[0] += 1
+            if calls[0] == 5 and (os.getpid() != parent) == (where == "worker"):
+                if fault == "numerical":
+                    raise NumericalError("planted failure")
+                if fault == "interrupt":
+                    raise KeyboardInterrupt
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sweep(*args)
+
+        monkeypatch.setattr(sampler, "_sweep", failing_sweep)
+        _cores(monkeypatch, 2)
+        cfg = ChainConfig(n_iter=3000, burn_in=100, thin=5, seed=3, chains=2)
+        with pytest.raises(raised, match=message):
+            run_chain(truth.dataset, truth.graph, cfg)
+        assert [proc.exitcode for proc in started] == [exitcode]
+        _assert_no_child_left()
 
 
 class TestInitialState:
