@@ -17,6 +17,8 @@ import io
 import json
 import os
 import sys
+import tempfile
+import threading
 import time
 import zipfile
 import zlib
@@ -42,7 +44,7 @@ from .analysis import (
     write_uncaptured_csv,
 )
 from .data import CountPanel, PanelDataset, _write_rows
-from .sampler import ChainConfig, PosteriorDraws, run_chain
+from .sampler import ChainConfig, PosteriorDraws, SamplerError, run_chain
 from .simulate import (
     DgpConfig,
     lambda_of,
@@ -59,6 +61,10 @@ OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
 _DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
+# The deflate thread is woken once this many bytes of rows are final. At
+# the paper size a row is 2 KB, and a wake per row cost more in hand-offs
+# of the interpreter lock than the deflate it moved off the chain.
+_SPOOL_BATCH_BYTES = 256 << 10
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -70,19 +76,32 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
-def save_draws(draws: PosteriorDraws, y: np.ndarray, path) -> None:
+def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
+               spool: _DeflateSpool | None = None) -> None:
     """Persist draws in a compact columnar zip of .npy members.
 
     Functionally an npz readable by numpy.load, but written with pinned
-    zip timestamps so identical draws produce byte-identical files. Each
-    member is deflated straight into the file in 1 MiB chunks, so saving
-    holds no second copy of the draws in memory. Members of at least
-    64 KiB, such as `u_plus`, are deflated with Huffman coding only:
-    float64 draws hold almost no repeated strings, so the default match
-    search costs about four times as long and gives a slightly larger
+    zip timestamps so identical draws produce byte-identical files. Members
+    of at least 64 KiB, such as `u_plus`, are deflated with Huffman coding
+    only: float64 draws hold almost no repeated strings, so the default
+    match search costs about four times as long and gives a slightly larger
     stream. Smaller members keep the default level, which still pays on
     their repeats (`chain_id`, MH-rejected variances).
+
+    The large members of `draws` are deflated on a second thread, each
+    into an unlinked temporary file in the directory of `path`. `fit`
+    passes the `spool` that `run_chain`'s `on_rows` hook fed as the chain
+    made rows final, so that deflate runs on the second core while the
+    chain sweeps; without one, a spool is made here and fed every row at
+    once. The
+    archive is then written as before: every member passes through
+    zipfile's writer in 1 MiB chunks for its CRC and sizes, and a spooled
+    member's compressor hands back the spooled stream in place of
+    deflating. Deflate's output does not depend on how its input is cut,
+    so the file has the same bytes either way, and saving holds no second
+    in-memory copy of a member. The spool is closed on return.
     """
+    path = Path(path)
     arrays = {
         "beta": draws.beta,
         "u_plus": draws.u_plus,
@@ -99,21 +118,23 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path) -> None:
     }
     for name in _DRAWS_SCALARS:
         arrays[name] = getattr(draws, name)
-    path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, arr in arrays.items():
-                _write_npy_member(zf, name, arr)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with spool or _DeflateSpool(path.parent) as spool:
+        spool.on_rows(draws, draws.n_draws)
+        streams = spool.streams(draws)
+        try:
+            with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
+                for name, arr in arrays.items():
+                    _write_npy_member(zf, name, arr, streams.get(name))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     tmp.replace(path)
 
 
-def _write_npy_member(zf: zipfile.ZipFile, name: str, arr) -> None:
-    """`name`.npy with the bytes np.lib.format.write_array gives, deflated
-    straight into the archive in chunks; Huffman-only from 64 KiB up."""
+def _npy_parts(name: str, arr) -> tuple[bytes, np.ndarray]:
+    """The header and the data, as a flat byte view, of the bytes
+    np.lib.format.write_array gives for `arr` as `name`.npy."""
     arr = np.asanyarray(arr)
     if arr.dtype.hasobject:
         raise ValueError(f"draws member {name} has an object dtype")
@@ -124,19 +145,160 @@ def _write_npy_member(zf: zipfile.ZipFile, name: str, arr) -> None:
     # in C order; a flat byte view copies nothing and also takes an empty
     # array such as the (S, 0) slopes of a panel without regressors
     data = arr.T if header["fortran_order"] else np.ascontiguousarray(arr)
-    data = data.reshape(-1).view(np.uint8)
+    return head.getvalue(), data.reshape(-1).view(np.uint8)
+
+
+def _huffman_only():
+    """The raw deflate stream of a member of at least 64 KiB."""
+    return zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
+                            zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+
+
+def _write_npy_member(zf: zipfile.ZipFile, name: str, arr, stream=None) -> None:
+    """`name`.npy with the bytes np.lib.format.write_array gives, deflated
+    straight into the archive in chunks; Huffman-only from 64 KiB up. A
+    member with a spooled `stream` takes its deflate output from there."""
+    head, data = _npy_parts(name, arr)
     info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
     info.compress_type = zipfile.ZIP_DEFLATED
     with zf.open(info, "w") as member:
-        if head.tell() + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
-            # the handle has written nothing yet, so the member is one raw
-            # deflate stream either way
-            member._compressor = zlib.compressobj(
-                zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
-                zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
-        member.write(head.getvalue())
+        # the handle has written nothing yet, so the member is one raw
+        # deflate stream either way
+        if stream is not None:
+            member._compressor = stream
+        elif len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
+            member._compressor = _huffman_only()
+        member.write(head)
         for start in range(0, len(data), _SAVE_CHUNK_BYTES):
             member.write(data[start:start + _SAVE_CHUNK_BYTES])
+
+
+class _DeflateSpool:
+    """Deflates the large per-draw members of a draws file on one thread,
+    rows at a time, each into an unlinked temporary file in `directory`.
+
+    `on_rows(draws, n)` is `run_chain`'s progress hook: rows [0, n) of
+    `draws` hold their final values. The first call starts the thread,
+    which deflates each member of at least 64 KiB among `beta`, `u_plus`,
+    `eta_plus`, `v` and the variances as its rows arrive, with the
+    Huffman-only compressor `save_draws` uses, and flushes the streams once
+    every row is in. The members must be C-ordered while rows are missing,
+    as `run_chain`'s are. zlib and file writes release the interpreter
+    lock, so the deflate runs beside the sweeps. `streams(draws)` waits
+    for the thread, raises what stopped it, and returns the compressor
+    stand-ins `save_draws` replays. `close` stops the thread and drops the
+    files.
+
+    The class is private, and neither the hook nor the thread calls a
+    public function of the package's modules, so a tracer that wraps those
+    functions records no span inside `run_chain` for the deflate.
+    """
+
+    def __init__(self, directory):
+        self._directory = directory
+        self._wake = threading.Condition()
+        self._rows = 0   # the rows handed to the thread
+        self._row_bytes = 0   # bytes per row over the spooled members
+        self._stop = False
+        self._error: Exception | None = None
+        self._draws = None
+        self._thread = None
+        self._files = {}   # member name -> its spooled deflate stream
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def on_rows(self, draws: PosteriorDraws, n: int) -> None:
+        """`run_chain`'s hook: rows [0, n) of `draws` are final. It calls
+        no public function of the package, so a tracer adds no span under
+        `run_chain`; it raises what stopped the thread, if anything did."""
+        if self._error is not None:
+            raise self._error
+        if self._draws is None:
+            self._start(draws)
+        if n == draws.n_draws or (n - self._rows) * self._row_bytes >= _SPOOL_BATCH_BYTES:
+            with self._wake:
+                self._rows = n
+                self._wake.notify()
+
+    def _start(self, draws: PosteriorDraws) -> None:
+        self._draws = draws
+        rows = draws.n_draws
+        members = []
+        for name in ("beta", "u_plus", "eta_plus", "v", *_DRAWS_SCALARS):
+            head, data = _npy_parts(name, getattr(draws, name))
+            if len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
+                members.append((name, head, data, data.nbytes // rows))
+        self._row_bytes = sum(row_bytes for *_, row_bytes in members)
+        for name, *_ in members:
+            self._files[name] = tempfile.TemporaryFile(dir=self._directory)
+        if members:
+            self._thread = threading.Thread(target=self._deflate, args=(members, rows),
+                                            name="draws-deflate", daemon=True)
+            self._thread.start()
+
+    def _deflate(self, members: list, rows: int) -> None:
+        try:
+            compressors = {name: _huffman_only() for name in self._files}
+            for name, head, _, _ in members:
+                self._files[name].write(compressors[name].compress(head))
+            done = 0
+            while done < rows:
+                with self._wake:
+                    while self._rows == done and not self._stop:
+                        self._wake.wait()
+                    if self._stop:
+                        return
+                    n = self._rows
+                for name, _, data, row_bytes in members:
+                    for start in range(done * row_bytes, n * row_bytes, _SAVE_CHUNK_BYTES):
+                        if self._stop:
+                            return
+                        end = min(start + _SAVE_CHUNK_BYTES, n * row_bytes)
+                        self._files[name].write(compressors[name].compress(data[start:end]))
+                done = n
+            for name, file in self._files.items():
+                file.write(compressors[name].flush())
+                file.flush()
+        except Exception as exc:
+            self._error = exc
+
+    def streams(self, draws: PosteriorDraws) -> dict[str, _SpooledStream]:
+        if draws is not self._draws:
+            raise ValueError("the spool holds the deflated rows of other draws")
+        if self._thread is not None:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return {name: _SpooledStream(file) for name, file in self._files.items()}
+
+    def close(self) -> None:
+        if self._thread is not None:
+            with self._wake:
+                self._stop = True
+                self._wake.notify()
+            self._thread.join()
+        for file in self._files.values():
+            file.close()
+
+
+class _SpooledStream:
+    """Stands in for a zip member's compressor: each `compress(data)` call
+    returns up to len(data) more bytes of the member's spooled deflate
+    stream, and `flush` the rest, so at most one write chunk is in memory."""
+
+    def __init__(self, file):
+        file.seek(0)
+        self._file = file
+
+    def compress(self, data) -> bytes:
+        return self._file.read(memoryview(data).nbytes)
+
+    def flush(self) -> bytes:
+        return self._file.read()
 
 
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
@@ -278,9 +440,11 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
     data = PanelDataset.from_csv(args.data)
     graph = (build_queen_grid(*args.grid) if args.grid
              else load_adjacency(args.adjacency, data.regions))
-    draws = run_chain(data, graph, chain)
-
-    save_draws(draws, data.y, output("draws.npz"))
+    path = output("draws.npz")
+    # the large members are deflated beside the sweeps, as rows become final
+    with _DeflateSpool(path.parent) as spool:
+        draws = run_chain(data, graph, chain, on_rows=spool.on_rows)
+        save_draws(draws, data.y, path, spool=spool)
     write_summary_csv(chain_summary(draws), output("summary.csv"))
     _write_rows(output("acceptance.csv"), ["quantity", "value"],
                 [["accept_rate_alpha", draws.accept_rate_alpha],
@@ -409,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; 0 on success, 1 on an input or file error.
+    """Run one subcommand; 0 on success, 1 on an input or file error or a
+    chain that failed numerically.
 
     A `cmd_*` function takes (args, output), names each file it writes
     through `output(name) -> Path`, and returns the (config, inputs) that
@@ -436,7 +601,7 @@ def main(argv=None) -> int:
                 (out / name).unlink(missing_ok=True)
             except OSError:
                 pass
-        if not isinstance(exc, (ValueError, OSError)):
+        if not isinstance(exc, (ValueError, OSError, SamplerError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1

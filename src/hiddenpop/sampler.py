@@ -543,11 +543,12 @@ def _sweep(state: ParameterState, work: PanelDataset, graph: SpatialGraph,
 
 def _run_one(idx: int, work: PanelDataset, graph: SpatialGraph, split: tuple,
              bounds: tuple[float, float, float, float], chain: ChainConfig,
-             out: PosteriorDraws) -> tuple[int, int, int, int]:
+             out: PosteriorDraws, stored_row=None) -> tuple[int, int, int, int]:
     """Run chain `idx` of the mirrored panel `work` at seed chain.seed + idx
     and store its thinned draws in the idx-th block of n_stored rows of
-    `out`. Returns the chain's accepted alpha, eps and level moves and its
-    count of raised variances."""
+    `out`, calling `stored_row(idx, rows)`, if given, after each stored row
+    with the rows stored so far. Returns the chain's accepted alpha, eps and
+    level moves and its count of raised variances."""
     alpha_floor, alpha_cap, _, _ = bounds
     rng = np.random.default_rng(chain.seed + idx)
     state = initial_state(work, split, alpha_floor, alpha_cap)
@@ -567,6 +568,8 @@ def _run_one(idx: int, work: PanelDataset, graph: SpatialGraph, split: tuple,
             for name, value in vars(state).items():
                 getattr(out, name)[stored] = -value if name in ("beta", "v") else value
             stored += 1
+            if stored_row is not None:
+                stored_row(idx, stored - idx * chain.n_stored)
     return accepted_alpha, accepted_eps, accepted_level, floored
 
 
@@ -608,7 +611,7 @@ def _serve(conn, idxs: range, *args) -> None:
 
 
 def run_chain(data: PanelDataset, graph: SpatialGraph,
-              chain: ChainConfig | None = None) -> PosteriorDraws:
+              chain: ChainConfig | None = None, *, on_rows=None) -> PosteriorDraws:
     """Run `chain.chains` chains and return their thinned post-burn-in draws.
 
     Chain i runs at seed chain.seed + i and fills the i-th block of n_stored
@@ -624,6 +627,14 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     Where fork is not available, or in a daemonic process such as a pool
     worker, w is 1 and no process starts. Python 3.12 and later warn on a
     fork from a process that has threads, such as a multi-threaded BLAS's.
+
+    `on_rows(draws, n)`, if given, is called in this process, never in a
+    worker, each time n grows: the number of leading rows of the draws this
+    call returns that hold their final values. That is after each row this
+    process stores and after each worker's reply, and always after every
+    worker has started, so a hook may start a thread. With 3 chains on 2
+    cores, chain 2's rows wait for the worker's chain 1. The hook runs
+    inside this call's time, between sweeps.
     """
     chain = chain or ChainConfig()
     if graph.n_regions != data.n_regions:
@@ -670,6 +681,22 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
     )
     args = (work, graph, split, bounds, chain, out)
 
+    final = [0] * chain.chains   # rows of each chain that hold their final values
+    reported = 0
+
+    def report(idx: int, rows: int) -> None:
+        nonlocal reported
+        final[idx] = rows
+        n = 0
+        for count in final:
+            n += count
+            if count < n_stored:
+                break
+        if n > reported:
+            reported = n
+            on_rows(out, n)
+
+    stored_row = report if on_rows is not None else None
     counts = [None] * chain.chains   # alpha, eps, level moves and raised variances
     started = []
     try:
@@ -683,7 +710,7 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
             # the worker now holds the only write end, so its death reads as EOF
             send.close()
         for idx in range(0, chain.chains, workers):
-            counts[idx] = _run_one(idx, *args)
+            counts[idx] = _run_one(idx, *args, stored_row)
         for proc, recv, idxs in started:
             try:
                 reply = recv.recv()
@@ -695,6 +722,8 @@ def run_chain(data: PanelDataset, graph: SpatialGraph,
                 raise reply
             for idx, value in zip(idxs, reply):
                 counts[idx] = value
+                if stored_row is not None:
+                    stored_row(idx, n_stored)
     except BaseException:
         for proc, _, _ in started:
             proc.terminate()

@@ -1,20 +1,27 @@
 import csv
+import errno
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import zipfile
 import zlib
 
 import numpy as np
 import pytest
 
+from hiddenpop import cli, sampler
 from hiddenpop.analysis import uncaptured_summaries
 from hiddenpop.cli import load_draws, main, save_draws
-from hiddenpop.data import FLOAT_FMT
+from hiddenpop.data import FLOAT_FMT, PanelDataset
+from hiddenpop.kernels import NumericalError
 from hiddenpop.sampler import ChainConfig, PosteriorDraws, run_chain
 from hiddenpop.simulate import DgpConfig, read_truth_csv, simulate
 from hiddenpop.spatial import build_queen_grid
@@ -27,6 +34,15 @@ def _run(*argv):
 def _rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _deflated_alone(npy: bytes) -> bytes:
+    """The raw deflate stream save_draws writes for a member's .npy bytes,
+    made in one call: Huffman-only from 64 KiB up, zlib's default below."""
+    strategy = zlib.Z_HUFFMAN_ONLY if len(npy) >= 64 << 10 else zlib.Z_DEFAULT_STRATEGY
+    comp = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
+                            zlib.DEF_MEM_LEVEL, strategy)
+    return comp.compress(npy) + comp.flush()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -496,12 +512,8 @@ class TestDrawsRoundTrip:
         path, _ = self._saved(tmp_path, "fortran")
         coded = {}
         for name, npy, raw in self._members(path):
-            huffman = len(npy) >= 64 << 10
-            comp = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
-                                    zlib.DEF_MEM_LEVEL,
-                                    zlib.Z_HUFFMAN_ONLY if huffman else zlib.Z_DEFAULT_STRATEGY)
-            assert raw == comp.compress(npy) + comp.flush(), name
-            coded[name] = huffman
+            assert raw == _deflated_alone(npy), name
+            coded[name] = len(npy) >= 64 << 10
         assert coded["u_plus"] and coded["eta_plus"] and not coded["y"] and not coded["chain_id"]
 
     def test_default_deflate_files_still_load(self, tmp_path):
@@ -568,3 +580,142 @@ class TestDrawsRoundTrip:
         assert _run("simulate", "--grid", "2x2", "--periods", "2", "--out", str(out)) == 0
         assert (out / "stray.csv").exists()
         assert json.loads((out / "manifest.json").read_text())["subcommand"] == "simulate"
+
+
+class TestDrawsDeflatedWhileTheChainRuns:
+    """fit deflates the large members of draws.npz on a second thread as
+    the chain makes rows final, and the file keeps save_draws's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, if a wait for the thread never ends."""
+        def expire(signum, frame):
+            raise TimeoutError("fit outlived the test's 60 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(scope="class")
+    def panel(self, tmp_path_factory):
+        # 100 stored draws of 100 regions x 5 periods: u_plus, eta_plus and
+        # v are each at least 64 KiB, so all three are spooled
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        simulate(DgpConfig(grid_rows=10, grid_cols=10, n_periods=5, seed=14)).dataset.to_csv(path)
+        return path
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """A log that gets "spool" when a spool starts, in order with what
+        a test adds to it."""
+        log = []
+        start = cli._DeflateSpool._start
+
+        def recorded_start(spool, draws):
+            log.append("spool")
+            start(spool, draws)
+
+        monkeypatch.setattr(cli._DeflateSpool, "_start", recorded_start)
+        return log
+
+    @staticmethod
+    def _fit(panel, out, *flags):
+        return main(["fit", "--data", str(panel), "--grid", "10x10", "--iters", "110",
+                     "--burnin", "10", "--thin", "1", "--seed", "8", "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("batch", [1, None], ids=["every-row", "default-batch"])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    def test_file_has_the_bytes_save_draws_writes(self, monkeypatch, tmp_path, panel, events,
+                                                  chains, batch):
+        # on 2 cores, 2 and 3 chains run one on a forked worker; with 3,
+        # chain 2's rows wait for the worker's chain 1
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+        if batch is not None:
+            monkeypatch.setattr(cli, "_SPOOL_BATCH_BYTES", batch)
+        returned = []
+        chain = cli.run_chain
+
+        def recorded_chain(*args, **kwargs):
+            returned.append(chain(*args, **kwargs))
+            events.append("returned")
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "run_chain", recorded_chain)
+        path = tmp_path / "fit" / "draws.npz"
+        assert self._fit(panel, path.parent, "--chains", str(chains)) == 0
+        assert events == ["spool", "returned"]
+        save_draws(returned[0], PanelDataset.from_csv(panel).y, tmp_path / "alone.npz")
+        assert path.read_bytes() == (tmp_path / "alone.npz").read_bytes()
+        names = set()
+        for name, npy, raw in TestDrawsRoundTrip._members(path):
+            assert raw == _deflated_alone(npy), name
+            names.add(name)
+        assert len(names) == 15
+
+    @pytest.mark.parametrize("thread", ["deflating", "waiting"])
+    def test_failing_chain_leaves_no_file_and_no_thread(self, monkeypatch, tmp_path, panel,
+                                                        events, capsys, thread):
+        sweep = sampler._sweep
+        calls = [0]
+
+        def failing_sweep(*args):
+            calls[0] += 1
+            if calls[0] == 80:
+                if thread == "waiting":
+                    # ample time to deflate the 55 rows it was handed
+                    time.sleep(0.5)
+                raise NumericalError("planted failure")
+            return sweep(*args)
+
+        monkeypatch.setattr(sampler, "_sweep", failing_sweep)
+        if thread == "deflating":
+            # every row wakes the thread, which lags the chain
+            monkeypatch.setattr(cli, "_SPOOL_BATCH_BYTES", 1)
+        baseline = threading.active_count()
+        out = tmp_path / "fit"
+        assert self._fit(panel, out) == 1
+        assert capsys.readouterr().err == "error: iteration 80: planted failure\n"
+        assert events == ["spool"]
+        # no draws.npz, no draws.npz.tmp and no spool file
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
+    def test_failing_spool_write_is_an_error(self, monkeypatch, tmp_path, panel, events, capsys):
+        class FullDisk:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", FullDisk)
+        baseline = threading.active_count()
+        out = tmp_path / "fit"
+        assert self._fit(panel, out) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert events == ["spool"]
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
+    def test_no_thread_is_alive_when_a_worker_forks(self, monkeypatch, tmp_path, panel, events):
+        # Python 3.12 and later warn on a fork from a process with threads,
+        # and the suite turns warnings into errors
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
+        start = multiprocessing.context.ForkProcess.start
+
+        def recorded_start(proc):
+            events.append(("fork", threading.active_count()))
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recorded_start)
+        baseline = threading.active_count()
+        assert self._fit(panel, tmp_path / "fit", "--chains", "2") == 0
+        assert events == [("fork", baseline), "spool"]
+        assert threading.active_count() == baseline

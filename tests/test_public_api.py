@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import defaultdict
 from functools import reduce
 from pathlib import Path
@@ -34,7 +35,7 @@ from unittest import mock
 
 import pytest
 
-from hiddenpop import kernels, sampler
+from hiddenpop import cli, kernels, sampler
 from hiddenpop.cli import build_parser, main
 from hiddenpop.sampler import ChainConfig
 from hiddenpop.simulate import DgpConfig, simulate
@@ -146,6 +147,38 @@ def test_benchmark_traces_each_update_as_a_child_of_run_chain():
                if span[1].startswith("sampler.update_")]
     assert len(parents) == 20 * 9
     assert set(parents) == {"sampler.run_chain"}
+
+
+def test_benchmark_traces_no_span_for_the_draws_deflate(tmp_path, monkeypatch):
+    # fit deflates the draws on a second thread while run_chain runs; a
+    # traced call from that thread, or from run_chain's hook, would be a
+    # child of run_chain that is no update and break the accounting
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    simulate(DgpConfig(grid_rows=10, grid_cols=10, n_periods=5, seed=14)).dataset.to_csv(
+        tmp_path / "panel.csv")
+    # every stored row wakes the deflate thread
+    monkeypatch.setattr(cli, "_SPOOL_BATCH_BYTES", 1)
+    threads = []
+    start = cli._DeflateSpool._start
+    monkeypatch.setattr(cli._DeflateSpool, "_start", lambda spool, draws: (
+        start(spool, draws), threads.append(spool._thread)))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert main(["fit", "--data", str(tmp_path / "panel.csv"), "--grid", "10x10",
+                     "--iters", "110", "--burnin", "10", "--thin", "1",
+                     "--out", str(tmp_path / "fit")]) == 0
+    finally:
+        tracer.uninstall()
+    assert len(threads) == 1 and threads[0] is not None
+    names = {span[0]: span[1] for span in tracer.spans}
+    children = {span[1] for span in tracer.spans if names.get(span[4]) == "sampler.run_chain"}
+    assert {name for name in children if not name.startswith("sampler.update_")} == {
+        "sampler.residual_variance_split", "sampler.initial_state"}
+    assert {span[5] for span in tracer.spans} == {threading.get_ident()}
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

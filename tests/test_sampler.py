@@ -562,6 +562,32 @@ class TestChainWorkers:
                 assert getattr(fit, name) == getattr(one, name)
             assert np.array_equal(fit.chain_id, one.chain_id)
 
+    @pytest.mark.parametrize("chains, grown_by_replies", [(1, []), (2, [80]), (3, [120])])
+    def test_on_rows_reports_each_final_prefix_in_this_process(self, monkeypatch, started,
+                                                                chains, grown_by_replies):
+        # 2 cores: this process runs chains 0 and 2, the worker chain 1, so
+        # chain 2's rows count only with the worker's reply, all 80 at once
+        truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
+        cfg = ChainConfig(n_iter=60, burn_in=20, thin=1, seed=4, chains=chains)
+        _cores(monkeypatch, 2)
+        calls = []
+
+        def on_rows(draws, n):
+            calls.append((os.getpid(), n, {name: getattr(draws, name)[:n].copy()
+                                           for name in DRAW_ARRAYS}))
+
+        got = run_chain(truth.dataset, truth.graph, cfg, on_rows=on_rows)
+        assert len(started) == min(chains, 2) - 1
+        assert [n for _, n, _ in calls] == list(range(1, 41)) + grown_by_replies
+        assert {pid for pid, _, _ in calls} == {os.getpid()}
+        for _, n, rows in calls:
+            for name in DRAW_ARRAYS:
+                assert np.array_equal(rows[name], getattr(got, name)[:n]), (n, name)
+        plain = run_chain(truth.dataset, truth.graph, cfg)
+        for name in DRAW_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(plain, name))
+        _assert_no_child_left()
+
     def test_pool_worker_runs_its_chains_itself(self, monkeypatch, started):
         # a pool worker is daemonic, and a daemonic process may not start one
         truth = simulate(DgpConfig(grid_rows=3, grid_cols=3, n_periods=3, seed=9))
