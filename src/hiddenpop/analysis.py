@@ -18,6 +18,8 @@ from .sampler import PosteriorDraws
 MIN_HDI_DRAWS = 100
 # the credibility levels `hiddenpop analyze --truth` scores when --levels is left out
 DEFAULT_COVERAGE_LEVELS = (0.90, 0.95, 0.99)
+# rho_hat squares its centred draws this many values at a time
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def hdi(draws, level: float) -> tuple[float, float]:
@@ -60,27 +62,35 @@ def hidden_population_draws(draws: PosteriorDraws, y_observed: np.ndarray) -> np
     """Per-draw hidden-population values Y * exp(eta+ + u+), shape (S, N, T).
 
     y_observed is on the level scale (not logs) and may contain zeros, in
-    which case the cell is identically zero in every draw.
+    which case the cell is identically zero in every draw. The values are
+    built in place in the one array returned.
     """
     y_observed = np.asarray(y_observed, dtype=float)
     if np.any(y_observed < 0):
         raise ValueError("observed level values must be nonnegative")
-    return y_observed[None, :, :] * np.exp(draws.eta_plus[:, :, None] + draws.u_plus)
+    out = np.add(draws.eta_plus[:, :, None], draws.u_plus)
+    np.exp(out, out=out)
+    return np.multiply(y_observed, out, out=out)
 
 
-def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, levels):
+def predictive_intervals(draws: PosteriorDraws, y_observed: np.ndarray, levels, *,
+                         cells: np.ndarray | None = None):
     """Posterior mean and HDI bounds of the hidden population at each level.
 
-    The (S, N, T) hidden-population draws are built and sorted once and the
-    window search runs once per level. Returns (point, [(lower, upper) for
-    each level]), every array of shape (N, T). Every level must lie in
+    The (S, N, T) hidden-population draws are sorted once and the window
+    search runs once per level. They are built here unless `cells` holds
+    them already, as `hidden_population_draws(draws, y_observed)` returns
+    them; `cells` is then sorted in place. Returns (point, [(lower, upper)
+    for each level]), every array of shape (N, T). Every level must lie in
     (0, 1).
     """
     levels = list(levels)
     for level in levels:
         _check_level(level)
     _check_draw_count(draws.n_draws)
-    flat = hidden_population_draws(draws, y_observed).reshape(draws.n_draws, -1)
+    if cells is None:
+        cells = hidden_population_draws(draws, y_observed)
+    flat = cells.reshape(draws.n_draws, -1)
     shape = y_observed.shape
     point = flat.mean(axis=0).reshape(shape)
     flat.sort(axis=0)
@@ -155,8 +165,9 @@ def mape_summary(estimate: np.ndarray, true_p: np.ndarray) -> MapeSummary:
     keep = true_p != 0.0
     n_excluded = int(np.sum(~keep))
     if per_draw:
-        err = np.abs((true_p[None, :, :] - estimate) / np.where(keep, true_p, 1.0)[None, :, :])
-        cellwise = err.mean(axis=0)[keep]
+        err = np.subtract(true_p, estimate)
+        np.divide(err, np.where(keep, true_p, 1.0), out=err)
+        cellwise = np.abs(err, out=err).mean(axis=0)[keep]
     else:
         cellwise = np.abs((true_p[keep] - estimate[keep]) / true_p[keep])
     # across cells, where few cells is legitimate: no draw-count guard
@@ -182,7 +193,14 @@ def rho_hat(draw_matrix: np.ndarray, truth: np.ndarray) -> float:
     if t_norm == 0.0:
         raise ValueError("truth vector has zero variance; correlation undefined")
     d_c = draw_matrix - draw_matrix.mean(axis=1, keepdims=True)
-    d_norm = np.sqrt(np.sum(d_c * d_c, axis=1))
+    # each row's sum of squares is its own pairwise sum, so a block of rows
+    # at a time gives the bits of one pass without a second full-size array
+    d_norm = np.empty(len(d_c))
+    step = max(1, _BLOCK_ELEMENTS // max(1, d_c.shape[1]))
+    for start in range(0, len(d_c), step):
+        block = d_c[start:start + step]
+        d_norm[start:start + step] = np.sum(block * block, axis=1)
+    np.sqrt(d_norm, out=d_norm)
     if np.any(d_norm == 0.0):
         raise ValueError("a draw has zero variance; correlation undefined")
     return float(np.mean(d_c @ t_c / (d_norm * t_norm)))
@@ -197,7 +215,8 @@ class UncapturedSummary:
     cell: np.ndarray = field(compare=False)
 
 
-def uncaptured_summaries(draws: PosteriorDraws) -> UncapturedSummary:
+def uncaptured_summaries(draws: PosteriorDraws,
+                         out: np.ndarray | None = None) -> UncapturedSummary:
     """Posterior means of the uncaptured percentages and variability shares.
 
     permanent: 1 - exp(-eta+) averaged over draws and regions;
@@ -207,9 +226,15 @@ def uncaptured_summaries(draws: PosteriorDraws) -> UncapturedSummary:
     spatial share: marginal spatial sd over the total sd, where the
     marginal spatial sd is sigma_v / (0.7 * average row sum) and the total
     pools it with the other four components on the sd scale.
+
+    The per-draw cells 1 - exp(-(eta+ + u+)) are built in place in one
+    (S, N, T) array: `out`, if given, whose values are overwritten.
     """
     permanent = float(np.mean(1.0 - np.exp(-draws.eta_plus)))
-    uncaptured = 1.0 - np.exp(-(draws.eta_plus[:, :, None] + draws.u_plus))
+    uncaptured = np.add(draws.eta_plus[:, :, None], draws.u_plus, out=out)
+    np.negative(uncaptured, out=uncaptured)
+    np.exp(uncaptured, out=uncaptured)
+    np.subtract(1.0, uncaptured, out=uncaptured)
     total = float(np.mean(uncaptured))
     s_eta = np.sqrt(draws.sigma2_eta)
     s_u = np.sqrt(draws.sigma2_u)

@@ -65,6 +65,8 @@ _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 # the paper size a row is 2 KB, and a wake per row cost more in hand-offs
 # of the interpreter lock than the deflate it moved off the chain.
 _SPOOL_BATCH_BYTES = 256 << 10
+# load_draws inflates u_plus this many bytes at a time
+_LOAD_CHUNK_BYTES = 256 << 10
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -302,21 +304,31 @@ class _SpooledStream:
 
 
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
-    """Inverse of save_draws; returns (draws, observed log-scale panel)."""
+    """Inverse of save_draws; returns (draws, observed log-scale panel).
+
+    `u_plus`, the one member that grows with draws x regions x periods, is
+    inflated on a second thread, a chunk at a time, straight into its array,
+    while this thread reads the other members. The thread calls no public
+    function of the package, so a tracer that wraps those functions records
+    no span from it. An archive that cannot be read, on either thread, is a
+    ValueError naming `path`, and the thread has ended by the time this
+    returns or raises.
+    """
     # np.load leaves a file it opened itself open when the zip is bad
     with open(path, "rb") as fh:
         try:
             z = np.load(fh)
         except (EOFError, zipfile.BadZipFile) as exc:
             # an empty file, or a zip cut short
-            raise ValueError(f"{path}: not a hiddenpop draws file: {exc}") from None
+            raise _not_a_draws_file(path, exc) from None
         if isinstance(z, np.ndarray):
             raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
-        with z:
+        with z, _MemberInflater() as u_plus:
             try:
                 meta = z["meta"]
+                u_plus.start(z, "u_plus")
                 draws = PosteriorDraws(
-                    beta=z["beta"], u_plus=z["u_plus"], eta_plus=z["eta_plus"], v=z["v"],
+                    beta=z["beta"], u_plus=u_plus.array, eta_plus=z["eta_plus"], v=z["v"],
                     sigma2_alpha=z["sigma2_alpha"], sigma2_eps=z["sigma2_eps"],
                     sigma2_v=z["sigma2_v"], sigma2_u=z["sigma2_u"], sigma2_eta=z["sigma2_eta"],
                     seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]),
@@ -327,11 +339,90 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
                     chain_id=z["chain_id"],
                 )
                 y = z["y"]
-            except KeyError as exc:
-                raise ValueError(f"{path}: not a hiddenpop draws file: {exc.args[0]}") from None
+                u_plus.wait()
+            except _ARCHIVE_ERRORS as exc:
+                raise _not_a_draws_file(path, exc) from None
     if draws.n_draws == 0:
         raise ValueError(f"{path}: draws file contains no stored draws")
     return draws, y
+
+
+# what reading a draws archive that is not whole, or not one, raises
+_ARCHIVE_ERRORS = (KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+def _not_a_draws_file(path, exc: Exception) -> ValueError:
+    # a KeyError's message is its argument; a deflate stream cut short is a bare EOFError
+    reason = exc.args[0] if isinstance(exc, KeyError) else str(exc) or "member data ends early"
+    return ValueError(f"{path}: not a hiddenpop draws file: {reason}")
+
+
+class _MemberInflater:
+    """Inflates one .npy member of a zip on a thread of its own into an
+    array allocated up front, `_LOAD_CHUNK_BYTES` at a time.
+
+    `start(z, name)` reads the member's header here, allocates `array` and
+    starts the thread. `wait()` joins the thread and raises what stopped it;
+    `close` asks it to stop and joins it. zlib releases the interpreter lock
+    while it inflates, so the caller's own reads run beside it. The class is
+    private and the thread calls no public function of the package.
+    """
+
+    def __init__(self):
+        self.array = None
+        self._stop = False
+        self._error: Exception | None = None
+        self._thread = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def start(self, z, name: str) -> None:
+        if name not in z.files:
+            raise KeyError(f"{name} is not a file in the archive")
+        member = z.zip.open(name + ".npy")
+        try:
+            # save_draws and numpy.savez write version 1.0 for every draws member
+            version = np.lib.format.read_magic(member)
+            if version != (1, 0):
+                raise ValueError(f"{name} has .npy format version {version}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+            if dtype.hasobject or len(shape) != 3:
+                raise ValueError(f"{name} is not a 3-D numeric array")
+        except BaseException:
+            member.close()
+            raise
+        # the .npy data is the array's memory in its own order
+        self.array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+        self._thread = threading.Thread(target=self._inflate, args=(name, member),
+                                        name="draws-inflate", daemon=True)
+        self._thread.start()
+
+    def _inflate(self, name: str, member) -> None:
+        try:
+            with member:
+                data = self.array.reshape(-1, order="A").view(np.uint8)
+                for at in range(0, len(data), _LOAD_CHUNK_BYTES):
+                    if self._stop:
+                        return
+                    chunk = data[at:at + _LOAD_CHUNK_BYTES]
+                    if member.readinto(chunk) != len(chunk):
+                        raise EOFError(f"{name} holds fewer values than its header says")
+        except Exception as exc:
+            self._error = exc
+
+    def wait(self) -> None:
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._stop = True
+            self._thread.join()
 
 
 def export_draws_csv(draws: PosteriorDraws, path) -> None:
@@ -460,15 +551,30 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
 
 
 def cmd_analyze(args, output) -> tuple[dict, dict]:
-    draws, y_log = load_draws(args.draws)
-    y_level = np.exp(y_log)
     levels = args.levels
     if args.truth is None and levels is not None:
         raise ValueError("coverage levels were requested but no --truth file given")
     group = "region" if args.by_region else ("period" if args.by_period else None)
+    truth = read_truth_csv(args.truth) if args.truth is not None else None
+    draws, y_log = load_draws(args.draws)
+    cells = None
+    if truth is not None:
+        if truth["p"].shape != y_log.shape:
+            raise ValueError(
+                f"truth grid {truth['p'].shape} does not match draws {y_log.shape}"
+            )
+        levels = levels if levels is not None else list(DEFAULT_COVERAGE_LEVELS)
+        y_level = np.exp(y_log)
+        cells = hidden_population_draws(draws, y_level)
+        # the per-draw errors take the draws in their order, which the interval sort loses
+        per_draw = [mape_summary(cells, truth["p"])] if args.per_draw_mape else []
+        point, bounds = predictive_intervals(draws, y_level, levels, cells=cells)
 
-    shares = uncaptured_summaries(draws)
-    n, t = y_level.shape
+    # with --truth, the uncaptured cells are built in the memory of the sorted
+    # hidden-population draws, which is freed before rho_hat centres u_plus
+    shares = uncaptured_summaries(draws, out=cells)
+    del cells
+    n, t = y_log.shape
     write_uncaptured_csv(shares.cell, np.arange(n), np.arange(t), output("uncaptured.csv"), group)
     _write_rows(output("uncaptured_summary.csv"), ["quantity", "value"],
                 [["permanent_pct", shares.permanent_pct],
@@ -476,23 +582,12 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
                  ["lambda", shares.lambda_stat],
                  ["spatial_share", shares.spatial_share]])
 
-    if args.truth is not None:
-        truth = read_truth_csv(args.truth)
-        if truth["p"].shape != y_level.shape:
-            raise ValueError(
-                f"truth grid {truth['p'].shape} does not match draws {y_level.shape}"
-            )
-        levels = levels if levels is not None else list(DEFAULT_COVERAGE_LEVELS)
+    if truth is not None:
         rng = np.random.default_rng(args.seed)
-        point, bounds = predictive_intervals(draws, y_level, levels)
         reports = [coverage_report(lo, hi, truth["p"], level, rng=rng)
                    for level, (lo, hi) in zip(levels, bounds)]
         write_coverage_csv(reports, output("coverage.csv"))
-        summaries = [mape_summary(point, truth["p"])]
-        if args.per_draw_mape:
-            summaries.append(mape_summary(hidden_population_draws(draws, y_level),
-                                          truth["p"]))
-        write_mape_csv(summaries, output("mape.csv"))
+        write_mape_csv([mape_summary(point, truth["p"])] + per_draw, output("mape.csv"))
         _write_rows(output("rho.csv"), ["component", "rho_hat"],
                     [["eta_plus", rho_hat(draws.eta_plus, truth["eta_plus"])],
                      ["u_plus", rho_hat(draws.u_plus.reshape(draws.n_draws, -1),

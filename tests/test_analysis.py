@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddenpop import analysis
 from hiddenpop.analysis import (
     _hdi_columns,
     chain_summary,
@@ -119,6 +120,31 @@ class TestPredictiveIntervals:
                 for level, (lo, hi) in zip(levels, bounds):
                     assert (lo[i, j], hi[i, j]) == hdi(cell, level)
 
+    def test_given_cells_give_the_same_bounds_and_are_sorted(self):
+        d = _draws(150, 4, 3, seed=9)
+        y = np.abs(np.random.default_rng(10).normal(3, 1, (4, 3)))
+        point, bounds = predictive_intervals(d, y, [0.5, 0.9])
+        cells = hidden_population_draws(d, y)
+        got_point, got_bounds = predictive_intervals(d, y, [0.5, 0.9], cells=cells)
+        assert np.array_equal(got_point, point)
+        for (lo, hi), (got_lo, got_hi) in zip(bounds, got_bounds):
+            assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+        assert np.array_equal(cells, np.sort(hidden_population_draws(d, y), axis=0))
+
+    def test_hidden_population_draws_keep_their_bits(self):
+        # built in place, the draws keep the bits of the one-expression form
+        d = _draws(150, 4, 3, seed=21)
+        y = np.abs(np.random.default_rng(22).normal(3, 1, (4, 3)))
+        expected = y[None, :, :] * np.exp(d.eta_plus[:, :, None] + d.u_plus)
+        assert np.array_equal(hidden_population_draws(d, y), expected)
+
+    def test_overflowing_draws_warn(self):
+        u = np.zeros((150, 2, 2))
+        u[3, 1, 0] = 800.0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            cells = hidden_population_draws(_draws(150, 2, 2, u=u), np.ones((2, 2)))
+        assert np.isinf(cells[3, 1, 0]) and np.isfinite(np.delete(cells.ravel(), 3 * 4 + 2)).all()
+
     def test_negative_observation_rejected(self):
         d = _draws(150, 2, 2)
         y = np.array([[-1.0, 1.0], [1.0, 1.0]])
@@ -207,6 +233,21 @@ class TestMape:
             mape_summary(q[:, :2], truth)
 
 
+    def test_per_draw_errors_keep_their_bits(self):
+        s, n, t = 150, 3, 4
+        d = _draws(s, n, t, seed=24)
+        y = np.abs(np.random.default_rng(25).normal(4, 1, (n, t)))
+        truth = y * 1.2
+        truth[0, 1] = 0.0
+        q = hidden_population_draws(d, y)
+        keep = truth != 0.0
+        err = np.abs((truth[None, :, :] - q) / np.where(keep, truth, 1.0)[None, :, :])
+        out = mape_summary(q, truth)
+        cellwise = err.mean(axis=0)[keep]
+        assert (out.average, out.median) == (cellwise.mean(), np.median(cellwise))
+        assert out.n_excluded == 1
+
+
 class TestRhoHat:
     def test_truth_equals_draws(self):
         truth = np.random.default_rng(14).normal(size=30)
@@ -228,6 +269,19 @@ class TestRhoHat:
         r1 = rho_hat(draws, truth)
         r2 = rho_hat(draws, a * truth + b)
         assert r2 == pytest.approx(r1, abs=1e-10)
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 15, 1 << 40])
+    def test_blocks_of_rows_keep_the_bits(self, monkeypatch, block):
+        # each row's sum of squares is its own sum, whatever block it is in
+        rng = np.random.default_rng(18)
+        truth = rng.normal(size=900)
+        draws = rng.normal(size=(45, 900)) + truth
+        d_c = draws - draws.mean(axis=1, keepdims=True)
+        t_c = truth - truth.mean()
+        expected = float(np.mean(d_c @ t_c / (np.sqrt(np.sum(d_c * d_c, axis=1))
+                                              * np.sqrt(np.sum(t_c * t_c)))))
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", block)
+        assert rho_hat(draws, truth) == expected
 
     def test_zero_variance_truth(self):
         with pytest.raises(ValueError):
@@ -270,6 +324,13 @@ class TestUncaptured:
         assert out.total_pct == np.mean(uncaptured)
         # the grid does not take part in equality
         assert out == replace(out, cell=np.zeros((3, 2)))
+
+    def test_cells_can_be_built_in_a_given_array(self):
+        d = _draws(150, 3, 2, seed=19)
+        out = np.full((150, 3, 2), np.nan)
+        given, fresh = uncaptured_summaries(d, out=out), uncaptured_summaries(d)
+        assert given == fresh and np.array_equal(given.cell, fresh.cell)
+        assert np.array_equal(out, 1.0 - np.exp(-(d.eta_plus[:, :, None] + d.u_plus)))
 
     def test_by_cell_grouping(self, tmp_path):
         d = _draws(150, 3, 2, seed=18)

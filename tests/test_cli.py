@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from hiddenpop import cli, sampler
-from hiddenpop.analysis import uncaptured_summaries
+from hiddenpop.analysis import hidden_population_draws, uncaptured_summaries, write_mape_csv
 from hiddenpop.cli import load_draws, main, save_draws
 from hiddenpop.data import FLOAT_FMT, PanelDataset
 from hiddenpop.kernels import NumericalError
@@ -543,6 +543,17 @@ class TestDrawsRoundTrip:
         assert np.array_equal(back.u_plus, arrays["u_plus"])
         assert np.array_equal(y_back, arrays["y"])
 
+    def test_fortran_ordered_u_plus_loads(self, monkeypatch, tmp_path):
+        # the .npy data is in the array's own order, read in chunks that
+        # split its values
+        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 1001)
+        draws, _ = self._fixed_draws(s=6, n=50, t=4)
+        draws.u_plus = np.asfortranarray(draws.u_plus)
+        path = tmp_path / "draws.npz"
+        save_draws(draws, np.ones((50, 4)), path)
+        back, _ = load_draws(path)
+        assert np.array_equal(back.u_plus, draws.u_plus) and back.u_plus.flags.f_contiguous
+
     def test_failed_save_leaves_no_file(self, tmp_path):
         draws, _ = self._fixed_draws(s=4, n=3, t=2)
         draws.v = draws.v.astype(object)
@@ -582,23 +593,25 @@ class TestDrawsRoundTrip:
         assert json.loads((out / "manifest.json").read_text())["subcommand"] == "simulate"
 
 
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, if a wait for a thread never ends."""
+    def expire(signum, frame):
+        raise TimeoutError("the command outlived the test's 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestDrawsDeflatedWhileTheChainRuns:
     """fit deflates the large members of draws.npz on a second thread as
     the chain makes rows final, and the file keeps save_draws's bytes."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fail, rather than hang, if a wait for the thread never ends."""
-        def expire(signum, frame):
-            raise TimeoutError("fit outlived the test's 60 s deadline")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     @pytest.fixture(scope="class")
     def panel(self, tmp_path_factory):
@@ -719,3 +732,196 @@ class TestDrawsDeflatedWhileTheChainRuns:
         assert self._fit(panel, tmp_path / "fit", "--chains", "2") == 0
         assert events == [("fork", baseline), "spool"]
         assert threading.active_count() == baseline
+
+
+@pytest.mark.usefixtures("deadline")
+class TestDrawsInflatedBesideTheAnalysis:
+    """load_draws inflates u_plus on a second thread, a chunk at a time,
+    while it reads the other members; no output changes a byte, and the
+    thread never outlives the command."""
+
+    @pytest.fixture(scope="class")
+    def fits(self, tmp_path_factory):
+        # 100 stored draws (200 with two chains) of 100 regions x 5 periods:
+        # u_plus is 4000 bytes a row
+        base = tmp_path_factory.mktemp("fits")
+        assert main(["simulate", "--grid", "10x10", "--periods", "5", "--seed", "14",
+                     "--out", str(base)]) == 0
+        for chains in (1, 2):
+            assert main(["fit", "--data", str(base / "panel.csv"), "--grid", "10x10",
+                         "--iters", "110", "--burnin", "10", "--thin", "1", "--seed", "8",
+                         "--chains", str(chains), "--out", str(base / f"chains{chains}")]) == 0
+        return base
+
+    @pytest.fixture
+    def reader(self, monkeypatch):
+        """Five rows a chunk, each chunk read 10 ms late, so the thread is
+        still inflating when the analysis fails, and would still be for a
+        while if it were not joined; the list gets each started thread."""
+        threads = []
+        start, readinto = cli._MemberInflater.start, zipfile.ZipExtFile.readinto
+
+        def recorded_start(inflater, z, name):
+            start(inflater, z, name)
+            threads.append(inflater._thread)
+
+        def late_readinto(member, buffer):
+            time.sleep(0.01)
+            return readinto(member, buffer)
+
+        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 20_000)
+        monkeypatch.setattr(cli._MemberInflater, "start", recorded_start)
+        monkeypatch.setattr(zipfile.ZipExtFile, "readinto", late_readinto)
+        return threads
+
+    @staticmethod
+    def _analyze(draws, out, *flags):
+        return main(["analyze", "--draws", str(draws), "--out", str(out), *flags])
+
+    # a row of u_plus is 4000 bytes; 4099 splits its values
+    @pytest.mark.parametrize("chunk", [4000, 4099, 1 << 40], ids=["one-row", "odd", "all-rows"])
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_load_draws_returns_what_np_load_reads(self, monkeypatch, fits, chunk, chains):
+        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", chunk)
+        path = fits / f"chains{chains}" / "draws.npz"
+        with np.load(path) as z:
+            stored = {name: z[name] for name in z.files}
+        draws, y = load_draws(path)
+        assert draws.n_draws == 100 * chains
+        for name in ("beta", "u_plus", "eta_plus", "v", "chain_id", "sigma2_alpha",
+                     "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta"):
+            got = getattr(draws, name)
+            assert np.array_equal(got, stored[name]) and got.dtype == stored[name].dtype, name
+        assert draws.u_plus.flags.c_contiguous
+        assert np.array_equal(y, stored["y"])
+        assert [draws.seed, draws.n_iter, draws.burn_in, draws.thin] == stored["meta"].tolist()
+
+    @pytest.mark.parametrize("flags", [(), ("--by-region",), ("--per-draw-mape",), None],
+                             ids=["truth", "by-region", "per-draw-mape", "no-truth"])
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, monkeypatch, tmp_path, fits,
+                                                     flags, chains):
+        truth = () if flags is None else ("--truth", str(fits / "truth.csv"), *flags)
+        outputs = []
+        for chunk in (4000, 1 << 40):
+            monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            assert self._analyze(fits / f"chains{chains}" / "draws.npz", out, *truth) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == (2 if flags is None else 5)
+
+    def test_per_draw_mape_is_the_row_of_fresh_draws(self, monkeypatch, tmp_path, fits):
+        summaries = []
+        summary = cli.mape_summary
+        monkeypatch.setattr(cli, "mape_summary", lambda *args: (
+            summaries.append(summary(*args)) or summaries[-1]))
+        assert self._analyze(fits / "chains1" / "draws.npz", tmp_path / "an",
+                             "--truth", str(fits / "truth.csv"), "--per-draw-mape") == 0
+        draws, y_log = load_draws(fits / "chains1" / "draws.npz")
+        fresh = summary(hidden_population_draws(draws, np.exp(y_log)),
+                        read_truth_csv(fits / "truth.csv")["p"])
+        # every value to the bit, and so the row's bytes
+        assert [s for s in summaries if s.per_draw] == [fresh]
+        write_mape_csv([fresh], tmp_path / "fresh.csv")
+        assert _rows(tmp_path / "an" / "mape.csv")[2] == _rows(tmp_path / "fresh.csv")[1]
+
+    def test_no_thread_is_left_after_analyze(self, tmp_path, fits, reader):
+        baseline = threading.active_count()
+        assert self._analyze(fits / "chains1" / "draws.npz", tmp_path / "an",
+                             "--truth", str(fits / "truth.csv")) == 0
+        assert len(reader) == 1
+        assert threading.active_count() == baseline
+
+    @staticmethod
+    def _u_plus_at(path) -> int:
+        """Where the deflate stream of u_plus.npy starts in the file."""
+        with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
+            info = zf.getinfo("u_plus.npy")
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            return info.header_offset + 30 + name_len + extra_len
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("flipped", "Bad CRC-32 for file 'u_plus.npy'"),
+        ("junk", "Error -3 while decompressing data: invalid block type"),
+        ("cut-stream", "Bad CRC-32 for file 'u_plus.npy'"),
+        ("short-npy", "u_plus holds fewer values than its header says"),
+    ])
+    def test_damaged_u_plus_is_an_error(self, tmp_path, fits, reader, capsys, damage, reason):
+        whole = fits / "chains1" / "draws.npz"
+        bad = tmp_path / "bad.npz"
+        if damage in ("flipped", "junk"):
+            # past the first block's header, which is inflated with the
+            # .npy header, before the thread starts
+            data = bytearray(whole.read_bytes())
+            at = self._u_plus_at(whole) + 200_000
+            if damage == "flipped":
+                data[at] ^= 0xFF
+            else:
+                data[at:at + 64] = b"\xff" * 64
+            bad.write_bytes(bytes(data))
+        else:
+            with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
+                for name, npy, raw in TestDrawsRoundTrip._members(whole):
+                    if name != "u_plus":
+                        zf.writestr(name + ".npy", npy)
+                    elif damage == "short-npy":
+                        zf.writestr(name + ".npy", npy[:-6000])
+                    else:
+                        with zf.open(name + ".npy", "w") as member:
+                            # the archive records the whole member, but
+                            # holds only half its deflate stream
+                            member._compressor = _CutStream(raw[:len(raw) // 2])
+                            member.write(npy)
+        baseline = threading.active_count()
+        out = tmp_path / "an"
+        assert self._analyze(bad, out, "--truth", str(fits / "truth.csv")) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not a hiddenpop draws file: {reason}\n"
+        assert len(reader) == 1
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
+    def test_missing_member_is_an_error(self, tmp_path, fits, reader, capsys):
+        # y is read last on the calling thread, while u_plus is still being
+        # inflated on the other
+        whole = fits / "chains1" / "draws.npz"
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, raw in TestDrawsRoundTrip._members(whole):
+                if name != "y":
+                    zf.writestr(name + ".npy", npy)
+        baseline = threading.active_count()
+        out = tmp_path / "an"
+        assert self._analyze(bad, out, "--truth", str(fits / "truth.csv")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not a hiddenpop draws file: y is not a file in the archive\n")
+        assert len(reader) == 1
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
+    def test_missing_truth_file_is_an_error(self, tmp_path, fits, reader, capsys):
+        # the truth file is read before the draws, so no thread starts
+        baseline = threading.active_count()
+        out = tmp_path / "an"
+        missing = tmp_path / "nope.csv"
+        assert self._analyze(fits / "chains1" / "draws.npz", out, "--truth", str(missing)) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert reader == []
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
+
+class _CutStream:
+    """Stands in for a zip member's compressor and writes `stream` in place
+    of the member's deflate stream."""
+
+    def __init__(self, stream: bytes):
+        self._stream = stream
+
+    def compress(self, data) -> bytes:
+        return b""
+
+    def flush(self) -> bytes:
+        return self._stream

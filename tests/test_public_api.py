@@ -181,6 +181,37 @@ def test_benchmark_traces_no_span_for_the_draws_deflate(tmp_path, monkeypatch):
     assert {span[5] for span in tracer.spans} == {threading.get_ident()}
 
 
+def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
+    # analyze inflates u_plus on a second thread while load_draws reads the
+    # other members; a traced call from that thread would be a span outside
+    # the analyze request's tree
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    assert main(["simulate", "--grid", "10x10", "--periods", "5", "--seed", "14",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["fit", "--data", str(tmp_path / "panel.csv"), "--grid", "10x10",
+                 "--iters", "110", "--burnin", "10", "--thin", "1",
+                 "--out", str(tmp_path / "fit")]) == 0
+    # a chunk per row of u_plus
+    monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 4000)
+    threads = []
+    start = cli._MemberInflater.start
+    monkeypatch.setattr(cli._MemberInflater, "start", lambda inflater, z, name: (
+        start(inflater, z, name), threads.append(inflater._thread)))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert main(["analyze", "--draws", str(tmp_path / "fit" / "draws.npz"),
+                     "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "an")]) == 0
+    finally:
+        tracer.uninstall()
+    assert len(threads) == 1 and threads[0] is not None
+    assert "cli.load_draws" in {span[1] for span in tracer.spans}
+    assert {span[5] for span in tracer.spans} == {threading.get_ident()}
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.sparse (and the SuperLU solver under it) costs about 9 MB of
     # resident memory on import, and pulls in scipy.linalg
