@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
+import struct
 import sys
 import tempfile
 import threading
@@ -65,8 +67,10 @@ _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 # the paper size a row is 2 KB, and a wake per row cost more in hand-offs
 # of the interpreter lock than the deflate it moved off the chain.
 _SPOOL_BATCH_BYTES = 256 << 10
-# load_draws inflates u_plus this many bytes at a time
-_LOAD_CHUNK_BYTES = 256 << 10
+# load_draws reads and inflates a piece of a member this many bytes at a
+# time. Buffers this small are reused from the allocator's pools; whole 1 MiB
+# pieces on two threads raised the peak memory of a stress analyze by 3 MB.
+_INFLATE_STEP_BYTES = 64 << 10
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -88,7 +92,11 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
     only: float64 draws hold almost no repeated strings, so the default
     match search costs about four times as long and gives a slightly larger
     stream. Smaller members keep the default level, which still pays on
-    their repeats (`chain_id`, MH-rejected variances).
+    their repeats (`chain_id`, MH-rejected variances). A Huffman-only
+    member longer than 1 MiB is one deflate stream cut by full flushes into
+    1 MiB pieces that inflate on their own, and its zip comment lists where
+    each piece starts (see `_PieceDeflater`), so `load_draws` can inflate
+    the pieces on two threads.
 
     The large members of `draws` are deflated on a second thread, each
     into an unlinked temporary file in the directory of `path`. `fit`
@@ -100,7 +108,8 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
     zipfile's writer in 1 MiB chunks for its CRC and sizes, and a spooled
     member's compressor hands back the spooled stream in place of
     deflating. Deflate's output does not depend on how its input is cut,
-    so the file has the same bytes either way, and saving holds no second
+    and each flush falls at a fixed offset of its member, so the file has
+    the same bytes either way, and saving holds no second
     in-memory copy of a member. The spool is closed on return.
     """
     path = Path(path)
@@ -150,29 +159,75 @@ def _npy_parts(name: str, arr) -> tuple[bytes, np.ndarray]:
     return head.getvalue(), data.reshape(-1).view(np.uint8)
 
 
-def _huffman_only():
-    """The raw deflate stream of a member of at least 64 KiB."""
-    return zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
-                            zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+class _PieceDeflater:
+    """The raw deflate stream of a member of at least 64 KiB: Huffman
+    coding only, in pieces that inflate on their own.
+
+    A full flush ends every `_SAVE_CHUNK_BYTES` of the member's bytes, the
+    .npy header included, so each later piece starts on a byte boundary and
+    refers to nothing before it. A flush falls at a fixed offset of the
+    member however its bytes are cut into `compress` calls, and only once
+    more bytes follow it, so a member of at most one piece is a plain
+    Huffman-only stream. `index()` is the member's zip comment: the piece
+    length and where each later piece starts in the stream.
+    """
+
+    def __init__(self):
+        self._zlib = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
+                                      zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+        self._piece = _SAVE_CHUNK_BYTES
+        self._fed = 0   # member bytes taken in
+        self._out = 0   # stream bytes handed out
+        self._starts = []
+
+    def compress(self, data) -> bytes:
+        data = memoryview(data).cast("B")
+        parts = []
+        while data:
+            if self._fed and not self._fed % self._piece:
+                parts.append(self._zlib.flush(zlib.Z_FULL_FLUSH))
+                self._out += len(parts[-1])
+                self._starts.append(self._out)
+            take = self._piece - self._fed % self._piece
+            chunk, data = data[:take], data[take:]
+            parts.append(self._zlib.compress(chunk))
+            self._out += len(parts[-1])
+            self._fed += len(chunk)
+        return b"".join(parts)
+
+    def flush(self) -> bytes:
+        return self._zlib.flush()
+
+    def index(self) -> bytes:
+        """b"pieces <piece length> <start> ..." for a member of more than one
+        piece, or nothing. The comment field holds at most 64 KiB; a longer
+        index is left out, and the member still reads as one piece."""
+        comment = b" ".join([b"pieces", *(b"%d" % n for n in (self._piece, *self._starts))])
+        return comment if self._starts and len(comment) <= 0xFFFF else b""
 
 
 def _write_npy_member(zf: zipfile.ZipFile, name: str, arr, stream=None) -> None:
     """`name`.npy with the bytes np.lib.format.write_array gives, deflated
-    straight into the archive in chunks; Huffman-only from 64 KiB up. A
-    member with a spooled `stream` takes its deflate output from there."""
+    straight into the archive in chunks; in Huffman-only pieces from 64 KiB
+    up. A member with a spooled `stream` takes its deflate output and its
+    piece index from there."""
     head, data = _npy_parts(name, arr)
     info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
     info.compress_type = zipfile.ZIP_DEFLATED
+    compressor = stream
+    if compressor is None and len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
+        compressor = _PieceDeflater()
     with zf.open(info, "w") as member:
         # the handle has written nothing yet, so the member is one raw
         # deflate stream either way
-        if stream is not None:
-            member._compressor = stream
-        elif len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
-            member._compressor = _huffman_only()
+        if compressor is not None:
+            member._compressor = compressor
         member.write(head)
         for start in range(0, len(data), _SAVE_CHUNK_BYTES):
             member.write(data[start:start + _SAVE_CHUNK_BYTES])
+    if compressor is not None:
+        # the central directory, written when the archive closes, holds it
+        info.comment = compressor.index()
 
 
 class _DeflateSpool:
@@ -182,14 +237,14 @@ class _DeflateSpool:
     `on_rows(draws, n)` is `run_chain`'s progress hook: rows [0, n) of
     `draws` hold their final values. The first call starts the thread,
     which deflates each member of at least 64 KiB among `beta`, `u_plus`,
-    `eta_plus`, `v` and the variances as its rows arrive, with the
-    Huffman-only compressor `save_draws` uses, and flushes the streams once
+    `eta_plus`, `v` and the variances as its rows arrive, in the
+    Huffman-only pieces `save_draws` writes, and flushes the streams once
     every row is in. The members must be C-ordered while rows are missing,
     as `run_chain`'s are. zlib and file writes release the interpreter
     lock, so the deflate runs beside the sweeps. `streams(draws)` waits
     for the thread, raises what stopped it, and returns the compressor
-    stand-ins `save_draws` replays. `close` stops the thread and drops the
-    files.
+    stand-ins, with their piece indexes, that `save_draws` replays. `close`
+    stops the thread and drops the files.
 
     The class is private, and neither the hook nor the thread calls a
     public function of the package's modules, so a tracer that wraps those
@@ -206,6 +261,7 @@ class _DeflateSpool:
         self._draws = None
         self._thread = None
         self._files = {}   # member name -> its spooled deflate stream
+        self._compressors = {}   # member name -> the compressor that writes its stream
 
     def __enter__(self):
         return self
@@ -237,6 +293,7 @@ class _DeflateSpool:
         self._row_bytes = sum(row_bytes for *_, row_bytes in members)
         for name, *_ in members:
             self._files[name] = tempfile.TemporaryFile(dir=self._directory)
+            self._compressors[name] = _PieceDeflater()
         if members:
             self._thread = threading.Thread(target=self._deflate, args=(members, rows),
                                             name="draws-deflate", daemon=True)
@@ -244,7 +301,7 @@ class _DeflateSpool:
 
     def _deflate(self, members: list, rows: int) -> None:
         try:
-            compressors = {name: _huffman_only() for name in self._files}
+            compressors = self._compressors
             for name, head, _, _ in members:
                 self._files[name].write(compressors[name].compress(head))
             done = 0
@@ -275,7 +332,8 @@ class _DeflateSpool:
             self._thread.join()
         if self._error is not None:
             raise self._error
-        return {name: _SpooledStream(file) for name, file in self._files.items()}
+        return {name: _SpooledStream(file, self._compressors[name].index())
+                for name, file in self._files.items()}
 
     def close(self) -> None:
         if self._thread is not None:
@@ -290,11 +348,16 @@ class _DeflateSpool:
 class _SpooledStream:
     """Stands in for a zip member's compressor: each `compress(data)` call
     returns up to len(data) more bytes of the member's spooled deflate
-    stream, and `flush` the rest, so at most one write chunk is in memory."""
+    stream, and `flush` the rest, so at most one write chunk is in memory.
+    `index()` is the piece index of the stream."""
 
-    def __init__(self, file):
+    def __init__(self, file, index: bytes):
         file.seek(0)
         self._file = file
+        self._index = index
+
+    def index(self) -> bytes:
+        return self._index
 
     def compress(self, data) -> bytes:
         return self._file.read(memoryview(data).nbytes)
@@ -307,12 +370,14 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
     """Inverse of save_draws; returns (draws, observed log-scale panel).
 
     `u_plus`, the one member that grows with draws x regions x periods, is
-    inflated on a second thread, a chunk at a time, straight into its array,
-    while this thread reads the other members. The thread calls no public
+    read by a `_PieceReader`: a second thread starts inflating its pieces
+    straight into its array while this thread reads the other members, then
+    both threads take pieces until none is left. Neither calls a public
     function of the package, so a tracer that wraps those functions records
-    no span from it. An archive that cannot be read, on either thread, is a
-    ValueError naming `path`, and the thread has ended by the time this
-    returns or raises.
+    no span from the second thread. An archive that cannot be read, on
+    either thread, or whose members do not fit together as save_draws
+    writes them, is a ValueError naming `path`, and the thread has ended
+    by the time this returns or raises.
     """
     # np.load leaves a file it opened itself open when the zip is bad
     with open(path, "rb") as fh:
@@ -323,30 +388,33 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
             raise _not_a_draws_file(path, exc) from None
         if isinstance(z, np.ndarray):
             raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
-        with z, _MemberInflater() as u_plus:
+        with z, _PieceReader(z, fh.fileno(), "u_plus") as u_plus:
             try:
-                meta = z["meta"]
-                u_plus.start(z, "u_plus")
-                draws = PosteriorDraws(
-                    beta=z["beta"], u_plus=u_plus.array, eta_plus=z["eta_plus"], v=z["v"],
-                    sigma2_alpha=z["sigma2_alpha"], sigma2_eps=z["sigma2_eps"],
-                    sigma2_v=z["sigma2_v"], sigma2_u=z["sigma2_u"], sigma2_eta=z["sigma2_eta"],
-                    seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]),
-                    thin=int(meta[3]), avg_row_sum=float(z["avg_row_sum"][0]),
-                    accept_rate_alpha=float(z["accept_rates"][0]),
-                    accept_rate_eps=float(z["accept_rates"][1]),
-                    floored_count=int(z["floored"][0]),
-                    chain_id=z["chain_id"],
-                )
-                y = z["y"]
-                u_plus.wait()
+                members = {"meta": z["meta"]}
+                u_plus.start()
+                members.update((name, z[name]) for name in _DRAWS_MEMBERS)
+                _check_shapes(members, u_plus.array.shape)
+                u_plus.finish()
             except _ARCHIVE_ERRORS as exc:
                 raise _not_a_draws_file(path, exc) from None
+    meta = members["meta"]
+    draws = PosteriorDraws(
+        beta=members["beta"], u_plus=u_plus.array, eta_plus=members["eta_plus"],
+        v=members["v"], **{name: members[name] for name in _DRAWS_SCALARS},
+        seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]), thin=int(meta[3]),
+        avg_row_sum=float(members["avg_row_sum"][0]),
+        accept_rate_alpha=float(members["accept_rates"][0]),
+        accept_rate_eps=float(members["accept_rates"][1]),
+        floored_count=int(members["floored"][0]), chain_id=members["chain_id"],
+    )
     if draws.n_draws == 0:
         raise ValueError(f"{path}: draws file contains no stored draws")
-    return draws, y
+    return draws, members["y"]
 
 
+# the members of a draws file besides meta and u_plus
+_DRAWS_MEMBERS = ("accept_rates", "avg_row_sum", "floored", "beta", "eta_plus", "v",
+                  *_DRAWS_SCALARS, "chain_id", "y")
 # what reading a draws archive that is not whole, or not one, raises
 _ARCHIVE_ERRORS = (KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
@@ -357,19 +425,49 @@ def _not_a_draws_file(path, exc: Exception) -> ValueError:
     return ValueError(f"{path}: not a hiddenpop draws file: {reason}")
 
 
-class _MemberInflater:
-    """Inflates one .npy member of a zip on a thread of its own into an
-    array allocated up front, `_LOAD_CHUNK_BYTES` at a time.
+def _check_shapes(members: dict, u_plus_shape: tuple) -> None:
+    """Raise a ValueError naming the first member whose shape does not fit
+    the others: `u_plus` is (S, N, T) and `beta` (S, K)."""
+    if len(u_plus_shape) != 3:
+        raise ValueError(f"u_plus has shape {u_plus_shape}, not (draws, regions, periods)")
+    s, n, t = u_plus_shape
+    expected = {"meta": (4,), "accept_rates": (2,), "avg_row_sum": (1,), "floored": (1,),
+                "eta_plus": (s, n), "v": (s, n), **dict.fromkeys(_DRAWS_SCALARS, (s,)),
+                "chain_id": (s,), "y": (n, t)}
+    for name, shape in expected.items():
+        if members[name].shape != shape:
+            raise ValueError(f"{name} has shape {members[name].shape}, not {shape}")
+    beta = members["beta"].shape
+    if len(beta) != 2 or beta[0] != s:
+        raise ValueError(f"beta has shape {beta}, not ({s}, slopes)")
 
-    `start(z, name)` reads the member's header here, allocates `array` and
-    starts the thread. `wait()` joins the thread and raises what stopped it;
-    `close` asks it to stop and joins it. zlib releases the interpreter lock
-    while it inflates, so the caller's own reads run beside it. The class is
-    private and the thread calls no public function of the package.
+
+class _PieceReader:
+    """Reads one .npy member of an npz straight into an array allocated up
+    front, a piece at a time, on the calling thread and one more.
+
+    A deflated member whose zip comment is a piece index (see
+    `_PieceDeflater`) is cut into the pieces it lists; any other member,
+    deflated or stored, is one piece. `start()` parses the .npy header here,
+    allocates `array` and starts the second thread, which takes pieces from
+    a shared counter. `finish()` takes pieces from the same counter, joins
+    the thread, raises what stopped it, and checks the member's CRC-32
+    against the zip directory. `close` stops and joins the thread.
+
+    Each piece's compressed bytes are read with os.pread, which leaves the
+    file position of the caller's other reads alone, and inflated straight
+    into `array`, `_INFLATE_STEP_BYTES` at a time. zlib releases
+    the interpreter lock while it inflates, so two pieces inflate at once.
+    The class is private and the thread calls no public function of the
+    package.
     """
 
-    def __init__(self):
+    def __init__(self, z, fd: int, name: str):
+        self._z = z
+        self._fd = fd
+        self._name = name
         self.array = None
+        self._next = itertools.count()   # the next piece to take
         self._stop = False
         self._error: Exception | None = None
         self._thread = None
@@ -380,44 +478,115 @@ class _MemberInflater:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, z, name: str) -> None:
-        if name not in z.files:
-            raise KeyError(f"{name} is not a file in the archive")
-        member = z.zip.open(name + ".npy")
-        try:
+    def start(self) -> None:
+        if self._name not in self._z.files:
+            raise KeyError(f"{self._name} is not a file in the archive")
+        info = self._info = self._z.zip.getinfo(self._name + ".npy")
+        if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+            raise ValueError(f"{info.filename} is neither stored nor deflated")
+        with self._z.zip.open(info) as member:
             # save_draws and numpy.savez write version 1.0 for every draws member
             version = np.lib.format.read_magic(member)
             if version != (1, 0):
-                raise ValueError(f"{name} has .npy format version {version}")
+                raise ValueError(f"{self._name} has .npy format version {version}")
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-            if dtype.hasobject or len(shape) != 3:
-                raise ValueError(f"{name} is not a 3-D numeric array")
-        except BaseException:
-            member.close()
-            raise
+            if dtype.hasobject:
+                raise ValueError(f"{self._name} is not a numeric array")
+            head = member.tell()
+            member.seek(0)
+            self._head = member.read(head)
         # the .npy data is the array's memory in its own order
         self.array = np.empty(shape, dtype, order="F" if fortran_order else "C")
-        self._thread = threading.Thread(target=self._inflate, args=(name, member),
-                                        name="draws-inflate", daemon=True)
+        self._data = memoryview(self.array.reshape(-1, order="A").view(np.uint8))
+        if info.file_size != head + self._data.nbytes:
+            more = "fewer values" if info.file_size < head + self._data.nbytes else "more bytes"
+            raise ValueError(f"{self._name} holds {more} than its header says")
+        self._piece, self._bounds = self._pieces(info)
+        # the member's data follows its local header, name and extra field
+        local = os.pread(self._fd, 30, info.header_offset)
+        if len(local) < 30 or local[:4] != b"PK\x03\x04":
+            raise zipfile.BadZipFile(f"{info.filename} has no local header")
+        name_len, extra_len = struct.unpack("<26xHH", local)
+        self._at = info.header_offset + 30 + name_len + extra_len
+        self._thread = threading.Thread(target=self._run, name="draws-inflate", daemon=True)
         self._thread.start()
 
-    def _inflate(self, name: str, member) -> None:
+    @staticmethod
+    def _pieces(info: zipfile.ZipInfo) -> tuple[int, list[int]]:
+        """The piece length and the bounds of each piece in the compressed
+        data: [0, start of piece 1, ..., compress_size]."""
+        fields = info.comment.split()
+        if info.compress_type != zipfile.ZIP_DEFLATED or fields[:1] != [b"pieces"]:
+            return max(info.file_size, 1), [0, info.compress_size]
         try:
-            with member:
-                data = self.array.reshape(-1, order="A").view(np.uint8)
-                for at in range(0, len(data), _LOAD_CHUNK_BYTES):
-                    if self._stop:
-                        return
-                    chunk = data[at:at + _LOAD_CHUNK_BYTES]
-                    if member.readinto(chunk) != len(chunk):
-                        raise EOFError(f"{name} holds fewer values than its header says")
+            piece, *starts = (int(field) for field in fields[1:])
+        except ValueError:
+            piece, starts = 0, []
+        bounds = [0, *starts, info.compress_size]
+        if (piece < 1 or len(starts) != -(-info.file_size // piece) - 1
+                or any(lo >= hi for lo, hi in zip(bounds, bounds[1:]))):
+            raise ValueError(f"{info.filename} has a bad piece index")
+        return piece, bounds
+
+    def _run(self) -> None:
+        try:
+            self._work()
         except Exception as exc:
             self._error = exc
+            self._stop = True
 
-    def wait(self) -> None:
+    def _work(self) -> None:
+        for k in self._next:
+            if k >= len(self._bounds) - 1 or self._stop:
+                return
+            self._read(k)
+
+    def _read(self, k: int) -> None:
+        """Inflate piece k, the member's bytes from k piece lengths on,
+        reading and inflating at most `_INFLATE_STEP_BYTES` at a time."""
+        info, step = self._info, _INFLATE_STEP_BYTES
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        at, end = k * self._piece, min((k + 1) * self._piece, info.file_size)
+        # a stored member is one piece of its own bytes
+        inflater = zlib.decompressobj(-15) if info.compress_type == zipfile.ZIP_DEFLATED else None
+        raw = b""
+        while at < end and not (inflater and inflater.eof):
+            if not raw:
+                raw = os.pread(self._fd, min(step, hi - lo), self._at + lo)
+                if not raw:
+                    break
+                lo += len(raw)
+            if inflater is None:
+                out, raw = raw[:end - at], raw[end - at:]
+            else:
+                out = inflater.decompress(raw, min(step, end - at))
+                raw = inflater.unconsumed_tail
+            self._put(at, out)
+            at += len(out)
+        # the piece holds exactly its bytes, and only the last ends the stream
+        rest = raw + os.pread(self._fd, hi - lo, self._at + lo)
+        if inflater is None:
+            whole = not rest
+        else:
+            last = k == len(self._bounds) - 2
+            whole = not inflater.decompress(rest, 1) and inflater.eof == last
+        if at != end or not whole:
+            raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+
+    def _put(self, at: int, data: bytes) -> None:
+        """Copy `data`, the member's bytes from offset `at`, into the array,
+        leaving out the .npy header that the member opens with."""
+        head = len(self._head)
+        skip = min(max(head - at, 0), len(data))
+        self._data[at + skip - head:at + len(data) - head] = memoryview(data)[skip:]
+
+    def finish(self) -> None:
+        self._work()
         self._thread.join()
         if self._error is not None:
             raise self._error
+        if zlib.crc32(self._data, zlib.crc32(self._head)) != self._info.CRC:
+            raise zipfile.BadZipFile(f"Bad CRC-32 for file {self._info.filename!r}")
 
     def close(self) -> None:
         if self._thread is not None:

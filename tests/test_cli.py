@@ -36,13 +36,24 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
-def _deflated_alone(npy: bytes) -> bytes:
-    """The raw deflate stream save_draws writes for a member's .npy bytes,
-    made in one call: Huffman-only from 64 KiB up, zlib's default below."""
-    strategy = zlib.Z_HUFFMAN_ONLY if len(npy) >= 64 << 10 else zlib.Z_DEFAULT_STRATEGY
+def _deflated_alone(npy: bytes) -> tuple[bytes, bytes]:
+    """The raw deflate stream and the zip comment save_draws writes for a
+    member's .npy bytes, made from the whole member at once: zlib's default
+    below 64 KiB; from 64 KiB up Huffman-only, with a full flush after each
+    piece of `cli._SAVE_CHUNK_BYTES` bytes but the last, and the piece
+    length and the offset of each later piece in the comment."""
+    if len(npy) < 64 << 10:
+        return zlib.compress(npy, wbits=-15), b""
+    piece = cli._SAVE_CHUNK_BYTES
     comp = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
-                            zlib.DEF_MEM_LEVEL, strategy)
-    return comp.compress(npy) + comp.flush()
+                            zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+    stream, starts = comp.compress(npy[:piece]), []
+    for at in range(piece, len(npy), piece):
+        stream += comp.flush(zlib.Z_FULL_FLUSH)
+        starts.append(len(stream))
+        stream += comp.compress(npy[at:at + piece])
+    index = " ".join(str(n) for n in (piece, *starts))
+    return stream + comp.flush(), f"pieces {index}".encode() if starts else b""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -466,10 +477,10 @@ class TestDrawsRoundTrip:
         return draws, rng
 
     @classmethod
-    def _saved(cls, tmp_path, layout):
+    def _saved(cls, tmp_path, layout, **sizes):
         """A saved draws file with a Fortran-ordered or a reversed-stride `y`,
         and the array each member holds."""
-        draws, rng = cls._fixed_draws()
+        draws, rng = cls._fixed_draws(**sizes)
         n, t = draws.v.shape[1], draws.u_plus.shape[2]
         y = rng.normal(size=(t, n)).T if layout == "fortran" else rng.normal(size=(n, t))[:, ::-1]
         path = tmp_path / "draws.npz"
@@ -484,20 +495,21 @@ class TestDrawsRoundTrip:
 
     @staticmethod
     def _members(path):
-        """(name, .npy bytes, raw deflate stream) for every member."""
+        """(name, .npy bytes, raw deflate stream, zip comment) for every member."""
         with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
             for info in zf.infolist():
                 assert info.compress_type == zipfile.ZIP_DEFLATED
                 fh.seek(info.header_offset + 26)
                 name_len, extra_len = struct.unpack("<HH", fh.read(4))
                 fh.seek(name_len + extra_len, 1)
-                yield info.filename[:-len(".npy")], zf.read(info), fh.read(info.compress_size)
+                yield (info.filename[:-len(".npy")], zf.read(info), fh.read(info.compress_size),
+                       info.comment)
 
     @pytest.mark.parametrize("layout", ["fortran", "reversed"])
     def test_members_hold_the_npy_bytes(self, tmp_path, layout):
         path, arrays = self._saved(tmp_path, layout)
         names = []
-        for name, npy, _ in self._members(path):
+        for name, npy, *_ in self._members(path):
             expected = io.BytesIO()
             np.lib.format.write_array(expected, arrays[name], allow_pickle=False)
             assert npy == expected.getvalue(), name
@@ -510,18 +522,69 @@ class TestDrawsRoundTrip:
 
     def test_large_members_are_huffman_coded(self, tmp_path):
         path, _ = self._saved(tmp_path, "fortran")
-        coded = {}
-        for name, npy, raw in self._members(path):
-            assert raw == _deflated_alone(npy), name
+        coded, comments = {}, {}
+        for name, npy, raw, comment in self._members(path):
+            assert (raw, comment) == _deflated_alone(npy), name
             coded[name] = len(npy) >= 64 << 10
+            comments[name] = comment
         assert coded["u_plus"] and coded["eta_plus"] and not coded["y"] and not coded["chain_id"]
+        # u_plus (1.28 MB) spans two 1 MiB pieces; every other member is one piece
+        assert comments.pop("u_plus").split()[:2] == [b"pieces", b"1048576"]
+        assert set(comments.values()) == {b""}
+
+    # 101-byte pieces cut the 128-byte .npy header; 4099-byte pieces split
+    # float64 values
+    @pytest.mark.parametrize("piece", [101, 4099], ids=["header", "odd"])
+    def test_pieces_hold_the_npy_bytes(self, monkeypatch, tmp_path, piece):
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", piece)
+        # u_plus is 72 KB, and only it reaches the 64 KiB of a Huffman-only member
+        path, arrays = self._saved(tmp_path, "fortran", s=10, n=90, t=10)
+        pieces = {}
+        for name, npy, raw, comment in self._members(path):
+            expected = io.BytesIO()
+            np.lib.format.write_array(expected, arrays[name], allow_pickle=False)
+            # zipfile inflates the pieces as one stream and checks its CRC-32
+            assert npy == expected.getvalue(), name
+            assert (raw, comment) == _deflated_alone(npy), name
+            pieces[name] = len(comment.split()) - 1
+        assert pieces.pop("u_plus") == -(-(128 + 72_000) // piece)
+        assert set(pieces.values()) == {-1}
+        back, y_back = load_draws(path)
+        for name in ("beta", "u_plus", "eta_plus", "v", "chain_id", *cli._DRAWS_SCALARS):
+            assert np.array_equal(getattr(back, name), arrays[name]), name
+        assert np.array_equal(y_back, arrays["y"])
+
+    @pytest.mark.parametrize("step", [1, 7, 4096])
+    def test_any_inflate_step_reads_the_same_arrays(self, monkeypatch, tmp_path, step):
+        # steps that cut block headers, values and the flush that ends a
+        # piece, in deflated pieces and in a stored member
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 4099)
+        path, arrays = self._saved(tmp_path, "fortran", s=10, n=90, t=10)
+        stored = tmp_path / "stored.npz"
+        np.savez(stored, **arrays)
+        monkeypatch.setattr(cli, "_INFLATE_STEP_BYTES", step)
+        for each in (path, stored):
+            back, y_back = load_draws(each)
+            assert np.array_equal(back.u_plus, arrays["u_plus"]), each
+            assert np.array_equal(y_back, arrays["y"]), each
+
+    def test_an_index_too_long_for_a_comment_is_left_out(self, monkeypatch, tmp_path):
+        # 72 KB in 5-byte pieces is an index of more than 64 KiB; the member
+        # is still one deflate stream, and reads as one piece
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 5)
+        path, arrays = self._saved(tmp_path, "fortran", s=10, n=90, t=10)
+        with zipfile.ZipFile(path) as zf:
+            assert zf.getinfo("u_plus.npy").comment == b""
+            assert zf.read("u_plus.npy")[128:] == arrays["u_plus"].tobytes()
+        back, _ = load_draws(path)
+        assert np.array_equal(back.u_plus, arrays["u_plus"])
 
     def test_default_deflate_files_still_load(self, tmp_path):
         # draws.npz as earlier versions wrote it: every member at zlib's default level
         path, _ = self._saved(tmp_path, "fortran")
         old = tmp_path / "old.npz"
         with zipfile.ZipFile(old, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, npy, _ in self._members(path):
+            for name, npy, *_ in self._members(path):
                 zf.writestr(name + ".npy", npy)
         (new_draws, new_y), (old_draws, old_y) = load_draws(path), load_draws(old)
         for field in ("beta", "u_plus", "eta_plus", "v", "chain_id", "sigma2_v"):
@@ -530,11 +593,11 @@ class TestDrawsRoundTrip:
         assert np.array_equal(new_y, old_y) and old_y.flags.f_contiguous
         assert (old_draws.seed, old_draws.floored_count) == (9, 2)
 
-    # Recorded from the writer that Huffman-codes members of at least 64 KiB;
-    # u_plus (1.28 MB) spans more than one write chunk.
+    # Recorded from the writer that Huffman-codes members of at least 64 KiB
+    # in 1 MiB pieces; u_plus (1.28 MB) spans two pieces and two write chunks.
     @pytest.mark.parametrize("layout, digest", [
-        ("fortran", "7c080e0a71987b24850f12f3a95e43b038f5eea4fe11a882544d97166d9082ea"),
-        ("reversed", "da96826137d8b0f2f87fc61e0cc13e6ded1f507d212ce21feae1801ab0c87dba"),
+        ("fortran", "d29b1afec098592e4d927258c7a0213b5b199725c995f1418a158f80255997b6"),
+        ("reversed", "04fbc28840b4ea0c9d0844c2f4470cac005149e6634aa7ce53cbd8b01c4cf0d1"),
     ], ids=["fortran", "reversed"])
     def test_draws_file_bytes_are_pinned(self, tmp_path, layout, digest):
         path, arrays = self._saved(tmp_path, layout)
@@ -544,9 +607,9 @@ class TestDrawsRoundTrip:
         assert np.array_equal(y_back, arrays["y"])
 
     def test_fortran_ordered_u_plus_loads(self, monkeypatch, tmp_path):
-        # the .npy data is in the array's own order, read in chunks that
+        # the .npy data is in the array's own order, read in pieces that
         # split its values
-        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 1001)
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 1001)
         draws, _ = self._fixed_draws(s=6, n=50, t=4)
         draws.u_plus = np.asfortranarray(draws.u_plus)
         path = tmp_path / "draws.npz"
@@ -644,6 +707,20 @@ class TestDrawsDeflatedWhileTheChainRuns:
     @pytest.mark.parametrize("chains", [1, 2, 3])
     def test_file_has_the_bytes_save_draws_writes(self, monkeypatch, tmp_path, panel, events,
                                                   chains, batch):
+        # 1 and 2 chains keep every member in one 1 MiB piece; with 3,
+        # u_plus (1.2 MB) spans two
+        self._check_spooled_file(monkeypatch, tmp_path, panel, events, chains, batch)
+
+    @pytest.mark.parametrize("batch", [1, None], ids=["every-row", "default-batch"])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    def test_pieces_have_the_bytes_save_draws_writes(self, monkeypatch, tmp_path, panel, events,
+                                                     chains, batch):
+        # a piece of 4099 bytes splits the rows of u_plus (4000 bytes),
+        # eta_plus and v (800 bytes), and so does nearly every row batch
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 4099)
+        self._check_spooled_file(monkeypatch, tmp_path, panel, events, chains, batch)
+
+    def _check_spooled_file(self, monkeypatch, tmp_path, panel, events, chains, batch):
         # on 2 cores, 2 and 3 chains run one on a forked worker; with 3,
         # chain 2's rows wait for the worker's chain 1
         monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -664,8 +741,8 @@ class TestDrawsDeflatedWhileTheChainRuns:
         save_draws(returned[0], PanelDataset.from_csv(panel).y, tmp_path / "alone.npz")
         assert path.read_bytes() == (tmp_path / "alone.npz").read_bytes()
         names = set()
-        for name, npy, raw in TestDrawsRoundTrip._members(path):
-            assert raw == _deflated_alone(npy), name
+        for name, npy, raw, comment in TestDrawsRoundTrip._members(path):
+            assert (raw, comment) == _deflated_alone(npy), name
             names.add(name)
         assert len(names) == 15
 
@@ -736,9 +813,10 @@ class TestDrawsDeflatedWhileTheChainRuns:
 
 @pytest.mark.usefixtures("deadline")
 class TestDrawsInflatedBesideTheAnalysis:
-    """load_draws inflates u_plus on a second thread, a chunk at a time,
-    while it reads the other members; no output changes a byte, and the
-    thread never outlives the command."""
+    """load_draws inflates u_plus a piece at a time on two threads, the
+    second starting while the calling thread reads the other members; no
+    output changes a byte, and the second thread never outlives the
+    command."""
 
     @pytest.fixture(scope="class")
     def fits(self, tmp_path_factory):
@@ -755,37 +833,49 @@ class TestDrawsInflatedBesideTheAnalysis:
 
     @pytest.fixture
     def reader(self, monkeypatch):
-        """Five rows a chunk, each chunk read 10 ms late, so the thread is
-        still inflating when the analysis fails, and would still be for a
+        """Every read of the file's pieces 10 ms late, so the second thread
+        is still inflating when the analysis fails, and would still be for a
         while if it were not joined; the list gets each started thread."""
         threads = []
-        start, readinto = cli._MemberInflater.start, zipfile.ZipExtFile.readinto
+        start, pread = cli._PieceReader.start, os.pread
 
-        def recorded_start(inflater, z, name):
-            start(inflater, z, name)
-            threads.append(inflater._thread)
+        def recorded_start(piece_reader):
+            start(piece_reader)
+            threads.append(piece_reader._thread)
 
-        def late_readinto(member, buffer):
+        def late_pread(fd, n, offset):
             time.sleep(0.01)
-            return readinto(member, buffer)
+            return pread(fd, n, offset)
 
-        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 20_000)
-        monkeypatch.setattr(cli._MemberInflater, "start", recorded_start)
-        monkeypatch.setattr(zipfile.ZipExtFile, "readinto", late_readinto)
+        monkeypatch.setattr(cli._PieceReader, "start", recorded_start)
+        monkeypatch.setattr(cli.os, "pread", late_pread)
         return threads
+
+    @staticmethod
+    def _in_pieces(monkeypatch, path, piece, out):
+        """The draws file at `path` saved again, in pieces of `piece` bytes."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SAVE_CHUNK_BYTES", piece)
+            save_draws(*load_draws(path), out)
+        return out
 
     @staticmethod
     def _analyze(draws, out, *flags):
         return main(["analyze", "--draws", str(draws), "--out", str(out), *flags])
 
-    # a row of u_plus is 4000 bytes; 4099 splits its values
-    @pytest.mark.parametrize("chunk", [4000, 4099, 1 << 40], ids=["one-row", "odd", "all-rows"])
+    # a row of u_plus is 4000 bytes; pieces of 4099 split its values
+    @pytest.mark.parametrize("piece", [4000, 4099, 1 << 40], ids=["one-row", "odd", "all-rows"])
     @pytest.mark.parametrize("chains", [1, 2])
-    def test_load_draws_returns_what_np_load_reads(self, monkeypatch, fits, chunk, chains):
-        monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", chunk)
-        path = fits / f"chains{chains}" / "draws.npz"
+    def test_load_draws_returns_what_np_load_reads(self, monkeypatch, tmp_path, fits, piece,
+                                                   chains):
+        path = self._in_pieces(monkeypatch, fits / f"chains{chains}" / "draws.npz", piece,
+                               tmp_path / "draws.npz")
         with np.load(path) as z:
             stored = {name: z[name] for name in z.files}
+            comment = z.zip.getinfo("u_plus.npy").comment
+        # the .npy header is 128 bytes
+        pieces = -(-(128 + 4000 * 100 * chains) // piece)
+        assert len(comment.split()) == (0 if pieces == 1 else pieces + 1)
         draws, y = load_draws(path)
         assert draws.n_draws == 100 * chains
         for name in ("beta", "u_plus", "eta_plus", "v", "chain_id", "sigma2_alpha",
@@ -801,12 +891,14 @@ class TestDrawsInflatedBesideTheAnalysis:
     @pytest.mark.parametrize("chains", [1, 2])
     def test_outputs_do_not_depend_on_the_chunk_size(self, monkeypatch, tmp_path, fits,
                                                      flags, chains):
+        # the chunk is the piece the draws file was written in
         truth = () if flags is None else ("--truth", str(fits / "truth.csv"), *flags)
         outputs = []
-        for chunk in (4000, 1 << 40):
-            monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", chunk)
-            out = tmp_path / f"chunk{chunk}"
-            assert self._analyze(fits / f"chains{chains}" / "draws.npz", out, *truth) == 0
+        for piece in (4000, 1 << 40):
+            draws = self._in_pieces(monkeypatch, fits / f"chains{chains}" / "draws.npz", piece,
+                                    tmp_path / f"draws{piece}.npz")
+            out = tmp_path / f"piece{piece}"
+            assert self._analyze(draws, out, *truth) == 0
             outputs.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) == (2 if flags is None else 5)
@@ -833,6 +925,49 @@ class TestDrawsInflatedBesideTheAnalysis:
         assert len(reader) == 1
         assert threading.active_count() == baseline
 
+    def test_both_threads_inflate_pieces(self, monkeypatch, tmp_path, fits):
+        path = self._in_pieces(monkeypatch, fits / "chains1" / "draws.npz", 4099,
+                               tmp_path / "draws.npz")
+        pieces = []
+        read = cli._PieceReader._read
+
+        def recorded_read(piece_reader, k):
+            pieces.append((k, threading.get_ident()))
+            time.sleep(0.002)
+            read(piece_reader, k)
+
+        monkeypatch.setattr(cli._PieceReader, "_read", recorded_read)
+        draws, _ = load_draws(path)
+        # 400 128 bytes in 98 pieces, each read once, some on each thread
+        assert sorted(k for k, _ in pieces) == list(range(98))
+        assert len({thread for _, thread in pieces}) == 2
+        assert threading.get_ident() in {thread for _, thread in pieces}
+        with np.load(path) as z:
+            assert np.array_equal(draws.u_plus, z["u_plus"])
+
+    def test_each_piece_is_taken_once_under_fast_switching(self, monkeypatch, tmp_path, fits):
+        # the two threads share one counter of pieces; with the interpreter
+        # switching threads every microsecond, a piece taken twice or skipped
+        # would show in the list, or as a wrong array
+        path = self._in_pieces(monkeypatch, fits / "chains1" / "draws.npz", 4099,
+                               tmp_path / "draws.npz")
+        with np.load(path) as z:
+            stored = z["u_plus"]
+        taken = []
+        read = cli._PieceReader._read
+        monkeypatch.setattr(cli._PieceReader, "_read",
+                            lambda piece_reader, k: (taken.append(k), read(piece_reader, k)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken.clear()
+                draws, _ = load_draws(path)
+                assert sorted(taken) == list(range(98))
+                assert np.array_equal(draws.u_plus, stored)
+        finally:
+            sys.setswitchinterval(interval)
+
     @staticmethod
     def _u_plus_at(path) -> int:
         """Where the deflate stream of u_plus.npy starts in the file."""
@@ -841,6 +976,16 @@ class TestDrawsInflatedBesideTheAnalysis:
             fh.seek(info.header_offset + 26)
             name_len, extra_len = struct.unpack("<HH", fh.read(4))
             return info.header_offset + 30 + name_len + extra_len
+
+    def _fails_cleanly(self, bad, fits, capsys, reason):
+        """analyze of `bad` is the draws-file error with `reason`, writes
+        nothing, and leaves no thread behind."""
+        baseline = threading.active_count()
+        out = bad.parent / "an"
+        assert self._analyze(bad, out, "--truth", str(fits / "truth.csv")) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not a hiddenpop draws file: {reason}\n"
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("damage, reason", [
         ("flipped", "Bad CRC-32 for file 'u_plus.npy'"),
@@ -863,7 +1008,7 @@ class TestDrawsInflatedBesideTheAnalysis:
             bad.write_bytes(bytes(data))
         else:
             with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
-                for name, npy, raw in TestDrawsRoundTrip._members(whole):
+                for name, npy, raw, _ in TestDrawsRoundTrip._members(whole):
                     if name != "u_plus":
                         zf.writestr(name + ".npy", npy)
                     elif damage == "short-npy":
@@ -874,13 +1019,116 @@ class TestDrawsInflatedBesideTheAnalysis:
                             # holds only half its deflate stream
                             member._compressor = _CutStream(raw[:len(raw) // 2])
                             member.write(npy)
-        baseline = threading.active_count()
-        out = tmp_path / "an"
-        assert self._analyze(bad, out, "--truth", str(fits / "truth.csv")) == 1
-        assert capsys.readouterr().err == f"error: {bad}: not a hiddenpop draws file: {reason}\n"
+        self._fails_cleanly(bad, fits, capsys, reason)
+        assert len(reader) == (0 if damage == "short-npy" else 1)
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("flipped", "Bad CRC-32 for file 'u_plus.npy'"),
+        ("junk", "Error -3 while decompressing data: invalid block type"),
+    ])
+    def test_damaged_piece_is_an_error(self, monkeypatch, tmp_path, fits, reader, capsys,
+                                       damage, reason):
+        path = self._in_pieces(monkeypatch, fits / "chains1" / "draws.npz", 4099,
+                               tmp_path / "draws.npz")
+        with zipfile.ZipFile(path) as zf:
+            starts = [int(n) for n in zf.getinfo("u_plus.npy").comment.split()[2:]]
+        data = bytearray(path.read_bytes())
+        # inside piece 60, or over the start of its first deflate block
+        at = self._u_plus_at(path) + starts[59]
+        if damage == "flipped":
+            data[at + 1000] ^= 0xFF
+        else:
+            data[at:at + 64] = b"\xff" * 64
+        bad = tmp_path / "bad" / "bad.npz"
+        bad.parent.mkdir()
+        bad.write_bytes(bytes(data))
+        reader.clear()   # the thread that read the draws to save them again
+        self._fails_cleanly(bad, fits, capsys, reason)
         assert len(reader) == 1
-        assert list(out.iterdir()) == []
-        assert threading.active_count() == baseline
+
+    @staticmethod
+    def _with_index(path, out, index):
+        """A copy of the draws file at `path` whose u_plus member has the
+        comment `index(comment)`; every deflate stream is copied as it is."""
+        with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, raw, comment in TestDrawsRoundTrip._members(path):
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                info.compress_type = zipfile.ZIP_DEFLATED
+                with zf.open(info, "w") as member:
+                    member._compressor = _CutStream(raw)
+                    member.write(npy)
+                info.comment = index(comment) if name == "u_plus" else comment
+        return out
+
+    @pytest.mark.parametrize("index, reason", [
+        (lambda fields: fields[:3] + fields[4:5] + fields[3:4] + fields[5:], None),
+        (lambda fields: fields[:-1] + [b"%d" % (int(fields[-1]) + 10 ** 9)], None),
+        (lambda fields: fields[:-1], None),
+        (lambda fields: fields + fields[-1:], None),
+        (lambda fields: fields[:1] + [b"8198"] + fields[2:], None),
+        (lambda fields: fields[:1] + [b"0"] + fields[2:], None),
+        (lambda fields: fields[:2] + [b"x"] + fields[3:], None),
+        # as many pieces as 4099 bytes give, but they end in the wrong places
+        (lambda fields: fields[:1] + [b"4100"] + fields[2:], "Bad CRC-32 for file 'u_plus.npy'"),
+    ], ids=["decreasing", "past-the-end", "too-few", "too-many", "wrong-count", "zero-length",
+            "not-a-number", "misplaced"])
+    def test_bad_piece_index_is_an_error(self, monkeypatch, tmp_path, fits, capsys, index,
+                                         reason):
+        path = self._in_pieces(monkeypatch, fits / "chains1" / "draws.npz", 4099,
+                               tmp_path / "draws.npz")
+        # the copy keeps every byte
+        same = self._with_index(path, tmp_path / "same.npz", lambda comment: comment)
+        assert same.read_bytes() == path.read_bytes()
+        bad = tmp_path / "bad" / "bad.npz"
+        bad.parent.mkdir()
+        self._with_index(path, bad, lambda comment: b" ".join(index(comment.split())))
+        self._fails_cleanly(bad, fits, capsys, reason or "u_plus.npy has a bad piece index")
+
+    @pytest.mark.parametrize("writer", ["no-index", "foreign-comment", "savez_compressed",
+                                        "savez"])
+    def test_files_without_an_index_load(self, monkeypatch, tmp_path, fits, writer):
+        # each loads as one piece, to the same arrays as the file in pieces
+        path = self._in_pieces(monkeypatch, fits / "chains2" / "draws.npz", 4099,
+                               tmp_path / "draws.npz")
+        with np.load(path) as z:
+            stored = {name: z[name] for name in z.files}
+        other = tmp_path / "other.npz"
+        if writer in ("no-index", "foreign-comment"):
+            comment = b"" if writer == "no-index" else b"written by hand"
+            self._with_index(path, other, lambda _: comment)
+        else:
+            getattr(np, writer)(other, **stored)
+        with zipfile.ZipFile(other) as zf:
+            assert zf.getinfo("u_plus.npy").compress_type == (
+                zipfile.ZIP_STORED if writer == "savez" else zipfile.ZIP_DEFLATED)
+        (draws, y), (other_draws, other_y) = load_draws(path), load_draws(other)
+        for name in ("beta", "u_plus", "eta_plus", "v", "chain_id", *cli._DRAWS_SCALARS):
+            a, b = getattr(draws, name), getattr(other_draws, name)
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape, name
+        assert y.tobytes() == other_y.tobytes()
+
+    @pytest.mark.parametrize("member, value, reason", [
+        ("meta", np.array([9, 80], dtype=np.int64), "meta has shape (2,), not (4,)"),
+        ("accept_rates", np.array([0.4]), "accept_rates has shape (1,), not (2,)"),
+        ("avg_row_sum", np.array([]), "avg_row_sum has shape (0,), not (1,)"),
+        ("floored", np.zeros((1, 1), dtype=np.int64), "floored has shape (1, 1), not (1,)"),
+        ("eta_plus", np.zeros((50, 100)), "eta_plus has shape (50, 100), not (100, 100)"),
+        ("v", np.zeros((100, 99)), "v has shape (100, 99), not (100, 100)"),
+        ("sigma2_u", np.ones(99), "sigma2_u has shape (99,), not (100,)"),
+        ("chain_id", np.zeros(10, dtype=np.int64), "chain_id has shape (10,), not (100,)"),
+        ("beta", np.zeros(100), "beta has shape (100,), not (100, slopes)"),
+        ("y", np.zeros((5, 100)), "y has shape (5, 100), not (100, 5)"),
+        ("u_plus", np.zeros((100, 500)), "u_plus has shape (100, 500), "
+                                         "not (draws, regions, periods)"),
+    ], ids=lambda value: value if isinstance(value, str) and " " not in value else None)
+    def test_members_that_do_not_agree_are_an_error(self, tmp_path, fits, capsys, member, value,
+                                                    reason):
+        with np.load(fits / "chains1" / "draws.npz") as z:
+            stored = {name: z[name] for name in z.files}
+        bad = tmp_path / "bad" / "bad.npz"
+        bad.parent.mkdir()
+        np.savez_compressed(bad, **{**stored, member: value})
+        self._fails_cleanly(bad, fits, capsys, reason)
 
     def test_missing_member_is_an_error(self, tmp_path, fits, reader, capsys):
         # y is read last on the calling thread, while u_plus is still being
@@ -888,7 +1136,7 @@ class TestDrawsInflatedBesideTheAnalysis:
         whole = fits / "chains1" / "draws.npz"
         bad = tmp_path / "bad.npz"
         with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, npy, raw in TestDrawsRoundTrip._members(whole):
+            for name, npy, *_ in TestDrawsRoundTrip._members(whole):
                 if name != "y":
                     zf.writestr(name + ".npy", npy)
         baseline = threading.active_count()

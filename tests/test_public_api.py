@@ -182,9 +182,10 @@ def test_benchmark_traces_no_span_for_the_draws_deflate(tmp_path, monkeypatch):
 
 
 def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
-    # analyze inflates u_plus on a second thread while load_draws reads the
-    # other members; a traced call from that thread would be a span outside
-    # the analyze request's tree
+    # analyze inflates the pieces of u_plus on a second thread and on the
+    # calling one; a traced call from that thread would be a span outside
+    # the analyze request's tree, and one from the pieces would be a span
+    # under load_draws that no benchmark layer names
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -194,21 +195,25 @@ def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
     assert main(["fit", "--data", str(tmp_path / "panel.csv"), "--grid", "10x10",
                  "--iters", "110", "--burnin", "10", "--thin", "1",
                  "--out", str(tmp_path / "fit")]) == 0
-    # a chunk per row of u_plus
-    monkeypatch.setattr(cli, "_LOAD_CHUNK_BYTES", 4000)
+    # a piece per row of u_plus
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_SAVE_CHUNK_BYTES", 4000)
+        cli.save_draws(*cli.load_draws(tmp_path / "fit" / "draws.npz"), tmp_path / "draws.npz")
     threads = []
-    start = cli._MemberInflater.start
-    monkeypatch.setattr(cli._MemberInflater, "start", lambda inflater, z, name: (
-        start(inflater, z, name), threads.append(inflater._thread)))
+    start = cli._PieceReader.start
+    monkeypatch.setattr(cli._PieceReader, "start", lambda reader: (
+        start(reader), threads.append(reader._thread)))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        assert main(["analyze", "--draws", str(tmp_path / "fit" / "draws.npz"),
+        assert main(["analyze", "--draws", str(tmp_path / "draws.npz"),
                      "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "an")]) == 0
     finally:
         tracer.uninstall()
     assert len(threads) == 1 and threads[0] is not None
-    assert "cli.load_draws" in {span[1] for span in tracer.spans}
+    names = {span[0]: span[1] for span in tracer.spans}
+    assert {span[1] for span in tracer.spans if names.get(span[4]) == "cli.load_draws"} == set()
+    assert "cli.load_draws" in names.values()
     assert {span[5] for span in tracer.spans} == {threading.get_ident()}
 
 
