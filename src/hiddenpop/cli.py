@@ -16,6 +16,7 @@ import argparse
 import io
 import itertools
 import json
+import math
 import os
 import struct
 import sys
@@ -388,7 +389,7 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
             raise _not_a_draws_file(path, exc) from None
         if isinstance(z, np.ndarray):
             raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
-        with z, _PieceReader(z, fh.fileno(), "u_plus") as u_plus:
+        with z, _PieceReader(z, path, "u_plus") as u_plus:
             try:
                 members = {"meta": z["meta"]}
                 u_plus.start()
@@ -452,20 +453,24 @@ class _PieceReader:
     allocates `array` and starts the second thread, which takes pieces from
     a shared counter. `finish()` takes pieces from the same counter, joins
     the thread, raises what stopped it, and checks the member's CRC-32
-    against the zip directory. `close` stops and joins the thread.
+    against the zip directory. `close` stops and joins the thread and closes
+    its file.
 
-    Each piece's compressed bytes are read with os.pread, which leaves the
-    file position of the caller's other reads alone, and inflated straight
-    into `array`, `_INFLATE_STEP_BYTES` at a time. zlib releases
-    the interpreter lock while it inflates, so two pieces inflate at once.
+    Each thread opens `path` for itself and reads the compressed bytes of
+    its pieces through that handle, so neither moves the file position of
+    the other's reads or of the caller's (os.pread would do the same, but
+    not on every platform). Each piece is inflated straight into `array`,
+    `_INFLATE_STEP_BYTES` at a time. zlib releases the interpreter lock
+    while it inflates, so two pieces inflate at once.
     The class is private and the thread calls no public function of the
     package.
     """
 
-    def __init__(self, z, fd: int, name: str):
+    def __init__(self, z, path, name: str):
         self._z = z
-        self._fd = fd
+        self._path = path
         self._name = name
+        self._fh = None   # the second thread's handle on the file
         self.array = None
         self._next = itertools.count()   # the next piece to take
         self._stop = False
@@ -495,20 +500,25 @@ class _PieceReader:
             head = member.tell()
             member.seek(0)
             self._head = member.read(head)
+        # checked before the array is allocated, so a damaged header's shape
+        # cannot ask for more memory than the member holds
+        size = head + math.prod(shape) * dtype.itemsize
+        if info.file_size != size:
+            more = "fewer values" if info.file_size < size else "more bytes"
+            raise ValueError(f"{self._name} holds {more} than its header says")
         # the .npy data is the array's memory in its own order
         self.array = np.empty(shape, dtype, order="F" if fortran_order else "C")
         self._data = memoryview(self.array.reshape(-1, order="A").view(np.uint8))
-        if info.file_size != head + self._data.nbytes:
-            more = "fewer values" if info.file_size < head + self._data.nbytes else "more bytes"
-            raise ValueError(f"{self._name} holds {more} than its header says")
         self._piece, self._bounds = self._pieces(info)
+        self._fh = open(self._path, "rb", buffering=0)
         # the member's data follows its local header, name and extra field
-        local = os.pread(self._fd, 30, info.header_offset)
+        local = _pread(self._fh, 30, info.header_offset)
         if len(local) < 30 or local[:4] != b"PK\x03\x04":
             raise zipfile.BadZipFile(f"{info.filename} has no local header")
         name_len, extra_len = struct.unpack("<26xHH", local)
         self._at = info.header_offset + 30 + name_len + extra_len
-        self._thread = threading.Thread(target=self._run, name="draws-inflate", daemon=True)
+        self._thread = threading.Thread(target=self._run, args=(self._fh,), name="draws-inflate",
+                                        daemon=True)
         self._thread.start()
 
     @staticmethod
@@ -528,20 +538,20 @@ class _PieceReader:
             raise ValueError(f"{info.filename} has a bad piece index")
         return piece, bounds
 
-    def _run(self) -> None:
+    def _run(self, fh) -> None:
         try:
-            self._work()
+            self._work(fh)
         except Exception as exc:
             self._error = exc
             self._stop = True
 
-    def _work(self) -> None:
+    def _work(self, fh) -> None:
         for k in self._next:
             if k >= len(self._bounds) - 1 or self._stop:
                 return
-            self._read(k)
+            self._read(fh, k)
 
-    def _read(self, k: int) -> None:
+    def _read(self, fh, k: int) -> None:
         """Inflate piece k, the member's bytes from k piece lengths on,
         reading and inflating at most `_INFLATE_STEP_BYTES` at a time."""
         info, step = self._info, _INFLATE_STEP_BYTES
@@ -552,7 +562,7 @@ class _PieceReader:
         raw = b""
         while at < end and not (inflater and inflater.eof):
             if not raw:
-                raw = os.pread(self._fd, min(step, hi - lo), self._at + lo)
+                raw = _pread(fh, min(step, hi - lo), self._at + lo)
                 if not raw:
                     break
                 lo += len(raw)
@@ -564,7 +574,7 @@ class _PieceReader:
             self._put(at, out)
             at += len(out)
         # the piece holds exactly its bytes, and only the last ends the stream
-        rest = raw + os.pread(self._fd, hi - lo, self._at + lo)
+        rest = raw + _pread(fh, hi - lo, self._at + lo)
         if inflater is None:
             whole = not rest
         else:
@@ -581,7 +591,8 @@ class _PieceReader:
         self._data[at + skip - head:at + len(data) - head] = memoryview(data)[skip:]
 
     def finish(self) -> None:
-        self._work()
+        with open(self._path, "rb", buffering=0) as fh:
+            self._work(fh)
         self._thread.join()
         if self._error is not None:
             raise self._error
@@ -592,6 +603,14 @@ class _PieceReader:
         if self._thread is not None:
             self._stop = True
             self._thread.join()
+        if self._fh is not None:
+            self._fh.close()
+
+
+def _pread(fh, n: int, at: int) -> bytes:
+    """At most `n` bytes of the file from offset `at`, fewer at its end."""
+    fh.seek(at)
+    return fh.read(n)
 
 
 def export_draws_csv(draws: PosteriorDraws, path) -> None:

@@ -608,14 +608,28 @@ class TestDrawsRoundTrip:
 
     def test_fortran_ordered_u_plus_loads(self, monkeypatch, tmp_path):
         # the .npy data is in the array's own order, read in pieces that
-        # split its values
+        # split its values: u_plus is 76.8 KB, over the 64 KiB from which a
+        # member is Huffman-coded in pieces
         monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 1001)
-        draws, _ = self._fixed_draws(s=6, n=50, t=4)
+        draws, _ = self._fixed_draws(s=6, n=400, t=4)
         draws.u_plus = np.asfortranarray(draws.u_plus)
         path = tmp_path / "draws.npz"
-        save_draws(draws, np.ones((50, 4)), path)
+        save_draws(draws, np.ones((400, 4)), path)
+        with zipfile.ZipFile(path) as zf:
+            index = zf.getinfo("u_plus.npy").comment.split()
+        assert index[:2] == [b"pieces", b"1001"] and len(index) - 1 == -(-(128 + 76_800) // 1001)
         back, _ = load_draws(path)
         assert np.array_equal(back.u_plus, draws.u_plus) and back.u_plus.flags.f_contiguous
+
+    def test_loads_where_os_has_no_pread(self, monkeypatch, tmp_path):
+        # each thread reads the file through a handle of its own, which
+        # every platform has
+        monkeypatch.setattr(cli, "_SAVE_CHUNK_BYTES", 4099)
+        path, arrays = self._saved(tmp_path, "fortran", s=10, n=90, t=10)
+        monkeypatch.delattr(os, "pread", raising=False)
+        back, y_back = load_draws(path)
+        assert np.array_equal(back.u_plus, arrays["u_plus"])
+        assert np.array_equal(y_back, arrays["y"])
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         draws, _ = self._fixed_draws(s=4, n=3, t=2)
@@ -837,18 +851,18 @@ class TestDrawsInflatedBesideTheAnalysis:
         is still inflating when the analysis fails, and would still be for a
         while if it were not joined; the list gets each started thread."""
         threads = []
-        start, pread = cli._PieceReader.start, os.pread
+        start, pread = cli._PieceReader.start, cli._pread
 
         def recorded_start(piece_reader):
             start(piece_reader)
             threads.append(piece_reader._thread)
 
-        def late_pread(fd, n, offset):
+        def late_pread(fh, n, at):
             time.sleep(0.01)
-            return pread(fd, n, offset)
+            return pread(fh, n, at)
 
         monkeypatch.setattr(cli._PieceReader, "start", recorded_start)
-        monkeypatch.setattr(cli.os, "pread", late_pread)
+        monkeypatch.setattr(cli, "_pread", late_pread)
         return threads
 
     @staticmethod
@@ -931,17 +945,22 @@ class TestDrawsInflatedBesideTheAnalysis:
         pieces = []
         read = cli._PieceReader._read
 
-        def recorded_read(piece_reader, k):
-            pieces.append((k, threading.get_ident()))
+        def recorded_read(piece_reader, fh, k):
+            pieces.append((k, threading.get_ident(), fh))
             time.sleep(0.002)
-            read(piece_reader, k)
+            read(piece_reader, fh, k)
 
         monkeypatch.setattr(cli._PieceReader, "_read", recorded_read)
         draws, _ = load_draws(path)
         # 400 128 bytes in 98 pieces, each read once, some on each thread
-        assert sorted(k for k, _ in pieces) == list(range(98))
-        assert len({thread for _, thread in pieces}) == 2
-        assert threading.get_ident() in {thread for _, thread in pieces}
+        assert sorted(k for k, *_ in pieces) == list(range(98))
+        assert len({thread for _, thread, _ in pieces}) == 2
+        assert threading.get_ident() in {thread for _, thread, _ in pieces}
+        # each thread reads through a handle of its own, closed once it is done
+        handles = {thread: fh for _, thread, fh in pieces}
+        assert all(fh is handles[thread] for _, thread, fh in pieces)
+        assert len({id(fh) for fh in handles.values()}) == 2
+        assert all(fh.closed for fh in handles.values())
         with np.load(path) as z:
             assert np.array_equal(draws.u_plus, z["u_plus"])
 
@@ -955,8 +974,8 @@ class TestDrawsInflatedBesideTheAnalysis:
             stored = z["u_plus"]
         taken = []
         read = cli._PieceReader._read
-        monkeypatch.setattr(cli._PieceReader, "_read",
-                            lambda piece_reader, k: (taken.append(k), read(piece_reader, k)))
+        monkeypatch.setattr(cli._PieceReader, "_read", lambda piece_reader, fh, k: (
+            taken.append(k), read(piece_reader, fh, k)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -992,6 +1011,7 @@ class TestDrawsInflatedBesideTheAnalysis:
         ("junk", "Error -3 while decompressing data: invalid block type"),
         ("cut-stream", "Bad CRC-32 for file 'u_plus.npy'"),
         ("short-npy", "u_plus holds fewer values than its header says"),
+        ("huge-header", "u_plus holds fewer values than its header says"),
     ])
     def test_damaged_u_plus_is_an_error(self, tmp_path, fits, reader, capsys, damage, reason):
         whole = fits / "chains1" / "draws.npz"
@@ -1013,6 +1033,13 @@ class TestDrawsInflatedBesideTheAnalysis:
                         zf.writestr(name + ".npy", npy)
                     elif damage == "short-npy":
                         zf.writestr(name + ".npy", npy[:-6000])
+                    elif damage == "huge-header":
+                        # a shape of 8 EB, which is not allocated
+                        header = io.BytesIO()
+                        np.lib.format.write_array_header_1_0(header, {
+                            "descr": "<f8", "fortran_order": False,
+                            "shape": (10 ** 9, 10 ** 6, 1000)})
+                        zf.writestr(name + ".npy", header.getvalue() + npy[128:])
                     else:
                         with zf.open(name + ".npy", "w") as member:
                             # the archive records the whole member, but
@@ -1020,7 +1047,7 @@ class TestDrawsInflatedBesideTheAnalysis:
                             member._compressor = _CutStream(raw[:len(raw) // 2])
                             member.write(npy)
         self._fails_cleanly(bad, fits, capsys, reason)
-        assert len(reader) == (0 if damage == "short-npy" else 1)
+        assert len(reader) == (0 if damage in ("short-npy", "huge-header") else 1)
 
     @pytest.mark.parametrize("damage, reason", [
         ("flipped", "Bad CRC-32 for file 'u_plus.npy'"),
