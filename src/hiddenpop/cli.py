@@ -27,6 +27,7 @@ import zipfile
 import zlib
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,52 @@ from .spatial import build_queen_grid, load_adjacency
 
 OUTPUT_ROOT_ENV = "HIDDENPOP_OUTPUT_ROOT"
 
-_DRAWS_SCALARS = ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")
+
+class _Member(NamedTuple):
+    """A member of draws.npz, `name`.npy. A string `fields` names the array
+    it holds: a `PosteriorDraws` field, or "y", the observed log-scale
+    panel; a tuple names the scalar fields it packs, in order. `shape` is in
+    numbers and in the letters of _DIMS, and `dtype` is the one save_draws
+    writes and load_draws accepts."""
+
+    name: str
+    fields: str | tuple[str, ...]
+    shape: tuple
+    dtype: str
+
+    @property
+    def per_draw(self) -> bool:
+        """Whether the member holds a row per stored draw."""
+        return self.shape[:1] == ("S",)
+
+    def pack(self, values: dict) -> np.ndarray:
+        """The array save_draws writes for this member, taken from `values`,
+        the fields of the draws and `y`."""
+        fields = self.fields
+        arr = np.asarray(values[fields] if isinstance(fields, str) else
+                         [values[name] for name in fields])
+        if arr.dtype.hasobject:
+            raise ValueError(f"draws member {self.name} has an object dtype")
+        return arr.astype(self.dtype, copy=False)
+
+
+_DIMS = {"S": "draws", "N": "regions", "T": "periods", "K": "slopes"}
+# The members of draws.npz, in the order save_draws writes them.
+_DRAWS_SCHEMA = (
+    _Member("beta", "beta", ("S", "K"), "float64"),
+    _Member("u_plus", "u_plus", ("S", "N", "T"), "float64"),
+    _Member("eta_plus", "eta_plus", ("S", "N"), "float64"),
+    _Member("v", "v", ("S", "N"), "float64"),
+    _Member("chain_id", "chain_id", ("S",), "int64"),
+    _Member("y", "y", ("N", "T"), "float64"),
+    _Member("meta", ("seed", "n_iter", "burn_in", "thin"), (4,), "int64"),
+    _Member("avg_row_sum", ("avg_row_sum",), (1,), "float64"),
+    _Member("accept_rates", ("accept_rate_alpha", "accept_rate_eps"), (2,), "float64"),
+    _Member("floored", ("floored_count",), (1,), "int64"),
+    *(_Member(name, name, ("S",), "float64")
+      for name in ("sigma2_alpha", "sigma2_eps", "sigma2_v", "sigma2_u", "sigma2_eta")),
+)
+_DRAWS_SCALARS = tuple(row.name for row in _DRAWS_SCHEMA if row.name.startswith("sigma2_"))
 _SAVE_CHUNK_BYTES = 1 << 20
 _HUFFMAN_ONLY_MIN_BYTES = 64 << 10
 # The deflate thread is woken once this many bytes of rows are final. At
@@ -85,7 +131,8 @@ def _out_dir(arg: str | None) -> Path:
 
 def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
                spool: _DeflateSpool | None = None) -> None:
-    """Persist draws in a compact columnar zip of .npy members.
+    """Persist draws in a compact columnar zip of .npy members, one for
+    each row of `_DRAWS_SCHEMA`, in its order, shape and dtype.
 
     Functionally an npz readable by numpy.load, but written with pinned
     zip timestamps so identical draws produce byte-identical files. Members
@@ -114,42 +161,24 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
     in-memory copy of a member. The spool is closed on return.
     """
     path = Path(path)
-    arrays = {
-        "beta": draws.beta,
-        "u_plus": draws.u_plus,
-        "eta_plus": draws.eta_plus,
-        "v": draws.v,
-        "chain_id": draws.chain_id,
-        "y": np.asarray(y, dtype=float),
-        "meta": np.array(
-            [draws.seed, draws.n_iter, draws.burn_in, draws.thin], dtype=np.int64
-        ),
-        "avg_row_sum": np.array([draws.avg_row_sum]),
-        "accept_rates": np.array([draws.accept_rate_alpha, draws.accept_rate_eps]),
-        "floored": np.array([draws.floored_count], dtype=np.int64),
-    }
-    for name in _DRAWS_SCALARS:
-        arrays[name] = getattr(draws, name)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with spool or _DeflateSpool(path.parent) as spool:
         spool.on_rows(draws, draws.n_draws)
         streams = spool.streams(draws)
+        values = {**vars(draws), "y": y}
         try:
             with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
-                for name, arr in arrays.items():
-                    _write_npy_member(zf, name, arr, streams.get(name))
+                for row in _DRAWS_SCHEMA:
+                    _write_npy_member(zf, row.name, row.pack(values), streams.get(row.name))
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     tmp.replace(path)
 
 
-def _npy_parts(name: str, arr) -> tuple[bytes, np.ndarray]:
+def _npy_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The header and the data, as a flat byte view, of the bytes
-    np.lib.format.write_array gives for `arr` as `name`.npy."""
-    arr = np.asanyarray(arr)
-    if arr.dtype.hasobject:
-        raise ValueError(f"draws member {name} has an object dtype")
+    np.lib.format.write_array gives for `arr`."""
     header = np.lib.format.header_data_from_array_1_0(arr)
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(head, header)
@@ -212,7 +241,7 @@ def _write_npy_member(zf: zipfile.ZipFile, name: str, arr, stream=None) -> None:
     straight into the archive in chunks; in Huffman-only pieces from 64 KiB
     up. A member with a spooled `stream` takes its deflate output and its
     piece index from there."""
-    head, data = _npy_parts(name, arr)
+    head, data = _npy_parts(arr)
     info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
     info.compress_type = zipfile.ZIP_DEFLATED
     compressor = stream
@@ -237,11 +266,11 @@ class _DeflateSpool:
 
     `on_rows(draws, n)` is `run_chain`'s progress hook: rows [0, n) of
     `draws` hold their final values. The first call starts the thread,
-    which deflates each member of at least 64 KiB among `beta`, `u_plus`,
-    `eta_plus`, `v` and the variances as its rows arrive, in the
-    Huffman-only pieces `save_draws` writes, and flushes the streams once
-    every row is in. The members must be C-ordered while rows are missing,
-    as `run_chain`'s are. zlib and file writes release the interpreter
+    which deflates each per-draw member of `_DRAWS_SCHEMA` of at least
+    64 KiB as its rows arrive, in the Huffman-only pieces `save_draws`
+    writes, and flushes the streams once every row is in. The members must
+    be C-ordered and of the schema's dtype while rows are missing, as
+    `run_chain`'s are. zlib and file writes release the interpreter
     lock, so the deflate runs beside the sweeps. `streams(draws)` waits
     for the thread, raises what stopped it, and returns the compressor
     stand-ins, with their piece indexes, that `save_draws` replays. `close`
@@ -271,9 +300,8 @@ class _DeflateSpool:
         self.close()
 
     def on_rows(self, draws: PosteriorDraws, n: int) -> None:
-        """`run_chain`'s hook: rows [0, n) of `draws` are final. It calls
-        no public function of the package, so a tracer adds no span under
-        `run_chain`; it raises what stopped the thread, if anything did."""
+        """`run_chain`'s hook: rows [0, n) of `draws` are final. Raises what
+        stopped the thread, if anything did."""
         if self._error is not None:
             raise self._error
         if self._draws is None:
@@ -287,10 +315,10 @@ class _DeflateSpool:
         self._draws = draws
         rows = draws.n_draws
         members = []
-        for name in ("beta", "u_plus", "eta_plus", "v", *_DRAWS_SCALARS):
-            head, data = _npy_parts(name, getattr(draws, name))
+        for row in [row for row in _DRAWS_SCHEMA if row.per_draw]:
+            head, data = _npy_parts(row.pack(vars(draws)))
             if len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
-                members.append((name, head, data, data.nbytes // rows))
+                members.append((row.name, head, data, data.nbytes // rows))
         self._row_bytes = sum(row_bytes for *_, row_bytes in members)
         for name, *_ in members:
             self._files[name] = tempfile.TemporaryFile(dir=self._directory)
@@ -370,15 +398,16 @@ class _SpooledStream:
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
     """Inverse of save_draws; returns (draws, observed log-scale panel).
 
-    `u_plus`, the one member that grows with draws x regions x periods, is
-    read by a `_PieceReader`: a second thread starts inflating its pieces
-    straight into its array while this thread reads the other members, then
-    both threads take pieces until none is left. Neither calls a public
-    function of the package, so a tracer that wraps those functions records
-    no span from the second thread. An archive that cannot be read, on
-    either thread, or whose members do not fit together as save_draws
-    writes them, is a ValueError naming `path`, and the thread has ended
-    by the time this returns or raises.
+    Every member of `_DRAWS_SCHEMA` is read by `_read_member`, which checks
+    its .npy header against the member's size and the schema's shape and
+    dtype before it allocates the array. `u_plus`, the one member that
+    grows with draws x regions x periods, is read first, by a
+    `_PieceReader`: a second thread starts inflating its pieces straight
+    into its array while this thread reads the other members, then both
+    threads take pieces until none is left. An archive that cannot be
+    read, on either thread, or whose members do not fit the schema, is a
+    ValueError naming `path`, and the thread has ended by the time this
+    returns or raises.
     """
     # np.load leaves a file it opened itself open when the zip is bad
     with open(path, "rb") as fh:
@@ -389,89 +418,116 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
             raise _not_a_draws_file(path, exc) from None
         if isinstance(z, np.ndarray):
             raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
-        with z, _PieceReader(z, path, "u_plus") as u_plus:
+        rows = {row.name: row for row in _DRAWS_SCHEMA}
+        dims = {}   # the sizes of the schema's dimensions, from the headers read so far
+        with z, _PieceReader(path) as u_plus:
             try:
-                members = {"meta": z["meta"]}
-                u_plus.start()
-                members.update((name, z[name]) for name in _DRAWS_MEMBERS)
-                _check_shapes(members, u_plus.array.shape)
-                u_plus.finish()
+                u_plus.start(z.zip, rows.pop("u_plus"), dims)
+                arrays = {name: _read_member(z.zip, row, dims)[2] for name, row in rows.items()}
+                arrays["u_plus"] = u_plus.finish()
             except _ARCHIVE_ERRORS as exc:
                 raise _not_a_draws_file(path, exc) from None
-    meta = members["meta"]
-    draws = PosteriorDraws(
-        beta=members["beta"], u_plus=u_plus.array, eta_plus=members["eta_plus"],
-        v=members["v"], **{name: members[name] for name in _DRAWS_SCALARS},
-        seed=int(meta[0]), n_iter=int(meta[1]), burn_in=int(meta[2]), thin=int(meta[3]),
-        avg_row_sum=float(members["avg_row_sum"][0]),
-        accept_rate_alpha=float(members["accept_rates"][0]),
-        accept_rate_eps=float(members["accept_rates"][1]),
-        floored_count=int(members["floored"][0]), chain_id=members["chain_id"],
-    )
+    values = {}
+    for row in _DRAWS_SCHEMA:
+        if isinstance(row.fields, str):
+            values[row.fields] = arrays[row.name]
+        else:
+            values.update(zip(row.fields, arrays[row.name].tolist()))
+    y = values.pop("y")
+    draws = PosteriorDraws(**values)
     if draws.n_draws == 0:
         raise ValueError(f"{path}: draws file contains no stored draws")
-    return draws, members["y"]
+    return draws, y
 
 
-# the members of a draws file besides meta and u_plus
-_DRAWS_MEMBERS = ("accept_rates", "avg_row_sum", "floored", "beta", "eta_plus", "v",
-                  *_DRAWS_SCALARS, "chain_id", "y")
 # what reading a draws archive that is not whole, or not one, raises
-_ARCHIVE_ERRORS = (KeyError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+_ARCHIVE_ERRORS = (ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
 
 def _not_a_draws_file(path, exc: Exception) -> ValueError:
-    # a KeyError's message is its argument; a deflate stream cut short is a bare EOFError
-    reason = exc.args[0] if isinstance(exc, KeyError) else str(exc) or "member data ends early"
+    # a deflate stream cut short is a bare EOFError
+    reason = str(exc) or "member data ends early"
     return ValueError(f"{path}: not a hiddenpop draws file: {reason}")
 
 
-def _check_shapes(members: dict, u_plus_shape: tuple) -> None:
-    """Raise a ValueError naming the first member whose shape does not fit
-    the others: `u_plus` is (S, N, T) and `beta` (S, K)."""
-    if len(u_plus_shape) != 3:
-        raise ValueError(f"u_plus has shape {u_plus_shape}, not (draws, regions, periods)")
-    s, n, t = u_plus_shape
-    expected = {"meta": (4,), "accept_rates": (2,), "avg_row_sum": (1,), "floored": (1,),
-                "eta_plus": (s, n), "v": (s, n), **dict.fromkeys(_DRAWS_SCALARS, (s,)),
-                "chain_id": (s,), "y": (n, t)}
-    for name, shape in expected.items():
-        if members[name].shape != shape:
-            raise ValueError(f"{name} has shape {members[name].shape}, not {shape}")
-    beta = members["beta"].shape
-    if len(beta) != 2 or beta[0] != s:
-        raise ValueError(f"beta has shape {beta}, not ({s}, slopes)")
+def _read_member(zf: zipfile.ZipFile, row: _Member, dims: dict,
+                 data: bool = True) -> tuple[zipfile.ZipInfo, np.ndarray, np.ndarray]:
+    """The zip entry of `row`'s member of `zf`, a buffer the size of the
+    member, and its array: a view of the buffer past the .npy header. The
+    member is opened once. With `data` the array is read from it; without,
+    only the header is, and the buffer is left for a `_PieceReader` to fill.
+
+    Before the buffer is allocated, the header must describe exactly the
+    member's bytes, so that a damaged one cannot ask for more memory than
+    the file holds, and the schema's dtype and shape, whose dimensions take
+    their sizes from `dims` or, the first time, enter them there.
+    """
+    try:
+        info = zf.getinfo(row.name + ".npy")
+    except KeyError:
+        raise ValueError(f"{row.name} is not a file in the archive") from None
+    if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+        raise ValueError(f"{info.filename} is neither stored nor deflated")
+    with zf.open(info) as member:
+        # save_draws and numpy.savez write version 1.0 for every draws member
+        version = np.lib.format.read_magic(member)
+        if version != (1, 0):
+            raise ValueError(f"{row.name} has .npy format version {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        head = member.tell()
+        size = head + math.prod(shape) * dtype.itemsize
+        if info.file_size != size:
+            more = "fewer values" if info.file_size < size else "more bytes"
+            raise ValueError(f"{row.name} holds {more} than its header says")
+        if not np.can_cast(dtype, row.dtype, "equiv"):
+            raise ValueError(f"{row.name} has dtype {dtype}, not {row.dtype}")
+        # a dimension without a size yet takes the header's
+        expected = [dims.get(dim, dim) for dim in row.shape]
+        if len(shape) != len(expected) or any(
+                want != got for want, got in zip(expected, shape) if want not in _DIMS):
+            text = ", ".join(_DIMS.get(want, str(want)) for want in expected)
+            comma = "," if len(expected) == 1 else ""
+            raise ValueError(f"{row.name} has shape {shape}, not ({text}{comma})")
+        dims.update((dim, n) for dim, n in zip(row.shape, shape) if dim in _DIMS)
+        buf = np.empty(size, np.uint8)
+        if data:
+            view = memoryview(buf)[head:]
+            while view:
+                chunk, view = view[:_INFLATE_STEP_BYTES], view[_INFLATE_STEP_BYTES:]
+                chunk[:] = member.read(len(chunk))
+    # the .npy data is the array's memory in its own order
+    array = buf[head:].view(dtype)
+    return info, buf, array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
 
 
 class _PieceReader:
-    """Reads one .npy member of an npz straight into an array allocated up
-    front, a piece at a time, on the calling thread and one more.
+    """Reads one .npy member of an npz straight into a buffer allocated up
+    front, whose bytes past the .npy header are the member's array, a
+    piece at a time, on the calling thread and one more.
 
     A deflated member whose zip comment is a piece index (see
     `_PieceDeflater`) is cut into the pieces it lists; any other member,
-    deflated or stored, is one piece. `start()` parses the .npy header here,
-    allocates `array` and starts the second thread, which takes pieces from
-    a shared counter. `finish()` takes pieces from the same counter, joins
-    the thread, raises what stopped it, and checks the member's CRC-32
-    against the zip directory. `close` stops and joins the thread and closes
-    its file.
+    deflated or stored, is one piece. `start(zf, row, dims)` reads and
+    checks the .npy header of `row`'s member here, with `_read_member`,
+    allocates the buffer and starts the second thread, which takes pieces
+    from a shared counter. `finish()` takes pieces from the same counter,
+    joins the thread, raises what stopped it, checks the member's CRC-32
+    against the zip directory and returns the array. `close` stops and
+    joins the thread and closes its file.
 
     Each thread opens `path` for itself and reads the compressed bytes of
     its pieces through that handle, so neither moves the file position of
     the other's reads or of the caller's (os.pread would do the same, but
-    not on every platform). Each piece is inflated straight into `array`,
-    `_INFLATE_STEP_BYTES` at a time. zlib releases the interpreter lock
-    while it inflates, so two pieces inflate at once.
-    The class is private and the thread calls no public function of the
-    package.
+    not on every platform). Each piece is inflated straight into the
+    buffer, `_INFLATE_STEP_BYTES` at a time. zlib releases the interpreter
+    lock while it inflates, so two pieces inflate at once. The class is
+    private and the thread calls no public function of the package, so a
+    tracer that wraps those functions records no span from it.
     """
 
-    def __init__(self, z, path, name: str):
-        self._z = z
+    def __init__(self, path):
         self._path = path
-        self._name = name
         self._fh = None   # the second thread's handle on the file
-        self.array = None
         self._next = itertools.count()   # the next piece to take
         self._stop = False
         self._error: Exception | None = None
@@ -483,32 +539,9 @@ class _PieceReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self) -> None:
-        if self._name not in self._z.files:
-            raise KeyError(f"{self._name} is not a file in the archive")
-        info = self._info = self._z.zip.getinfo(self._name + ".npy")
-        if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-            raise ValueError(f"{info.filename} is neither stored nor deflated")
-        with self._z.zip.open(info) as member:
-            # save_draws and numpy.savez write version 1.0 for every draws member
-            version = np.lib.format.read_magic(member)
-            if version != (1, 0):
-                raise ValueError(f"{self._name} has .npy format version {version}")
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-            if dtype.hasobject:
-                raise ValueError(f"{self._name} is not a numeric array")
-            head = member.tell()
-            member.seek(0)
-            self._head = member.read(head)
-        # checked before the array is allocated, so a damaged header's shape
-        # cannot ask for more memory than the member holds
-        size = head + math.prod(shape) * dtype.itemsize
-        if info.file_size != size:
-            more = "fewer values" if info.file_size < size else "more bytes"
-            raise ValueError(f"{self._name} holds {more} than its header says")
-        # the .npy data is the array's memory in its own order
-        self.array = np.empty(shape, dtype, order="F" if fortran_order else "C")
-        self._data = memoryview(self.array.reshape(-1, order="A").view(np.uint8))
+    def start(self, zf: zipfile.ZipFile, row: _Member, dims: dict) -> None:
+        info, buf, self._array = _read_member(zf, row, dims, data=False)
+        self._info, self._buf = info, memoryview(buf)
         self._piece, self._bounds = self._pieces(info)
         self._fh = open(self._path, "rb", buffering=0)
         # the member's data follows its local header, name and extra field
@@ -571,7 +604,7 @@ class _PieceReader:
             else:
                 out = inflater.decompress(raw, min(step, end - at))
                 raw = inflater.unconsumed_tail
-            self._put(at, out)
+            self._buf[at:at + len(out)] = out
             at += len(out)
         # the piece holds exactly its bytes, and only the last ends the stream
         rest = raw + _pread(fh, hi - lo, self._at + lo)
@@ -583,21 +616,15 @@ class _PieceReader:
         if at != end or not whole:
             raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
 
-    def _put(self, at: int, data: bytes) -> None:
-        """Copy `data`, the member's bytes from offset `at`, into the array,
-        leaving out the .npy header that the member opens with."""
-        head = len(self._head)
-        skip = min(max(head - at, 0), len(data))
-        self._data[at + skip - head:at + len(data) - head] = memoryview(data)[skip:]
-
-    def finish(self) -> None:
+    def finish(self) -> np.ndarray:
         with open(self._path, "rb", buffering=0) as fh:
             self._work(fh)
         self._thread.join()
         if self._error is not None:
             raise self._error
-        if zlib.crc32(self._data, zlib.crc32(self._head)) != self._info.CRC:
+        if zlib.crc32(self._buf) != self._info.CRC:
             raise zipfile.BadZipFile(f"Bad CRC-32 for file {self._info.filename!r}")
+        return self._array
 
     def close(self) -> None:
         if self._thread is not None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -389,8 +390,9 @@ class TestAnalyzeCommand:
                     "--out", str(an)) == 1
 
     def test_file_that_is_not_a_draws_file_fails(self, tmp_path, capsys):
-        # an npz without the draws members, a single .npy array, an empty
-        # file and a zip cut to half its length
+        # an npz without the draws members (u_plus, the first member read,
+        # is named), a single .npy array, an empty file and a zip cut to
+        # half its length
         other = tmp_path / "other.npz"
         np.savez(other, a=np.arange(3))
         single = tmp_path / "single.npy"
@@ -400,7 +402,7 @@ class TestAnalyzeCommand:
         cut = tmp_path / "cut.npz"
         whole = other.read_bytes()
         cut.write_bytes(whole[:len(whole) // 2])
-        for path, reason in ((other, "meta is not a file in the archive"),
+        for path, reason in ((other, "u_plus is not a file in the archive"),
                              (single, "a single .npy array"),
                              (empty, "No data left in file"),
                              (cut, "File is not a zip file")):
@@ -605,6 +607,44 @@ class TestDrawsRoundTrip:
         back, y_back = load_draws(path)
         assert np.array_equal(back.u_plus, arrays["u_plus"])
         assert np.array_equal(y_back, arrays["y"])
+
+    def test_schema_names_every_stored_field_once_in_file_order(self, tmp_path):
+        named = []
+        for row in cli._DRAWS_SCHEMA:
+            named += [row.fields] if isinstance(row.fields, str) else row.fields
+        # draws.npz does not store the level move's acceptance rate
+        stored = [f.name for f in dataclasses.fields(PosteriorDraws)
+                  if f.name != "accept_rate_level"]
+        assert sorted(named) == sorted(stored + ["y"])
+        # the members of the file whose bytes test_draws_file_bytes_are_pinned pins
+        path, _ = self._saved(tmp_path, "reversed")
+        with zipfile.ZipFile(path) as zf:
+            assert [info.filename for info in zf.infolist()] == [
+                row.name + ".npy" for row in cli._DRAWS_SCHEMA]
+
+    def test_pieces_deflate_independently(self, tmp_path):
+        # Each 1 MiB piece of a Huffman-only member is what a fresh raw
+        # Huffman-only compressor gives for that piece alone, ended by a
+        # full flush, or by the end of the stream for the last piece; so
+        # the pieces could be deflated apart and joined.
+        path, _ = self._saved(tmp_path, "fortran", s=100)
+        pieces = {}
+        for name, npy, raw, comment in self._members(path):
+            if not comment:
+                continue
+            piece, *starts = (int(n) for n in comment.split()[1:])
+            bounds = [0, *starts, len(raw)]
+            assert piece == 1 << 20 and len(bounds) - 1 == -(-len(npy) // piece)
+            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                alone = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15,
+                                         zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+                last = k == len(bounds) - 2
+                stream = alone.compress(npy[k * piece:(k + 1) * piece]) + alone.flush(
+                    zlib.Z_FINISH if last else zlib.Z_FULL_FLUSH)
+                assert stream == raw[lo:hi], (name, k)
+            pieces[name] = len(bounds) - 1
+        # u_plus (3.2 MB) spans 4 pieces, the others fit in one
+        assert pieces == {"u_plus": 4}
 
     def test_fortran_ordered_u_plus_loads(self, monkeypatch, tmp_path):
         # the .npy data is in the array's own order, read in pieces that
@@ -853,8 +893,8 @@ class TestDrawsInflatedBesideTheAnalysis:
         threads = []
         start, pread = cli._PieceReader.start, cli._pread
 
-        def recorded_start(piece_reader):
-            start(piece_reader)
+        def recorded_start(piece_reader, *args):
+            start(piece_reader, *args)
             threads.append(piece_reader._thread)
 
         def late_pread(fh, n, at):
@@ -1156,6 +1196,48 @@ class TestDrawsInflatedBesideTheAnalysis:
         bad.parent.mkdir()
         np.savez_compressed(bad, **{**stored, member: value})
         self._fails_cleanly(bad, fits, capsys, reason)
+
+    @pytest.mark.parametrize("member, change, reason", [
+        ("u_plus", lambda a: a + 0j, "u_plus has dtype complex128, not float64"),
+        ("eta_plus", lambda a: a > 0, "eta_plus has dtype bool, not float64"),
+        ("y", lambda a: a.astype(str), "y has dtype <U32, not float64"),
+        ("chain_id", lambda a: a + 0.5, "chain_id has dtype float64, not int64"),
+    ], ids=["complex-u_plus", "bool-eta_plus", "str-y", "float-chain_id"])
+    def test_members_of_the_wrong_dtype_are_an_error(self, tmp_path, fits, reader, capsys,
+                                                     member, change, reason):
+        with np.load(fits / "chains1" / "draws.npz") as z:
+            stored = {name: z[name] for name in z.files}
+        bad = tmp_path / "bad" / "bad.npz"
+        bad.parent.mkdir()
+        np.savez_compressed(bad, **{**stored, member: change(stored[member])})
+        self._fails_cleanly(bad, fits, capsys, reason)
+
+    # a header of 8 EB, which is not allocated, and one that leaves values
+    # out; test_damaged_u_plus_is_an_error gives u_plus the first
+    @pytest.mark.parametrize("member, damage", [
+        (row.name, damage) for row in cli._DRAWS_SCHEMA for damage in ("huge", "fewer")
+        if (row.name, damage) != ("u_plus", "huge")])
+    def test_damaged_header_is_an_error(self, tmp_path, fits, reader, capsys, member, damage):
+        whole = fits / "chains1" / "draws.npz"
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, *_ in TestDrawsRoundTrip._members(whole):
+                if name == member:
+                    stream = io.BytesIO(npy)
+                    np.lib.format.read_magic(stream)
+                    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+                    header = io.BytesIO()
+                    np.lib.format.write_array_header_1_0(header, {
+                        "descr": np.lib.format.dtype_to_descr(dtype),
+                        "fortran_order": fortran_order,
+                        "shape": ((10 ** 9, 10 ** 6, 1000) if damage == "huge"
+                                  else (shape[0] - 1, *shape[1:]))})
+                    npy = header.getvalue() + npy[stream.tell():]
+                zf.writestr(name + ".npy", npy)
+        more = "fewer values" if damage == "huge" else "more bytes"
+        self._fails_cleanly(bad, fits, capsys, f"{member} holds {more} than its header says")
+        # u_plus is read first, and starts the thread once its header is sound
+        assert len(reader) == (0 if member == "u_plus" else 1)
 
     def test_missing_member_is_an_error(self, tmp_path, fits, reader, capsys):
         # y is read last on the calling thread, while u_plus is still being

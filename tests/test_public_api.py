@@ -201,8 +201,8 @@ def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
         cli.save_draws(*cli.load_draws(tmp_path / "fit" / "draws.npz"), tmp_path / "draws.npz")
     threads = []
     start = cli._PieceReader.start
-    monkeypatch.setattr(cli._PieceReader, "start", lambda reader: (
-        start(reader), threads.append(reader._thread)))
+    monkeypatch.setattr(cli._PieceReader, "start", lambda reader, *args: (
+        start(reader, *args), threads.append(reader._thread)))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
