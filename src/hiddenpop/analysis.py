@@ -154,7 +154,7 @@ def mape_summary(estimate: np.ndarray, true_p: np.ndarray) -> MapeSummary:
     average of this quantity is the quantity itself, so none is taken), or
     the (S, N, T) `hidden_population_draws`, giving the per-draw variant
     that averages |P - P^(s)| / P over draws. Cells with true P = 0 are
-    excluded and counted.
+    excluded and counted; a truth with no other cell is an error.
     """
     estimate = np.asarray(estimate, dtype=float)
     true_p = np.asarray(true_p, dtype=float)
@@ -163,6 +163,8 @@ def mape_summary(estimate: np.ndarray, true_p: np.ndarray) -> MapeSummary:
         raise ValueError(f"estimate of shape {estimate.shape} does not fit truth "
                          f"of shape {true_p.shape}")
     keep = true_p != 0.0
+    if not keep.any():
+        raise ValueError("no cell has a nonzero true P, so no percentage error is defined")
     n_excluded = int(np.sum(~keep))
     if per_draw:
         err = np.subtract(true_p, estimate)

@@ -778,6 +778,9 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
             raise ValueError(
                 f"truth grid {truth['p'].shape} does not match draws {y_log.shape}"
             )
+        if not np.any(truth["p"]):
+            raise ValueError(f"{args.truth}: no cell has a nonzero P, so no percentage "
+                             f"error is defined")
         levels = levels if levels is not None else list(DEFAULT_COVERAGE_LEVELS)
         y_level = np.exp(y_log)
         cells = hidden_population_draws(draws, y_level)

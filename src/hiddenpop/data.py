@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 FLOAT_FMT = "%.6g"
+# rows that `_write_columns` formats with one `%`, rounded down to whole regions
+_WRITE_BLOCK_ROWS = 4096
 
 
 def _read_panel(path, columns: list[str], regressors: bool = False):
@@ -72,24 +74,29 @@ def _load_body(fh, width: int):
         return None
 
 
-def _read_rows(path: Path, header: list[str]):
-    """`_read_panel` by the csv module, one row at a time: slower than numpy,
-    but it reads every cell `int()` and `float()` read, and it knows the
-    line of each row."""
+def _rows(path: Path, header: list[str]):
+    """(line, row) for each non-blank row after the header, read by the csv
+    module; a row without the header's width is an error."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path.name}:{reader.line_num}: {len(row)} fields, "
                                  f"the header has {len(header)}")
-            rows.append(row)
-            lines.append(reader.line_num)
-    if not rows:
+            yield reader.line_num, row
+
+
+def _read_rows(path: Path, header: list[str]):
+    """`_read_panel` by the csv module, one row at a time: slower than numpy,
+    but it reads every cell `int()` and `float()` read, and it knows the
+    line of each row."""
+    numbered = list(_rows(path, header))
+    if not numbered:
         raise ValueError(f"{path.name}: no data rows")
+    lines, rows = zip(*numbered)
     fields = list(zip(*rows))
     region, time = (_parse_column(path, lines, header[c], fields[c], int) for c in (0, 1))
     values = np.array([_parse_column(path, lines, header[c], fields[c], float)
@@ -141,21 +148,62 @@ def _parse_column(path: Path, lines: list[int], name: str, cells, cast) -> np.nd
         raise
 
 
+def _check_values(path, values, rules) -> None:
+    """Raise naming the first value cell, in file order, that breaks a rule.
+
+    `values` is `_read_panel`'s (C, N, T) array of the file at `path`, and
+    `rules[c]` the (ok, what) pairs of value column c: `ok` takes an array
+    or one float and is true where the value is `what`. Only a file with a
+    bad value is read again, by `_rows`.
+    """
+    if all(ok(values[c]).all() for c, pairs in enumerate(rules) for ok, _ in pairs):
+        return
+    path = Path(path)
+    with path.open(newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    for line, row in _rows(path, header):
+        for name, cell, pairs in zip(header[2:], row[2:], rules):
+            for ok, what in pairs:
+                if not ok(float(cell)):
+                    raise ValueError(f"{path.name}:{line}: {name} {cell!r} is not {what}")
+
+
 def _write_columns(path, header: list[str], regions, times, columns) -> None:
     """One row per (region, time) cell, regions outermost, in csv.writer's bytes.
 
     Labels are written as integers. Each column broadcasts to (N, T); text
     columns are written as they are and numeric ones with FLOAT_FMT. No
     cell may need quoting.
+
+    Each region's T rows are one template, with the period labels written
+    into it, so only the region label and the values are formatted. They go
+    into one flat list in row order, and each block of about
+    `_WRITE_BLOCK_ROWS` rows (whole regions, at least one) is formatted by
+    one `%` on the region template repeated, which costs little more than
+    formatting the floats alone. The file is written once, so a cell that
+    fails to format leaves no file.
     """
     n, t = len(regions), len(times)
     columns = [np.broadcast_to(c, (n, t)) for c in columns]
-    row = ",".join(["%d", "%d"] + ["%s" if c.dtype.kind in "OUS" else FLOAT_FMT
-                                   for c in columns]) + "\r\n"
-    cells = zip(np.repeat(regions, t).tolist(), np.tile(times, n).tolist(),
-                *(c.ravel().tolist() for c in columns))
-    Path(path).write_text(",".join(header) + "\r\n" + "".join([row % r for r in cells]),
-                          newline="")
+    values = "".join("," + ("%s" if c.dtype.kind in "OUS" else FLOAT_FMT) for c in columns)
+    region_rows = "".join("%s," + "%d" % time + values + "\r\n"
+                          for time in np.asarray(times).tolist())
+    width = 1 + len(columns)
+    cells = [None] * (n * t * width)
+    labels = ["%d" % region for region in np.asarray(regions).tolist()]
+    cells[0::width] = [label for label in labels for _ in range(t)]
+    for k, c in enumerate(columns, 1):
+        cells[k::width] = c.ravel().tolist()
+    cells = tuple(cells)
+    per_block = max(1, _WRITE_BLOCK_ROWS // max(t, 1))
+    block = region_rows * per_block
+    size = t * width  # cells per region
+    body = []
+    for first in range(0, n, per_block):
+        k = min(per_block, n - first)
+        body.append((block if k == per_block else region_rows * k)
+                    % cells[first * size:(first + k) * size])
+    Path(path).write_text(",".join(header) + "\r\n" + "".join(body), newline="")
 
 
 def _write_rows(path, header: list[str], rows) -> None:
@@ -229,8 +277,14 @@ class PanelDataset:
     @classmethod
     def from_csv(cls, path) -> "PanelDataset":
         regions, times, values = _read_panel(path, ["region", "time", "y"], regressors=True)
+        _check_values(path, values, [[(np.isfinite, "a finite number")]] * len(values))
         return cls(y=values[0], x=np.ascontiguousarray(np.moveaxis(values[1:], 0, -1)),
                    regions=regions, times=times)
+
+
+def _is_count(s):
+    # inf equals its floor, and casting it to int64 gives -2**63
+    return np.isfinite(s) & (s >= 0) & (s == np.floor(s))
 
 
 @dataclass
@@ -247,9 +301,7 @@ class CountPanel:
         self.n = np.asarray(self.n, dtype=float)
         if self.s.shape != self.n.shape or self.s.ndim != 2:
             raise ValueError("counts and populations must share an (N, T) shape")
-        # inf equals its floor, and casting it to int64 gives -2**63
-        if (np.any(self.s < 0) or not np.all(self.s == np.floor(self.s))
-                or not np.all(np.isfinite(self.s))):
+        if not np.all(_is_count(self.s)):
             raise ValueError("counts must be nonnegative integers")
         if np.any(self.n <= 0) or not np.all(np.isfinite(self.n)):
             raise ValueError("populations must be positive")
@@ -263,5 +315,9 @@ class CountPanel:
 
     @classmethod
     def from_csv(cls, path) -> "CountPanel":
-        regions, times, (s, pop) = _read_panel(path, ["region", "time", "count", "population"])
+        regions, times, values = _read_panel(path, ["region", "time", "count", "population"])
+        _check_values(path, values, [
+            [(_is_count, "a nonnegative integer")],
+            [(np.isfinite, "a finite number"), (lambda n: n > 0, "positive")]])
+        s, pop = values
         return cls(s=s, n=pop, regions=regions, times=times)

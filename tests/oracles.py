@@ -10,19 +10,23 @@ builds one from a checked adjacency file. The oracles at the end are the
 graph builder, the slope moments, the CAR sweep and the Metropolis-Hastings
 move as they ran before they were vectorised or moved onto Python floats;
 the tests hold the package to them bit for bit where the arithmetic is the
-same, and within 1e-12 where only the order of the sums differs.
+same, and within 1e-12 where only the order of the sums differs. The last
+is the panel CSV writer as it formatted one row per `%`, which the block
+writer must match byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hiddenpop import sampler
+from hiddenpop.data import FLOAT_FMT
 from hiddenpop.kernels import CHI2_DF1_MEDIAN, NumericalError, _inverse_factors, _logdet
 from hiddenpop.spatial import SpatialGraph
 
@@ -237,3 +241,16 @@ def mh_scaled_chisq_step(log_target, current, rng, step_scale: float):
     log_accept = lt_prop - np.where(escape, 0.0, lt_cur) + correction
     accept = inside & (escape | (np.log(rng.random(current.shape)) < log_accept))
     return np.where(accept, proposal, current), accept
+
+
+def write_columns_by_row(path, header: list[str], regions, times, columns) -> None:
+    """`data._write_columns` as it ran before it formatted blocks of rows:
+    one tuple and one `%` per (region, time) cell."""
+    n, t = len(regions), len(times)
+    columns = [np.broadcast_to(c, (n, t)) for c in columns]
+    row = ",".join(["%d", "%d"] + ["%s" if c.dtype.kind in "OUS" else FLOAT_FMT
+                                   for c in columns]) + "\r\n"
+    cells = zip(np.repeat(regions, t).tolist(), np.tile(times, n).tolist(),
+                *(c.ravel().tolist() for c in columns))
+    Path(path).write_text(",".join(header) + "\r\n" + "".join([row % r for r in cells]),
+                          newline="")

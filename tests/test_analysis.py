@@ -215,6 +215,15 @@ class TestMape:
         out = mape_summary(point, truth)
         assert out.n_excluded == 1
 
+    def test_all_zero_truth_is_an_error(self):
+        # every cell excluded leaves nothing to average: an error, not an
+        # IndexError from the empty HDI search or a mean-of-empty warning
+        s, n, t = 150, 2, 2
+        q = hidden_population_draws(_draws(s, n, t), np.ones((n, t)))
+        for estimate in (q.mean(axis=0), q):
+            with pytest.raises(ValueError, match="^no cell has a nonzero true P"):
+                mape_summary(estimate, np.zeros((n, t)))
+
     def test_per_draw_variant_at_least_point(self):
         s, n, t = 200, 3, 3
         d = _draws(s, n, t, seed=12)

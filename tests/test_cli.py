@@ -189,6 +189,14 @@ class TestFitCommand:
         assert "regions" in capsys.readouterr().err
         assert not (fit / "draws.npz").exists()
 
+    def test_non_finite_value_names_file_and_line(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("region,time,y,x1\n0,0,1,2\n0,1,nan,2\n1,0,1,2\n1,1,1,2\n")
+        fit = tmp_path / "fit"
+        assert _run("fit", "--data", str(panel), "--grid", "1x2", "--out", str(fit)) == 1
+        assert capsys.readouterr().err == "error: panel.csv:3: y 'nan' is not a finite number\n"
+        assert list(fit.iterdir()) == []
+
     def test_one_period_panel_fails_cleanly(self, tmp_path, capsys):
         for periods, code in (("1", 1), ("2", 0)):
             sim = tmp_path / f"sim{periods}"
@@ -377,6 +385,21 @@ class TestAnalyzeCommand:
         assert not (fit / "summary.csv").exists()
         assert not (fit / "acceptance.csv").exists()
 
+    def test_truth_with_no_nonzero_p_is_an_error(self, tmp_path, capsys):
+        sim, fit = self._pipeline(tmp_path)
+        rows = _rows(sim / "truth.csv")
+        truth = tmp_path / "zero-truth.csv"
+        with truth.open("w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + [row[:-1] + ["0"] for row in rows[1:]])
+        an = tmp_path / "an"
+        for extra in ([], ["--per-draw-mape"]):
+            assert _run("analyze", "--draws", str(fit / "draws.npz"), "--truth", str(truth),
+                        *extra, "--out", str(an)) == 1
+            assert capsys.readouterr().err == (
+                f"error: {truth}: no cell has a nonzero P, so no percentage error is "
+                f"defined\n")
+            assert list(an.iterdir()) == []
+
     def test_levels_without_truth_is_usage_error(self, tmp_path, capsys):
         sim, fit = self._pipeline(tmp_path)
         an = tmp_path / "an"
@@ -442,6 +465,17 @@ class TestSirCommand:
         out = tmp_path / "sir"
         assert _run("sir", "--counts", str(counts), "--out", str(out)) == 1
         assert not (out / "sir.csv").exists()
+
+    def test_rejected_value_names_file_and_line(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        out = tmp_path / "sir"
+        for cell, message in (("-2,100", "count '-2' is not a nonnegative integer"),
+                              ("2.5,100", "count '2.5' is not a nonnegative integer"),
+                              ("3,0", "population '0' is not positive")):
+            counts.write_text(f"region,time,count,population\n0,0,3,100\n1,0,{cell}\n")
+            assert _run("sir", "--counts", str(counts), "--out", str(out)) == 1
+            assert capsys.readouterr().err == f"error: counts.csv:3: {message}\n"
+            assert list(out.iterdir()) == []
 
     def test_zero_total_periods_are_named_by_label(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"

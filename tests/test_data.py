@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hiddenpop.data import CountPanel, PanelDataset
+from hiddenpop.data import _WRITE_BLOCK_ROWS, CountPanel, PanelDataset, _write_columns
+
+from oracles import write_columns_by_row
 
 
 def test_panel_round_trip(tmp_path):
@@ -69,5 +71,56 @@ def test_count_panel_rejects_infinite_counts(tmp_path):
         CountPanel(s=np.array([[np.inf]]), n=np.array([[10.0]]))
     path = tmp_path / "counts.csv"
     path.write_text("region,time,count,population\n0,0,inf,100\n0,1,3,100\n")
-    with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+    with pytest.raises(ValueError, match="^counts.csv:2: count 'inf' is not a nonnegative "
+                                         "integer$"):
         CountPanel.from_csv(path)
+
+
+B = _WRITE_BLOCK_ROWS
+# float cells whose `%.6g` text is easy to get wrong: signed zero, the
+# smallest subnormal, ties at the sixth digit, and integer values
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.5, 123456.5,
+                  3.0, -7.0, 1e6, 2.0**53]
+
+
+# a block holds the whole regions that fit in B rows, or one region longer
+# than B: the ids give the rows written
+@pytest.mark.parametrize("n, t", [(1, 1), (819, 5), (1024, 4), (241, 17), (1, B + 1),
+                                  (2731, 3)],
+                         ids=["1", "B-1", "B", "B+1", "B+1-one-region", "2B+1"])
+def test_block_writer_matches_the_row_writer(tmp_path, n, t):
+    assert n * t in (1, B - 1, B, B + 1, 2 * B + 1)
+    rng = np.random.default_rng(n)
+    floats = np.concatenate([SPECIAL_FLOATS, rng.normal(scale=1e3, size=n * t)])[:n * t]
+    rng.shuffle(floats)
+    floats = floats.reshape(n, t)
+    tiers = rng.choice(np.array(["none", "90", "95", "99.5"], dtype=object), size=(n, t))
+    per_region = rng.choice(np.array(SPECIAL_FLOATS), size=(n, 1))
+    regions = np.sort(rng.choice(np.arange(-10**6, 10**6), size=n, replace=False))
+    times = np.arange(t) + 1990
+    header = ["region", "time", "a", "b", "tier", "c"]
+    columns = [floats, per_region, tiers, np.rint(floats)]
+    _write_columns(tmp_path / "block.csv", header, regions, times, columns)
+    write_columns_by_row(tmp_path / "row.csv", header, regions, times, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+def test_block_writer_writes_every_special_float_as_the_row_writer(tmp_path):
+    column = np.array(SPECIAL_FLOATS)[:, None]
+    args = (["region", "time", "v"], np.arange(column.size), np.array([0]), [column])
+    _write_columns(tmp_path / "block.csv", *args)
+    write_columns_by_row(tmp_path / "row.csv", *args)
+    text = (tmp_path / "block.csv").read_bytes()
+    assert text == (tmp_path / "row.csv").read_bytes()
+    assert text.split(b"\r\n")[1:-1] == [
+        f"{i},0,{v}".encode() for i, v in enumerate(
+            ["nan", "inf", "-inf", "-0", "0", "4.94066e-324", "1e+16", "0.5", "123456",
+             "3", "-7", "1e+06", "9.0072e+15"])]
+
+
+def test_block_writer_leaves_no_file_when_a_cell_fails_to_format(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        _write_columns(path, ["region", "time", "v"], np.array(["a"]), np.arange(1),
+                       [np.zeros((1, 1))])
+    assert not path.exists()

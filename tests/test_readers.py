@@ -322,3 +322,39 @@ def test_header_only_has_no_data_rows_under_any_warning_filter(tmp_path):
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match=r"^counts\.csv: no data rows$"):
             _read(tmp_path, "counts", COUNTS_HEADER, "")
+
+
+PANEL_HEADER = "region,time,y,x1,x2"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([PANEL_HEADER, "0,0,1,2,3", "0,1,nan,2,3"], "panel.csv:3: y 'nan' is not a finite number"),
+    ([PANEL_HEADER, "0,0,1,2,3", "0,1,1,2,-inf"],
+     "panel.csv:3: x2 '-inf' is not a finite number"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,-2,100"],
+     "counts.csv:3: count '-2' is not a nonnegative integer"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,2.5,100"],
+     "counts.csv:3: count '2.5' is not a nonnegative integer"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,nan,100"],
+     "counts.csv:3: count 'nan' is not a nonnegative integer"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3,100", "1,0,3,100", "1,1,3,0"],
+     "counts.csv:5: population '0' is not positive"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3,-4"], "counts.csv:3: population '-4' is not positive"),
+    ([COUNTS_HEADER, "0,0,3,100", "0,1,3,inf"],
+     "counts.csv:3: population 'inf' is not a finite number"),
+    # the first bad cell in file order: by line, then left to right, though
+    # the rows are not in label order
+    ([COUNTS_HEADER, "1,1,3,100", "1,0,3,0", "0,1,-2,100", "0,0,3,100"],
+     "counts.csv:3: population '0' is not positive"),
+    ([COUNTS_HEADER, "1,1,3,100", "1,0,-2,0", "0,1,3,100", "0,0,3,100"],
+     "counts.csv:3: count '-2' is not a nonnegative integer"),
+    # a file numpy's parser refuses is read by the csv module, with the same error
+    ([COUNTS_HEADER, '"0",0,3,100', "0,1,-2,100"],
+     "counts.csv:3: count '-2' is not a nonnegative integer"),
+], ids=["panel-nan-y", "panel-inf-regressor", "negative-count", "fractional-count",
+        "nan-count", "zero-population", "negative-population", "infinite-population",
+        "first-line-wins", "first-column-wins", "csv-module-path"])
+def test_a_rejected_value_names_file_and_line(tmp_path, lines, message):
+    fmt = "panel" if lines[0] == PANEL_HEADER else "counts"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _read(tmp_path, fmt, *lines)
