@@ -21,10 +21,11 @@ import os
 import struct
 import sys
 import tempfile
-import threading
 import time
 import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
@@ -151,18 +152,17 @@ def save_draws(draws: PosteriorDraws, y: np.ndarray, path, *,
     passes the `spool` that `run_chain`'s `on_rows` hook fed as the chain
     made rows final, so that deflate runs on the second core while the
     chain sweeps; without one, a spool is made here and fed every row at
-    once. The
-    archive is then written as before: every member passes through
-    zipfile's writer in 1 MiB chunks for its CRC and sizes, and a spooled
-    member's compressor hands back the spooled stream in place of
-    deflating. Deflate's output does not depend on how its input is cut,
-    and each flush falls at a fixed offset of its member, so the file has
-    the same bytes either way, and saving holds no second
-    in-memory copy of a member. The spool is closed on return.
+    once. The archive is then written as before: every member passes
+    through zipfile's writer in 1 MiB chunks for its CRC and sizes, and a
+    spooled member replays its stream in place of deflating. Deflate's
+    output does not depend on how its input is cut, and each flush falls
+    at a fixed offset of its member, so the file has the same bytes either
+    way, and saving holds no second in-memory copy of a member. The spool
+    is closed on return.
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with spool or _DeflateSpool(path.parent) as spool:
+    with closing(spool or _DeflateSpool(path.parent)) as spool:
         spool.on_rows(draws, draws.n_draws)
         streams = spool.streams(draws)
         values = {**vars(draws), "y": y}
@@ -261,138 +261,124 @@ def _write_npy_member(zf: zipfile.ZipFile, name: str, arr, stream=None) -> None:
 
 
 class _DeflateSpool:
-    """Deflates the large per-draw members of a draws file on one thread,
-    rows at a time, each into an unlinked temporary file in `directory`.
+    """Deflates the large per-draw members of a draws file on a one-worker
+    executor, rows at a time, each into a `_SpooledStream`.
 
     `on_rows(draws, n)` is `run_chain`'s progress hook: rows [0, n) of
-    `draws` hold their final values. The first call starts the thread,
-    which deflates each per-draw member of `_DRAWS_SCHEMA` of at least
-    64 KiB as its rows arrive, in the Huffman-only pieces `save_draws`
-    writes, and flushes the streams once every row is in. The members must
-    be C-ordered and of the schema's dtype while rows are missing, as
-    `run_chain`'s are. zlib and file writes release the interpreter
-    lock, so the deflate runs beside the sweeps. `streams(draws)` waits
-    for the thread, raises what stopped it, and returns the compressor
-    stand-ins, with their piece indexes, that `save_draws` replays. `close`
-    stops the thread and drops the files.
+    `draws` hold their final values. The first call makes a stream for
+    each per-draw member of `_DRAWS_SCHEMA` of at least 64 KiB. Each call
+    that makes another `_SPOOL_BATCH_BYTES` of rows final, or the last
+    row, submits a batch: a job that feeds the new rows to every stream.
+    The members must be C-ordered and of the schema's dtype while rows are
+    missing, as `run_chain`'s are. zlib and file writes release the
+    interpreter lock, so the deflate runs beside the sweeps; the worker
+    thread starts with the first batch. A call raises the first batch that
+    failed. `streams(draws)` waits for every batch, raises the first
+    failure and returns the streams that `save_draws` replays. `close`
+    cancels the batches not yet started, waits for the thread and drops
+    the files.
 
-    The class is private, and neither the hook nor the thread calls a
-    public function of the package's modules, so a tracer that wraps those
+    The class is private, and neither the hook nor a batch calls a public
+    function of the package's modules, so a tracer that wraps those
     functions records no span inside `run_chain` for the deflate.
     """
 
     def __init__(self, directory):
         self._directory = directory
-        self._wake = threading.Condition()
-        self._rows = 0   # the rows handed to the thread
-        self._row_bytes = 0   # bytes per row over the spooled members
-        self._stop = False
-        self._error: Exception | None = None
         self._draws = None
-        self._thread = None
-        self._files = {}   # member name -> its spooled deflate stream
-        self._compressors = {}   # member name -> the compressor that writes its stream
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._streams: dict[str, _SpooledStream] = {}
+        self._rows = 0   # the rows handed to a batch
+        self._row_bytes = 0   # bytes per row over the spooled members
+        self._executor = None
+        self._batches = []   # the batches submitted and not yet seen to succeed
 
     def on_rows(self, draws: PosteriorDraws, n: int) -> None:
-        """`run_chain`'s hook: rows [0, n) of `draws` are final. Raises what
-        stopped the thread, if anything did."""
-        if self._error is not None:
-            raise self._error
+        """`run_chain`'s hook: rows [0, n) of `draws` are final. Raises the
+        first batch that failed, if any did."""
+        # one worker runs the batches in order
+        while self._batches and self._batches[0].done():
+            self._batches.pop(0).result()
         if self._draws is None:
             self._start(draws)
-        if n == draws.n_draws or (n - self._rows) * self._row_bytes >= _SPOOL_BATCH_BYTES:
-            with self._wake:
-                self._rows = n
-                self._wake.notify()
+        if self._streams and n > self._rows and (
+                n == draws.n_draws or (n - self._rows) * self._row_bytes >= _SPOOL_BATCH_BYTES):
+            self._batches.append(self._executor.submit(self._deflate, n))
+            self._rows = n
 
     def _start(self, draws: PosteriorDraws) -> None:
         self._draws = draws
-        rows = draws.n_draws
-        members = []
-        for row in [row for row in _DRAWS_SCHEMA if row.per_draw]:
-            head, data = _npy_parts(row.pack(vars(draws)))
-            if len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
-                members.append((row.name, head, data, data.nbytes // rows))
-        self._row_bytes = sum(row_bytes for *_, row_bytes in members)
-        for name, *_ in members:
-            self._files[name] = tempfile.TemporaryFile(dir=self._directory)
-            self._compressors[name] = _PieceDeflater()
-        if members:
-            self._thread = threading.Thread(target=self._deflate, args=(members, rows),
-                                            name="draws-deflate", daemon=True)
-            self._thread.start()
+        for row in _DRAWS_SCHEMA:
+            if row.per_draw:
+                head, data = _npy_parts(row.pack(vars(draws)))
+                if len(head) + data.nbytes >= _HUFFMAN_ONLY_MIN_BYTES:
+                    self._streams[row.name] = _SpooledStream(self._directory, head, data,
+                                                             draws.n_draws)
+                    self._row_bytes += data.nbytes // draws.n_draws
+        if self._streams:
+            self._executor = ThreadPoolExecutor(1, thread_name_prefix="draws-deflate")
 
-    def _deflate(self, members: list, rows: int) -> None:
-        try:
-            compressors = self._compressors
-            for name, head, _, _ in members:
-                self._files[name].write(compressors[name].compress(head))
-            done = 0
-            while done < rows:
-                with self._wake:
-                    while self._rows == done and not self._stop:
-                        self._wake.wait()
-                    if self._stop:
-                        return
-                    n = self._rows
-                for name, _, data, row_bytes in members:
-                    for start in range(done * row_bytes, n * row_bytes, _SAVE_CHUNK_BYTES):
-                        if self._stop:
-                            return
-                        end = min(start + _SAVE_CHUNK_BYTES, n * row_bytes)
-                        self._files[name].write(compressors[name].compress(data[start:end]))
-                done = n
-            for name, file in self._files.items():
-                file.write(compressors[name].flush())
-                file.flush()
-        except Exception as exc:
-            self._error = exc
+    def _deflate(self, n: int) -> None:
+        for stream in self._streams.values():
+            stream.feed(n)
 
     def streams(self, draws: PosteriorDraws) -> dict[str, _SpooledStream]:
         if draws is not self._draws:
             raise ValueError("the spool holds the deflated rows of other draws")
-        if self._thread is not None:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return {name: _SpooledStream(file, self._compressors[name].index())
-                for name, file in self._files.items()}
+        for batch in self._batches:
+            batch.result()
+        return self._streams
 
     def close(self) -> None:
-        if self._thread is not None:
-            with self._wake:
-                self._stop = True
-                self._wake.notify()
-            self._thread.join()
-        for file in self._files.values():
-            file.close()
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+        for stream in self._streams.values():
+            stream.close()
 
 
 class _SpooledStream:
-    """Stands in for a zip member's compressor: each `compress(data)` call
-    returns up to len(data) more bytes of the member's spooled deflate
-    stream, and `flush` the rest, so at most one write chunk is in memory.
-    `index()` is the piece index of the stream."""
+    """A per-draw member of a draws file, deflated into an unlinked
+    temporary file in `directory` as its rows become final, then replayed
+    in place of zipfile's compressor for the member.
 
-    def __init__(self, file, index: bytes):
-        file.seek(0)
-        self._file = file
-        self._index = index
+    `data` is the member's bytes past its .npy header `head`, `rows` rows
+    of them. `feed(n)` deflates them up to row n in the Huffman-only
+    pieces of `_PieceDeflater`; once every row is in, it flushes the
+    stream and rewinds the file. Each `compress(data)` call then returns up
+    to len(data) more bytes of the stream, and `flush` the rest, so at most
+    one write chunk is in memory. `index()` is the stream's piece index.
+    """
+
+    def __init__(self, directory, head: bytes, data: np.ndarray, rows: int):
+        self._file = tempfile.TemporaryFile(dir=directory)
+        self._deflater = _PieceDeflater()
+        self._head, self._data = head, data
+        self._row_bytes = data.nbytes // rows
+        self._fed = 0   # the bytes of data deflated
+
+    def feed(self, n: int) -> None:
+        if self._head:
+            self._file.write(self._deflater.compress(self._head))
+            self._head = b""
+        end = n * self._row_bytes
+        for start in range(self._fed, end, _SAVE_CHUNK_BYTES):
+            self._file.write(self._deflater.compress(
+                self._data[start:min(start + _SAVE_CHUNK_BYTES, end)]))
+        self._fed = end
+        if end == self._data.nbytes:
+            self._file.write(self._deflater.flush())
+            self._file.seek(0)
 
     def index(self) -> bytes:
-        return self._index
+        return self._deflater.index()
 
     def compress(self, data) -> bytes:
         return self._file.read(memoryview(data).nbytes)
 
     def flush(self) -> bytes:
         return self._file.read()
+
+    def close(self) -> None:
+        self._file.close()
 
 
 def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
@@ -420,7 +406,7 @@ def load_draws(path) -> tuple[PosteriorDraws, np.ndarray]:
             raise ValueError(f"{path}: not a hiddenpop draws file: a single .npy array")
         rows = {row.name: row for row in _DRAWS_SCHEMA}
         dims = {}   # the sizes of the schema's dimensions, from the headers read so far
-        with z, _PieceReader(path) as u_plus:
+        with z, closing(_PieceReader(path)) as u_plus:
             try:
                 u_plus.start(z.zip, rows.pop("u_plus"), dims)
                 arrays = {name: _read_member(z.zip, row, dims)[2] for name, row in rows.items()}
@@ -509,11 +495,11 @@ class _PieceReader:
     `_PieceDeflater`) is cut into the pieces it lists; any other member,
     deflated or stored, is one piece. `start(zf, row, dims)` reads and
     checks the .npy header of `row`'s member here, with `_read_member`,
-    allocates the buffer and starts the second thread, which takes pieces
-    from a shared counter. `finish()` takes pieces from the same counter,
-    joins the thread, raises what stopped it, checks the member's CRC-32
-    against the zip directory and returns the array. `close` stops and
-    joins the thread and closes its file.
+    allocates the buffer and submits a job to a one-worker executor that
+    takes pieces from a shared counter. `finish()` takes pieces from the
+    same counter, waits for the job, raises what stopped it, checks the
+    member's CRC-32 against the zip directory and returns the array.
+    `close` stops the job, shuts the executor down and closes its file.
 
     Each thread opens `path` for itself and reads the compressed bytes of
     its pieces through that handle, so neither moves the file position of
@@ -530,14 +516,7 @@ class _PieceReader:
         self._fh = None   # the second thread's handle on the file
         self._next = itertools.count()   # the next piece to take
         self._stop = False
-        self._error: Exception | None = None
-        self._thread = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._executor = None
 
     def start(self, zf: zipfile.ZipFile, row: _Member, dims: dict) -> None:
         info, buf, self._array = _read_member(zf, row, dims, data=False)
@@ -550,9 +529,8 @@ class _PieceReader:
             raise zipfile.BadZipFile(f"{info.filename} has no local header")
         name_len, extra_len = struct.unpack("<26xHH", local)
         self._at = info.header_offset + 30 + name_len + extra_len
-        self._thread = threading.Thread(target=self._run, args=(self._fh,), name="draws-inflate",
-                                        daemon=True)
-        self._thread.start()
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="draws-inflate")
+        self._second = self._executor.submit(self._work, self._fh)
 
     @staticmethod
     def _pieces(info: zipfile.ZipInfo) -> tuple[int, list[int]]:
@@ -570,13 +548,6 @@ class _PieceReader:
                 or any(lo >= hi for lo, hi in zip(bounds, bounds[1:]))):
             raise ValueError(f"{info.filename} has a bad piece index")
         return piece, bounds
-
-    def _run(self, fh) -> None:
-        try:
-            self._work(fh)
-        except Exception as exc:
-            self._error = exc
-            self._stop = True
 
     def _work(self, fh) -> None:
         for k in self._next:
@@ -619,17 +590,15 @@ class _PieceReader:
     def finish(self) -> np.ndarray:
         with open(self._path, "rb", buffering=0) as fh:
             self._work(fh)
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
+        self._second.result()
         if zlib.crc32(self._buf) != self._info.CRC:
             raise zipfile.BadZipFile(f"Bad CRC-32 for file {self._info.filename!r}")
         return self._array
 
     def close(self) -> None:
-        if self._thread is not None:
+        if self._executor is not None:
             self._stop = True
-            self._thread.join()
+            self._executor.shutdown()
         if self._fh is not None:
             self._fh.close()
 
@@ -748,7 +717,7 @@ def cmd_fit(args, output) -> tuple[dict, dict]:
              else load_adjacency(args.adjacency, data.regions))
     path = output("draws.npz")
     # the large members are deflated beside the sweeps, as rows become final
-    with _DeflateSpool(path.parent) as spool:
+    with closing(_DeflateSpool(path.parent)) as spool:
         draws = run_chain(data, graph, chain, on_rows=spool.on_rows)
         save_draws(draws, data.y, path, spool=spool)
     write_summary_csv(chain_summary(draws), output("summary.csv"))
@@ -775,9 +744,8 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
     cells = None
     if truth is not None:
         if truth["p"].shape != y_log.shape:
-            raise ValueError(
-                f"truth grid {truth['p'].shape} does not match draws {y_log.shape}"
-            )
+            raise ValueError(f"{args.truth}: truth grid {truth['p'].shape} does not match the "
+                             f"{y_log.shape} grid of {args.draws}")
         if not np.any(truth["p"]):
             raise ValueError(f"{args.truth}: no cell has a nonzero P, so no percentage "
                              f"error is defined")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PanelDataset, _read_panel, _write_columns
+from .data import PanelDataset, _check_values, _read_panel, _write_columns
 from .spatial import SpatialGraph, build_queen_grid
 
 _TRUTH_HEADER = ["region", "time", "u_plus", "eta_plus", "v", "alpha", "P"]
@@ -143,14 +143,18 @@ def write_truth_csv(truth: SimulatedTruth, path) -> None:
 def read_truth_csv(path):
     """Truth sidecar -> dict of arrays keyed like the writer's columns.
 
-    The per-region columns (eta_plus, v, alpha) must repeat one value in
-    every period of a region; a region where they differ is an error.
+    Every value must be finite and every P nonnegative. The per-region
+    columns (eta_plus, v, alpha) must repeat one value in every period of a
+    region; a region where they differ is an error.
     """
-    regions, times, (u_plus, eta, v, alpha, p) = _read_panel(path, _TRUTH_HEADER)
+    regions, times, values = _read_panel(path, _TRUTH_HEADER)
+    finite = [(np.isfinite, "a finite number")]
+    _check_values(path, values, [finite] * 4 + [finite + [(lambda p: p >= 0, "nonnegative")]])
+    u_plus, eta, v, alpha, p = values
     per_region = {}
     for name, col in (("eta_plus", eta), ("v", v), ("alpha", alpha)):
         first = col[:, :1]
-        differs = (col != first) & ~(np.isnan(col) & np.isnan(first))
+        differs = col != first
         if differs.any():
             i, j = np.argwhere(differs)[0]
             raise ValueError(

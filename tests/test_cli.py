@@ -400,6 +400,19 @@ class TestAnalyzeCommand:
                 f"defined\n")
             assert list(an.iterdir()) == []
 
+    def test_truth_of_another_grid_names_both_files(self, tmp_path, capsys):
+        sim, fit = self._pipeline(tmp_path)
+        other = tmp_path / "other"
+        assert _run("simulate", "--grid", "2x2", "--periods", "3", "--seed", "6",
+                    "--out", str(other)) == 0
+        an = tmp_path / "an"
+        draws, truth = fit / "draws.npz", other / "truth.csv"
+        assert _run("analyze", "--draws", str(draws), "--truth", str(truth),
+                    "--out", str(an)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {truth}: truth grid (4, 3) does not match the (16, 3) grid of {draws}\n")
+        assert list(an.iterdir()) == []
+
     def test_levels_without_truth_is_usage_error(self, tmp_path, capsys):
         sim, fit = self._pipeline(tmp_path)
         an = tmp_path / "an"
@@ -882,6 +895,32 @@ class TestDrawsDeflatedWhileTheChainRuns:
         assert list(out.iterdir()) == []
         assert threading.active_count() == baseline
 
+    def test_failing_spool_batch_stops_the_chain_early(self, monkeypatch, tmp_path, panel,
+                                                       events, capsys):
+        def failing_compress(deflater, data):
+            raise OSError("planted deflate failure")
+
+        sweep = sampler._sweep
+        calls = [0]
+
+        def counted_sweep(*args):
+            calls[0] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(cli._PieceDeflater, "compress", failing_compress)
+        monkeypatch.setattr(sampler, "_sweep", counted_sweep)
+        # every stored row is a batch, and the first one fails
+        monkeypatch.setattr(cli, "_SPOOL_BATCH_BYTES", 1)
+        baseline = threading.active_count()
+        out = tmp_path / "fit"
+        # 1000 stored rows; the hook raises the failure at a call soon after it
+        assert self._fit(panel, out, "--iters", "1010") == 1
+        assert capsys.readouterr().err == "error: planted deflate failure\n"
+        assert events == ["spool"]
+        assert 10 < calls[0] < 500
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == baseline
+
     def test_no_thread_is_alive_when_a_worker_forks(self, monkeypatch, tmp_path, panel, events):
         # Python 3.12 and later warn on a fork from a process with threads,
         # and the suite turns warnings into errors
@@ -929,7 +968,7 @@ class TestDrawsInflatedBesideTheAnalysis:
 
         def recorded_start(piece_reader, *args):
             start(piece_reader, *args)
-            threads.append(piece_reader._thread)
+            threads.append(piece_reader._executor)
 
         def late_pread(fh, n, at):
             time.sleep(0.01)

@@ -164,7 +164,7 @@ def test_benchmark_traces_no_span_for_the_draws_deflate(tmp_path, monkeypatch):
     threads = []
     start = cli._DeflateSpool._start
     monkeypatch.setattr(cli._DeflateSpool, "_start", lambda spool, draws: (
-        start(spool, draws), threads.append(spool._thread)))
+        start(spool, draws), threads.append(spool._executor)))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -202,7 +202,7 @@ def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
     threads = []
     start = cli._PieceReader.start
     monkeypatch.setattr(cli._PieceReader, "start", lambda reader, *args: (
-        start(reader, *args), threads.append(reader._thread)))
+        start(reader, *args), threads.append(reader._executor)))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

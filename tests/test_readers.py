@@ -129,7 +129,9 @@ def panel_files(draw, fmt):
     else:
         header = _TRUTH_HEADER
         per_region = [draw(st.lists(finite, min_size=3, max_size=3)) for _ in range(n)]
-        values = [[draw(finite), *per_region[c // t], draw(finite)] for c in range(n * t)]
+        # P is a count of people: nonnegative
+        values = [[draw(finite), *per_region[c // t], draw(st.floats(0, 1e6))]
+                  for c in range(n * t)]
     order = draw(st.permutations(range(n * t)))
     blanks = draw(st.lists(st.booleans(), min_size=n * t, max_size=n * t))
     lines = [",".join(header)]
@@ -358,3 +360,30 @@ def test_a_rejected_value_names_file_and_line(tmp_path, lines, message):
     fmt = "panel" if lines[0] == PANEL_HEADER else "counts"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _read(tmp_path, fmt, *lines)
+
+
+TRUTH_HEADER = FORMATS["truth"][1]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([TRUTH_HEADER, "0,0,0.1,0.2,0.3,0.4,1.5", "0,1,0.1,0.2,0.3,0.4,nan"],
+     "truth.csv:3: P 'nan' is not a finite number"),
+    ([TRUTH_HEADER, "0,0,0.1,0.2,0.3,0.4,1.5", "0,1,0.1,0.2,0.3,0.4,inf"],
+     "truth.csv:3: P 'inf' is not a finite number"),
+    ([TRUTH_HEADER, "0,0,0.1,0.2,0.3,0.4,1.5", "0,1,0.1,0.2,0.3,0.4,-5"],
+     "truth.csv:3: P '-5' is not nonnegative"),
+    ([TRUTH_HEADER, "0,0,0.1,0.2,0.3,0.4,1.5", "0,1,-inf,0.2,0.3,0.4,1.5"],
+     "truth.csv:3: u_plus '-inf' is not a finite number"),
+    # a per-region column that is nan in every period of its region
+    ([TRUTH_HEADER, "0,0,0.1,nan,0.3,0.4,1.5", "0,1,0.1,nan,0.3,0.4,1.5"],
+     "truth.csv:2: eta_plus 'nan' is not a finite number"),
+], ids=["nan-p", "infinite-p", "negative-p", "infinite-u-plus", "nan-region-column"])
+def test_a_rejected_truth_value_names_file_and_line(tmp_path, lines, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _read(tmp_path, "truth", *lines)
+
+
+def test_a_zero_truth_p_is_read(tmp_path):
+    truth = _read(tmp_path, "truth", TRUTH_HEADER, "0,0,0.1,0.2,0.3,0.4,0",
+                  "0,1,0.1,0.2,0.3,0.4,1.5")
+    assert truth["p"].tolist() == [[0.0, 1.5]]

@@ -132,9 +132,9 @@ def test_truth_csv_round_trip(tmp_path):
 
 def test_truth_csv_rejects_per_region_values_that_differ(tmp_path):
     path = tmp_path / "truth.csv"
-    # a value repeated in every period passes, nan included
+    # a value repeated in every period passes
     path.write_text("region,time,u_plus,eta_plus,v,alpha,P\n"
-                    "0,0,0.1,0.5,nan,0.3,1.5\n0,1,0.1,0.5,nan,0.3,1.5\n"
+                    "0,0,0.1,0.5,0.6,0.3,1.5\n0,1,0.1,0.5,0.6,0.3,1.5\n"
                     "4,0,0.1,0.5,0.2,0.3,1.5\n4,1,0.1,0.9,0.2,0.3,1.5\n")
     with pytest.raises(ValueError, match=r"^truth\.csv: eta_plus differs across the periods "
                                          r"of region=4: 0\.5 at time=0, 0\.9 at time=1$"):
@@ -144,5 +144,5 @@ def test_truth_csv_rejects_per_region_values_that_differ(tmp_path):
         read_truth_csv(path)
     path.write_text(path.read_text().replace("0.5,0.2,0.7", "0.5,0.2,0.3"))
     back = read_truth_csv(path)
-    assert np.isnan(back["v"][0]) and back["v"][1] == 0.2
+    assert back["v"].tolist() == [0.6, 0.2]
     assert back["eta_plus"].tolist() == [0.5, 0.5]
