@@ -8,9 +8,11 @@ percentage / signal-ratio summaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .data import _write_columns, _write_rows
 from .sampler import PosteriorDraws
@@ -20,6 +22,8 @@ MIN_HDI_DRAWS = 100
 DEFAULT_COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 # rho_hat squares its centred draws this many values at a time
 _BLOCK_ELEMENTS = 1 << 15
+# halvings of (0, 1 - mass) in the search for the coverage posterior's HDI
+_BISECTION_STEPS = 45
 
 
 def hdi(draws, level: float) -> tuple[float, float]:
@@ -111,13 +115,12 @@ class CoverageReport:
 
 
 def coverage_report(lower: np.ndarray, upper: np.ndarray, true_p: np.ndarray,
-                    level: float, rng: np.random.Generator,
-                    n_beta_draws: int = 20000) -> CoverageReport:
+                    level: float) -> CoverageReport:
     """Beta-Binomial summary of how often the intervals caught the truth.
 
     Indicator per cell, flat Beta(1, 1) prior, so the posterior is
-    Beta(1 + hits, 1 + misses); the point estimate is the mean of the
-    Monte Carlo Beta draws and the attached interval is their 95% HDI.
+    Beta(a, b) = Beta(1 + hits, 1 + misses); the point estimate is its mean
+    a / (a + b) and the attached interval is its exact 95% HDI.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -127,13 +130,44 @@ def coverage_report(lower: np.ndarray, upper: np.ndarray, true_p: np.ndarray,
     hits = int(np.sum((true_p >= lower) & (true_p <= upper)))
     total = true_p.size
     a, b = 1 + hits, 1 + total - hits
-    beta_draws = rng.beta(a, b, n_beta_draws)
     return CoverageReport(
         nominal_level=level,
-        posterior_mean_coverage=float(beta_draws.mean()),
-        coverage_hdi=hdi(beta_draws, 0.95),
+        posterior_mean_coverage=a / (a + b),
+        coverage_hdi=_beta_hdi(a, b, 0.95),
         a=a, b=b,
     )
+
+
+def _beta_hdi(a: int, b: int, mass: float) -> tuple[float, float]:
+    """Shortest interval holding `mass` of Beta(a, b), for a, b >= 1.
+
+    With a == 1 the density never rises, so the interval starts at 0; with
+    b == 1 (and a > 1) it never falls, so it ends at 1. Otherwise the
+    density is unimodal and vanishes at 0 and 1, and the interval is
+    [I^-1(p), I^-1(p + mass)] for the lower-tail mass p in (0, 1 - mass)
+    at which the two ends have one density. A p whose lower end has the
+    lower density is too small, so p is found by bisection; its
+    _BISECTION_STEPS halvings leave p within 1e-15 of the root.
+    """
+    if a == 1:
+        return 0.0, float(betaincinv(a, b, mass))
+    if b == 1:
+        return float(betaincinv(a, b, 1.0 - mass)), 1.0
+
+    def log_kernel(x: float) -> float:
+        if not 0.0 < x < 1.0:
+            return -math.inf
+        return (a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
+
+    below, above = 0.0, 1.0 - mass
+    for _ in range(_BISECTION_STEPS):
+        p = 0.5 * (below + above)
+        if log_kernel(betaincinv(a, b, p)) < log_kernel(betaincinv(a, b, p + mass)):
+            below = p
+        else:
+            above = p
+    p = 0.5 * (below + above)
+    return float(betaincinv(a, b, p)), float(betaincinv(a, b, p + mass))
 
 
 @dataclass(frozen=True)

@@ -738,6 +738,8 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
     levels = args.levels
     if args.truth is None and levels is not None:
         raise ValueError("coverage levels were requested but no --truth file given")
+    if args.truth is None and args.per_draw_mape:
+        raise ValueError("a per-draw MAPE was requested but no --truth file given")
     group = "region" if args.by_region else ("period" if args.by_period else None)
     truth = read_truth_csv(args.truth) if args.truth is not None else None
     draws, y_log = load_draws(args.draws)
@@ -769,8 +771,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
                  ["spatial_share", shares.spatial_share]])
 
     if truth is not None:
-        rng = np.random.default_rng(args.seed)
-        reports = [coverage_report(lo, hi, truth["p"], level, rng=rng)
+        reports = [coverage_report(lo, hi, truth["p"], level)
                    for level, (lo, hi) in zip(levels, bounds)]
         write_coverage_csv(reports, output("coverage.csv"))
         write_mape_csv([mape_summary(point, truth["p"])] + per_draw, output("mape.csv"))
@@ -781,7 +782,7 @@ def cmd_analyze(args, output) -> tuple[dict, dict]:
                      ["v", rho_hat(draws.v, truth["v"])]])
 
     return ({"levels": levels, "group_by": group,
-             "per_draw_mape": bool(args.per_draw_mape), "seed": args.seed},
+             "per_draw_mape": bool(args.per_draw_mape)},
             {"draws": str(args.draws), "truth": str(args.truth) if args.truth else None})
 
 
@@ -838,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_an.add_mutually_exclusive_group()
     group.add_argument("--by-region", action="store_true")
     group.add_argument("--by-period", action="store_true")
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=int, default=None,
+                      help="accepted and ignored: analyze draws no random numbers")
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=cmd_analyze)
 

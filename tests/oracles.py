@@ -10,9 +10,12 @@ builds one from a checked adjacency file. The oracles at the end are the
 graph builder, the slope moments, the CAR sweep and the Metropolis-Hastings
 move as they ran before they were vectorised or moved onto Python floats;
 the tests hold the package to them bit for bit where the arithmetic is the
-same, and within 1e-12 where only the order of the sums differs. The last
-is the panel CSV writer as it formatted one row per `%`, which the block
-writer must match byte for byte.
+same, and within 1e-12 where only the order of the sums differs. Then
+comes the panel CSV writer as it formatted one row per `%`, which the block
+writer must match byte for byte. The last is the Monte Carlo summary of
+the coverage posterior that `analysis.coverage_report` made before it
+summarised the posterior exactly; the exact values must lie within its
+Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hiddenpop import sampler
+from hiddenpop.analysis import hdi
 from hiddenpop.data import FLOAT_FMT
 from hiddenpop.kernels import CHI2_DF1_MEDIAN, NumericalError, _inverse_factors, _logdet
 from hiddenpop.spatial import SpatialGraph
@@ -254,3 +258,12 @@ def write_columns_by_row(path, header: list[str], regions, times, columns) -> No
                 *(c.ravel().tolist() for c in columns))
     Path(path).write_text(",".join(header) + "\r\n" + "".join([row % r for r in cells]),
                           newline="")
+
+
+def coverage_posterior_by_draws(a: int, b: int, rng, n_draws: int = 20000):
+    """The mean and 95% HDI of the coverage posterior Beta(a, b) as
+    `analysis.coverage_report` estimated them from n_draws Beta variates:
+    their mean and their sample HDI, the shortest window of sorted draws
+    (the Chen & Shao 1999 estimator). Returns (mean, (lower, upper))."""
+    draws = rng.beta(a, b, n_draws)
+    return float(draws.mean()), hdi(draws, 0.95)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc, betaincinv
 
 from hiddenpop import analysis
 from hiddenpop.analysis import (
@@ -19,6 +20,7 @@ from hiddenpop.analysis import (
 )
 from hiddenpop.data import FLOAT_FMT
 from hiddenpop.sampler import PosteriorDraws
+from oracles import coverage_posterior_by_draws
 
 
 def _draws(s, n, t, *, eta=None, u=None, v=None, seed=0,
@@ -158,40 +160,102 @@ class TestPredictiveIntervals:
                 _hdi_columns(np.sort(d.v, axis=0), level)
 
 
+def _report(hits: int, misses: int):
+    """coverage_report of intervals that caught the truth in `hits` cells
+    and missed it in `misses`."""
+    truth = np.concatenate([np.full(hits, 0.5), np.full(misses, 2.0)])
+    return coverage_report(np.zeros_like(truth), np.ones_like(truth), truth, 0.9)
+
+
+def _log_kernel(a, b, x):
+    return (a - 1) * np.log(x) + (b - 1) * np.log1p(-x)
+
+
+# (a, b) of the coverage posterior: interior modes from the paper's 245
+# cells to 9000, skewed to either end, and the two one-sided shapes; the
+# flat Beta(1, 1) has no one shortest interval, and is scored as [0, 0.95]
+INTERIOR = [(230, 17), (17, 230), (150, 151), (2, 2), (2, 300), (300, 2),
+            (2, 9001), (9001, 2), (4000, 5002)]
+ONE_SIDED = [(1, 247), (247, 1), (1, 2), (2, 1)]
+
+
 class TestCoverageReport:
     def test_all_hits_beta_mean(self):
         n, t = 49, 5
         lo = np.zeros((n, t))
         hi = np.full((n, t), 10.0)
         truth = np.full((n, t), 5.0)
-        rep = coverage_report(lo, hi, truth, 0.9, rng=np.random.default_rng(0))
+        rep = coverage_report(lo, hi, truth, 0.9)
         assert rep.a == 246 and rep.b == 1
-        assert rep.posterior_mean_coverage == pytest.approx(246 / 247, abs=0.002)
+        assert rep.posterior_mean_coverage == 246 / 247
 
     def test_half_hits(self):
         n = 200
         lo = np.zeros(n)
         hi = np.concatenate([np.full(100, 10.0), np.full(100, 0.1)])
         truth = np.full(n, 5.0)
-        rep = coverage_report(lo, hi, truth, 0.9, rng=np.random.default_rng(0))
-        assert rep.posterior_mean_coverage == pytest.approx(0.5, abs=0.05)
+        rep = coverage_report(lo, hi, truth, 0.9)
+        assert rep.posterior_mean_coverage == 0.5
+        # a symmetric posterior has a symmetric HDI
+        assert rep.coverage_hdi[0] == pytest.approx(1.0 - rep.coverage_hdi[1], abs=1e-12)
 
-    def test_beta_mean_identity_within_mc_error(self):
+    def test_beta_mean_identity_is_exact(self):
         rng = np.random.default_rng(9)
         lo = np.zeros(300)
         hi = rng.uniform(0.5, 1.5, 300)
         truth = np.ones(300)
-        rep = coverage_report(lo, hi, truth, 0.9, n_beta_draws=50_000,
-                              rng=np.random.default_rng(10))
-        exact = rep.a / (rep.a + rep.b)
-        sd = np.sqrt(exact * (1 - exact) / (rep.a + rep.b + 1))
-        mcse = sd / np.sqrt(50_000)
-        assert abs(rep.posterior_mean_coverage - exact) < 3 * mcse
+        rep = coverage_report(lo, hi, truth, 0.9)
+        assert rep.posterior_mean_coverage == rep.a / (rep.a + rep.b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            coverage_report(np.zeros(3), np.ones(3), np.ones(4), 0.9,
-                            rng=np.random.default_rng(0))
+            coverage_report(np.zeros(3), np.ones(3), np.ones(4), 0.9)
+
+    @pytest.mark.parametrize("a, b", [(230, 17), (150, 151), (2, 300), (1, 247), (247, 1)])
+    def test_agrees_with_the_monte_carlo_oracle(self, a, b):
+        # five runs of the old estimator at 10^6 draws each; the standard error
+        # of its mean is the posterior sd over sqrt(10^6), and that of its HDI
+        # ends (which converge more slowly than quantiles) the sd of the runs
+        n_draws = 1_000_000
+        runs = [coverage_posterior_by_draws(a, b, np.random.default_rng(seed), n_draws)
+                for seed in range(5)]
+        mc_mean, (mc_lo, mc_hi) = runs[0]
+        rep = _report(a - 1, b - 1)
+        sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        assert abs(rep.posterior_mean_coverage - mc_mean) < 4 * sd / np.sqrt(n_draws)
+        ends = np.array([run[1] for run in runs])
+        mcse = ends.std(axis=0, ddof=1)
+        assert np.all(np.abs(np.subtract(rep.coverage_hdi, (mc_lo, mc_hi))) < 4 * mcse)
+
+    @pytest.mark.parametrize("a, b", INTERIOR + ONE_SIDED + [(1, 1)])
+    def test_interval_holds_95_percent(self, a, b):
+        lo, hi = _report(a - 1, b - 1).coverage_hdi
+        assert 0.0 <= lo < hi <= 1.0
+        assert abs(betainc(a, b, hi) - betainc(a, b, lo) - 0.95) < 1e-10
+
+    @pytest.mark.parametrize("a, b", INTERIOR)
+    def test_interior_mode_has_one_density_at_both_ends(self, a, b):
+        lo, hi = _report(a - 1, b - 1).coverage_hdi
+        assert abs(_log_kernel(a, b, lo) - _log_kernel(a, b, hi)) < 1e-8
+
+    @pytest.mark.parametrize("total", [1, 2, 245, 9000])
+    def test_no_hits_and_all_hits_are_one_sided(self, total):
+        none = _report(0, total)
+        assert (none.a, none.b) == (1, total + 1)
+        assert none.coverage_hdi == (0.0, betaincinv(1, total + 1, 0.95))
+        every = _report(total, 0)
+        assert (every.a, every.b) == (total + 1, 1)
+        assert every.coverage_hdi == (betaincinv(total + 1, 1, 1 - 0.95), 1.0)
+
+    @pytest.mark.parametrize("a, b", INTERIOR + ONE_SIDED)
+    def test_no_shorter_window_nearby(self, a, b):
+        # the windows whose lower tail holds 1e-3 more or less mass are wider
+        lo, hi = _report(a - 1, b - 1).coverage_hdi
+        p = betainc(a, b, lo)
+        shifted = [p + step for step in (-1e-3, 1e-3) if 0.0 <= p + step <= 0.05]
+        assert shifted
+        for q in shifted:
+            assert betaincinv(a, b, q + 0.95) - betaincinv(a, b, q) > hi - lo
 
 
 class TestMape:

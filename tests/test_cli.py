@@ -420,6 +420,29 @@ class TestAnalyzeCommand:
                     "--levels", "0.9", "--out", str(an)) == 1
         assert "truth" in capsys.readouterr().err
 
+    def test_per_draw_mape_without_truth_is_an_error(self, tmp_path, capsys):
+        sim, fit = self._pipeline(tmp_path)
+        an = tmp_path / "an"
+        assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                    "--per-draw-mape", "--out", str(an)) == 1
+        assert capsys.readouterr().err == (
+            "error: a per-draw MAPE was requested but no --truth file given\n")
+        assert list(an.iterdir()) == []
+
+    def test_seed_changes_no_output(self, tmp_path):
+        # the coverage posterior is summarised exactly, so --seed is inert
+        sim, fit = self._pipeline(tmp_path)
+        runs = [tmp_path / f"an{seed}" for seed in (1, 2)]
+        for seed, an in zip((1, 2), runs):
+            assert _run("analyze", "--draws", str(fit / "draws.npz"),
+                        "--truth", str(sim / "truth.csv"), "--per-draw-mape",
+                        "--seed", str(seed), "--out", str(an)) == 0
+            assert "seed" not in json.loads((an / "manifest.json").read_text())["config"]
+        first, second = ({name: (an / name).read_bytes() for name in
+                          ("coverage.csv", "mape.csv", "rho.csv", "uncaptured.csv",
+                           "uncaptured_summary.csv")} for an in runs)
+        assert first == second
+
     def test_missing_draws_file_fails(self, tmp_path, capsys):
         an = tmp_path / "an"
         assert _run("analyze", "--draws", str(tmp_path / "nope.npz"),

@@ -13,7 +13,10 @@ the hidden-population draws once per level, so the one-pass interval
 search and the column writer of `uncaptured.csv` must give the same bytes.
 They were re-recorded once, when `fit --seed s` took the library's stream:
 they are now the outputs of `run_chain` at seed 6, saved and analyzed, as
-the sweep stood before that change.
+the sweep stood before that change. `coverage.csv` alone was re-recorded
+once more, when `coverage_report` replaced its Monte Carlo mean and HDI of
+20 000 Beta draws with the exact ones; its `a` and `b` columns kept their
+values.
 
 The rest were recorded later, from the same fit with `--export-csv` and
 from `analyze --by-region` and `--by-period`: `summary.csv`,
@@ -39,7 +42,7 @@ GOLDEN = {
     "panel.csv": "bfdfc8ba8f49b003debcbacfbc9f2b0bdded0b537989ea6e9fb451c05fe3ed3b",
     "truth.csv": "752430cc6a0e03e70f7fcbbaf9646ca0da45aa41817f8e96c64cf3617bec40fc",
     "sir.csv": "ca369fc819e8876fa8c05e1f085482c1ef7d721ec6a0f54d188008438f1807f3",
-    "coverage.csv": "6dd9d1a4250b41457185a65746d6ab8080e711ec1eca58298dd80730de5bb47d",
+    "coverage.csv": "261ba4a65d295c87814a3b777cd66e5c97c03fef9dd8dadd0561f7b9b097c915",
     "mape.csv": "7cdced05aa1e83b23b9e0fea47c98658a839f7dc9d3f1cf008bab614de7adb93",
     "rho.csv": "a05dcde7a6ff4549bdb5adb91c6aed5993a5c8bbf228cb78a7798742234009b2",
     "uncaptured.csv": "a191f1f8d671fed24e8353fc4d8533078c0167b4c2cda61e8fe423fc9015cce1",
