@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, betaln
 
 from .data import _write_columns, _write_rows
 from .sampler import PosteriorDraws
@@ -22,18 +22,28 @@ MIN_HDI_DRAWS = 100
 DEFAULT_COVERAGE_LEVELS = (0.90, 0.95, 0.99)
 # rho_hat squares its centred draws this many values at a time
 _BLOCK_ELEMENTS = 1 << 15
-# halvings of (0, 1 - mass) in the search for the coverage posterior's HDI
-_BISECTION_STEPS = 45
+# the search for the coverage posterior's HDI stops within this of its
+# lower-tail mass, or where the two log densities differ by less than their
+# rounding, taken as eight ulps of their size
+_ROOT_TOLERANCE = 1e-15
+_KERNEL_ROUNDING = 8 * 2.0**-52
+# and it takes the exp of no argument above this, far from math.exp's overflow
+_MAX_EXP = 700.0
 
 
 def hdi(draws, level: float) -> tuple[float, float]:
     """Shortest contiguous interval holding at least `level` of the draws.
 
     Sorted-window search: with S draws the window spans ceil(level*S) + 1
-    order statistics, ties broken toward the smallest lower endpoint.
+    order statistics, ties broken toward the smallest lower endpoint. A
+    NaN draw is an error: sorting puts it last, where it would end the
+    interval.
     """
     x = np.asarray(draws, dtype=float).ravel()
     _check_draw_count(x.size)
+    n_nan = int(np.count_nonzero(np.isnan(x)))
+    if n_nan:
+        raise ValueError(f"{n_nan} of {x.size} draws are NaN; an HDI needs every draw")
     lo, hi = _hdi_columns(np.sort(x)[:, None], level)
     return float(lo[0]), float(hi[0])
 
@@ -145,29 +155,69 @@ def _beta_hdi(a: int, b: int, mass: float) -> tuple[float, float]:
     b == 1 (and a > 1) it never falls, so it ends at 1. Otherwise the
     density is unimodal and vanishes at 0 and 1, and the interval is
     [I^-1(p), I^-1(p + mass)] for the lower-tail mass p in (0, 1 - mass)
-    at which the two ends have one density. A p whose lower end has the
-    lower density is too small, so p is found by bisection; its
-    _BISECTION_STEPS halvings leave p within 1e-15 of the root.
+    at which the two ends have one density. With a > b the interval is
+    found for Beta(b, a) and mirrored, so that the thin tail is always the
+    lower one, near 0, where floats are dense.
+
+    p is found by Newton's method on log p, along which the lower end's
+    log density is nearly straight; dx/dp at each end is one over the
+    Beta density there. The search keeps a bracket on p (a p whose lower
+    end has the lower density is too small) and halves it whenever a step
+    would leave it, would not halve the step before, or meets a -inf log
+    density or an underflowing density. It stops once a Newton step or the
+    bracket is shorter than `_ROOT_TOLERANCE` in p, or once the two log
+    densities agree to within their rounding, and returns the ends of the
+    last p it evaluated: 2 to 16 `betaincinv` calls below 10^5 cells.
+    From about 10^6 cells on, `betaincinv`'s own rounding can stall
+    Newton's method, and the halvings then take up to about the 92 calls
+    of a plain bisection.
     """
     if a == 1:
         return 0.0, float(betaincinv(a, b, mass))
     if b == 1:
         return float(betaincinv(a, b, 1.0 - mass)), 1.0
+    if a > b:
+        lo, hi = _beta_hdi(b, a, mass)
+        return 1.0 - hi, 1.0 - lo
+    log_beta = float(betaln(a, b))
 
-    def log_kernel(x: float) -> float:
+    def end(q: float) -> tuple[float, float, float]:
+        """I^-1(q), the log kernel there, and the kernel's derivative in q."""
+        x = float(betaincinv(a, b, q))
         if not 0.0 < x < 1.0:
-            return -math.inf
-        return (a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
+            return x, -math.inf, math.nan
+        log_kernel = (a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
+        log_dx_dq = log_beta - log_kernel
+        if log_dx_dq > _MAX_EXP:
+            return x, log_kernel, math.nan
+        return x, log_kernel, ((a - 1) / x - (b - 1) / (1.0 - x)) * math.exp(log_dx_dq)
 
     below, above = 0.0, 1.0 - mass
-    for _ in range(_BISECTION_STEPS):
-        p = 0.5 * (below + above)
-        if log_kernel(betaincinv(a, b, p)) < log_kernel(betaincinv(a, b, p + mass)):
+    p, step = 0.5 * above, above
+    while True:
+        lo, lo_kernel, lo_slope = end(p)
+        hi, hi_kernel, hi_slope = end(p + mass)
+        gap = lo_kernel - hi_kernel
+        if gap < 0:
             below = p
         else:
             above = p
-    p = 0.5 * (below + above)
-    return float(betaincinv(a, b, p)), float(betaincinv(a, b, p + mass))
+        # the log kernels are at most 0; an infinite one leaves the gap undecided
+        if (abs(gap) < -_KERNEL_ROUNDING * (lo_kernel + hi_kernel)
+                or above - below < _ROOT_TOLERANCE):
+            return lo, hi
+        # the Newton step on log p; nan where it is not defined
+        d_gap = p * (lo_slope - hi_slope)
+        move = gap / d_gap if d_gap > 0 else math.nan
+        newton = p * math.exp(-move) if abs(move) < _MAX_EXP else math.nan
+        if below < newton < above and abs(newton - p) <= 0.5 * step:
+            step = abs(newton - p)
+            if step < _ROOT_TOLERANCE:
+                return lo, hi
+            p = newton
+        else:
+            step = 0.5 * (above - below)
+            p = below + step
 
 
 @dataclass(frozen=True)

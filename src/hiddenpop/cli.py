@@ -446,7 +446,12 @@ def _read_member(zf: zipfile.ZipFile, row: _Member, dims: dict,
     Before the buffer is allocated, the header must describe exactly the
     member's bytes, so that a damaged one cannot ask for more memory than
     the file holds, and the schema's dtype and shape, whose dimensions take
-    their sizes from `dims` or, the first time, enter them there.
+    their sizes from `dims` or, the first time, enter them there. Once
+    `dims` sizes every dimension of the row, as it does after the `u_plus`
+    and `beta` headers, a header whose bytes are the ones save_draws writes
+    for the row (see `_npy_header`) is taken as read; any other header,
+    such as one of another byte order, Fortran order, padding or version,
+    goes through numpy's parser.
     """
     try:
         info = zf.getinfo(row.name + ".npy")
@@ -454,12 +459,19 @@ def _read_member(zf: zipfile.ZipFile, row: _Member, dims: dict,
         raise ValueError(f"{row.name} is not a file in the archive") from None
     if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
         raise ValueError(f"{info.filename} is neither stored nor deflated")
+    # a dimension without a size yet takes the header's
+    expected = tuple(dims.get(dim, dim) for dim in row.shape)
+    written = b"" if any(want in _DIMS for want in expected) else _npy_header(row.dtype, expected)
     with zf.open(info) as member:
-        # save_draws and numpy.savez write version 1.0 for every draws member
-        version = np.lib.format.read_magic(member)
-        if version != (1, 0):
-            raise ValueError(f"{row.name} has .npy format version {version}")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        if written and member.read(len(written)) == written:
+            shape, fortran_order, dtype = expected, False, np.dtype(row.dtype)
+        else:
+            member.seek(0)
+            # save_draws and numpy.savez write version 1.0 for every draws member
+            version = np.lib.format.read_magic(member)
+            if version != (1, 0):
+                raise ValueError(f"{row.name} has .npy format version {version}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
         head = member.tell()
         size = head + math.prod(shape) * dtype.itemsize
         if info.file_size != size:
@@ -467,8 +479,6 @@ def _read_member(zf: zipfile.ZipFile, row: _Member, dims: dict,
             raise ValueError(f"{row.name} holds {more} than its header says")
         if not np.can_cast(dtype, row.dtype, "equiv"):
             raise ValueError(f"{row.name} has dtype {dtype}, not {row.dtype}")
-        # a dimension without a size yet takes the header's
-        expected = [dims.get(dim, dim) for dim in row.shape]
         if len(shape) != len(expected) or any(
                 want != got for want, got in zip(expected, shape) if want not in _DIMS):
             text = ", ".join(_DIMS.get(want, str(want)) for want in expected)
@@ -484,6 +494,16 @@ def _read_member(zf: zipfile.ZipFile, row: _Member, dims: dict,
     # the .npy data is the array's memory in its own order
     array = buf[head:].view(dtype)
     return info, buf, array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+
+
+def _npy_header(dtype: str, shape: tuple) -> bytes:
+    """The .npy magic, version 1.0 and header that np.lib.format.write_array
+    writes for a C-ordered array of `dtype` in native byte order and `shape`."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False, "shape": shape})
+    return head.getvalue()
 
 
 class _PieceReader:

@@ -75,6 +75,13 @@ class TestHdi:
         with pytest.raises(ValueError):
             hdi(np.arange(200), 1.5)
 
+    def test_nan_draw_is_an_error(self):
+        # sorting puts a NaN last, where it would be the upper bound
+        x = np.random.default_rng(4).normal(size=200)
+        x[[17, 90]] = np.nan
+        with pytest.raises(ValueError, match="^2 of 200 draws are NaN"):
+            hdi(x, 0.9)
+
 
 class TestPredictiveIntervals:
     def test_zero_one_sided_collapses_to_observed(self):
@@ -172,10 +179,10 @@ def _log_kernel(a, b, x):
 
 
 # (a, b) of the coverage posterior: interior modes from the paper's 245
-# cells to 9000, skewed to either end, and the two one-sided shapes; the
-# flat Beta(1, 1) has no one shortest interval, and is scored as [0, 0.95]
+# cells to a million, skewed to either end, and the two one-sided shapes;
+# the flat Beta(1, 1) has no one shortest interval, and is scored as [0, 0.95]
 INTERIOR = [(230, 17), (17, 230), (150, 151), (2, 2), (2, 300), (300, 2),
-            (2, 9001), (9001, 2), (4000, 5002)]
+            (2, 9001), (9001, 2), (4000, 5002), (2, 10**6), (10**6, 2)]
 ONE_SIDED = [(1, 247), (247, 1), (1, 2), (2, 1)]
 
 
@@ -237,6 +244,19 @@ class TestCoverageReport:
     def test_interior_mode_has_one_density_at_both_ends(self, a, b):
         lo, hi = _report(a - 1, b - 1).coverage_hdi
         assert abs(_log_kernel(a, b, lo) - _log_kernel(a, b, hi)) < 1e-8
+
+    @pytest.mark.parametrize("a, b", INTERIOR)
+    def test_root_search_takes_few_inverse_calls(self, a, b, monkeypatch):
+        # a 45-step bisection on the lower-tail mass took 92
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return betaincinv(*args)
+
+        monkeypatch.setattr(analysis, "betaincinv", counted)
+        analysis._beta_hdi(a, b, 0.95)
+        assert 2 <= len(calls) <= 32
 
     @pytest.mark.parametrize("total", [1, 2, 245, 9000])
     def test_no_hits_and_all_hits_are_one_sided(self, total):

@@ -1335,6 +1335,84 @@ class TestDrawsInflatedBesideTheAnalysis:
         # u_plus is read first, and starts the thread once its header is sound
         assert len(reader) == (0 if member == "u_plus" else 1)
 
+    @staticmethod
+    def _header_parses(monkeypatch):
+        """The list that gets a None for each .npy header numpy's parser reads."""
+        parses = []
+        parse = np.lib.format.read_array_header_1_0
+
+        def counted(*args, **kwargs):
+            parses.append(None)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", counted)
+        return parses
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_numpy_parses_only_the_headers_that_size_the_schema(self, monkeypatch, fits,
+                                                                chains):
+        # u_plus gives S, N and T, and beta K; every later header save_draws
+        # wrote is matched against the bytes it writes for the schema's row
+        path = fits / f"chains{chains}" / "draws.npz"
+        with np.load(path) as z:
+            stored = {name: z[name] for name in z.files}
+        parses = self._header_parses(monkeypatch)
+        draws, y = load_draws(path)
+        assert len(parses) == 2
+        assert np.array_equal(y, stored["y"])
+        for row in cli._DRAWS_SCHEMA:
+            if isinstance(row.fields, str) and row.fields != "y":
+                assert np.array_equal(getattr(draws, row.fields), stored[row.name]), row.name
+
+    def test_headers_save_draws_does_not_write_are_parsed(self, tmp_path, monkeypatch, fits):
+        # a big-endian sigma2_eps, a Fortran-ordered eta_plus and a v header
+        # padded to 16 bytes, where numpy pads to 64: each is a sound .npy
+        # member that numpy's parser reads, to the same values
+        whole = fits / "chains1" / "draws.npz"
+        other = tmp_path / "other.npz"
+        with zipfile.ZipFile(other, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, *_ in TestDrawsRoundTrip._members(whole):
+                arr = np.load(io.BytesIO(npy))
+                if name == "v":
+                    text = "{'descr': '<f8', 'fortran_order': False, 'shape': %r, }" % (
+                        arr.shape,)
+                    text += " " * (-(10 + len(text) + 1) % 16) + "\n"
+                    npy = (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text))
+                           + text.encode("latin1") + arr.tobytes())
+                    head = npy.index(b"\n") + 1
+                    assert head % 16 == 0 and head % 64
+                elif name in ("sigma2_eps", "eta_plus"):
+                    buf = io.BytesIO()
+                    np.lib.format.write_array(buf, arr.astype(">f8") if name == "sigma2_eps"
+                                              else np.asfortranarray(arr))
+                    npy = buf.getvalue()
+                zf.writestr(name + ".npy", npy)
+        parses = self._header_parses(monkeypatch)
+        draws, y = load_draws(other)
+        assert len(parses) == 5
+        assert draws.sigma2_eps.dtype == ">f8" and draws.eta_plus.flags.f_contiguous
+        expected, expected_y = load_draws(whole)
+        assert np.array_equal(y, expected_y)
+        for name, value in vars(expected).items():
+            assert np.array_equal(getattr(draws, name), value, equal_nan=True), name
+
+    @pytest.mark.parametrize("member", ["eta_plus", "sigma2_u", "meta"])
+    def test_header_with_a_changed_shape_digit_is_an_error(self, tmp_path, fits, reader,
+                                                           capsys, member):
+        # the header keeps its length, so only its bytes differ from the ones
+        # save_draws writes, and numpy's parser reads the changed shape
+        whole = fits / "chains1" / "draws.npz"
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, npy, *_ in TestDrawsRoundTrip._members(whole):
+                if name == member:
+                    # the first digit of the first dimension, 1 or 4, becomes a 9
+                    at = npy.index(b"'shape': (") + len(b"'shape': (")
+                    assert npy[at:at + 1] in (b"1", b"4")
+                    npy = npy[:at] + b"9" + npy[at + 1:]
+                zf.writestr(name + ".npy", npy)
+        self._fails_cleanly(bad, fits, capsys, f"{member} holds fewer values than its header says")
+
     def test_missing_member_is_an_error(self, tmp_path, fits, reader, capsys):
         # y is read last on the calling thread, while u_plus is still being
         # inflated on the other

@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from collections import defaultdict
 from functools import reduce
@@ -217,14 +218,41 @@ def test_benchmark_traces_no_span_for_the_draws_inflate(tmp_path, monkeypatch):
     assert {span[5] for span in tracer.spans} == {threading.get_ident()}
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # scipy.sparse (and the SuperLU solver under it) costs about 9 MB of
-    # resident memory on import, and pulls in scipy.linalg
-    code = ("import sys, hiddenpop.cli; "
-            "print([name for name in ('scipy.linalg', 'scipy.sparse') if name in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    # resident memory on import, and pulls in scipy.linalg; scipy.optimize
+    # and scipy.stats each take longer to import than scipy.special. None
+    # is loaded by the import, nor by a lazy import inside a command
+    code = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        from hiddenpop.cli import main
+
+        def loaded():
+            return [name for name in ("scipy.linalg", "scipy.sparse", "scipy.optimize",
+                                      "scipy.stats") if name in sys.modules]
+
+        after_import = loaded()
+        out = Path(sys.argv[1])
+        (out / "counts.csv").write_text(
+            "region,time,count,population\\n"
+            + "".join(f"{i},{t},{20 + i + t},900\\n" for i in range(4) for t in range(2)))
+        for argv in (["simulate", "--grid", "3x3", "--periods", "3", "--seed", "1",
+                      "--out", str(out / "sim")],
+                     ["fit", "--data", str(out / "sim" / "panel.csv"), "--grid", "3x3",
+                      "--iters", "150", "--burnin", "30", "--thin", "1", "--seed", "2",
+                      "--out", str(out / "fit")],
+                     ["analyze", "--draws", str(out / "fit" / "draws.npz"),
+                      "--truth", str(out / "sim" / "truth.csv"), "--out", str(out / "an")],
+                     ["sir", "--counts", str(out / "counts.csv"), "--out", str(out / "sir")]):
+            assert main(argv) == 0, argv
+        print(after_import, loaded())
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[] []"
+    assert (tmp_path / "an" / "coverage.csv").exists() and (tmp_path / "sir" / "sir.csv").exists()
 
 
 def test_every_chain_setting_is_reachable_from_fit(tmp_path):
